@@ -243,10 +243,6 @@ void BM_SkewRecovery(benchmark::State& state) {
 BENCHMARK(BM_SkewRecovery)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_ElasticScaleCycle(benchmark::State& state) {
-  if (!config().elastic) {
-    state.SkipWithError("INFOPIPE_ELASTIC=off");
-    return;
-  }
   std::int64_t cycles = 0;
   std::int64_t drain_ns = 0;
   for (auto _ : state) {

@@ -1,4 +1,4 @@
-// ip_mem: allocator traffic of the item path, pooled vs shared_ptr.
+// ip_mem: allocator traffic of the item path, pooled vs inline.
 //
 // Two angles on the same question — what does one data item cost the
 // general-purpose allocator?
@@ -12,12 +12,11 @@
 // Three workloads: a bare make/destroy loop (allocator cost in isolation),
 // a single-runtime pumped flow, and a 2-shard flow whose payloads cross a
 // ShardChannel cut — the case the consumer-side recycling protocol exists
-// for. Each runs per representation (`mode`: 0 = legacy shared_ptr,
-// 1 = pooled block, 2 = inline-in-Item), pinned explicitly because the
-// small trivially-copyable payloads used here would otherwise all take the
-// default inline path and measure nothing. The batched rows
-// (BM_CrossShardFlowBatched) re-run the cut flow with span-moving pumps,
-// batch on vs off.
+// for. Each runs per representation (`mode`: 1 = pooled block,
+// 2 = inline-in-Item); the payload's size picks it — a bare uint64_t rides
+// inline, the same value boxed past Item::kInlineCapacity takes a pool
+// block. The batched rows (BM_CrossShardFlowBatched) re-run the cut flow
+// with span-moving pumps, max_batch 32 vs 1.
 //
 // On a 1-core host the cross-shard numbers measure overhead, not
 // parallelism — record the host's core count next to archived results
@@ -32,7 +31,6 @@
 #include <cstdlib>
 #include <new>
 
-#include "core/config.hpp"
 #include "core/infopipes.hpp"
 #include "mem/pool.hpp"
 #include "shard/shard_group.hpp"
@@ -41,7 +39,7 @@
 // ---------------------------------------------------------------------------
 // Global allocator call counter. Counts every operator new in the process —
 // harness, strings, rings — which is exactly why the benches report per-item
-// DELTAS between otherwise identical pooled and legacy runs.
+// DELTAS between otherwise identical pooled and inline runs.
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
 }  // namespace
@@ -67,25 +65,39 @@ using namespace infopipe;
 
 constexpr std::uint64_t kItems = 20000;
 
-/// CountingSource's shape but with a real (pooled or legacy) payload per
+/// `mode` argument values.
+constexpr int kPooled = 1;
+constexpr int kInline = 2;
+
+/// A uint64_t boxed past Item::kInlineCapacity: takes a pool block.
+struct Boxed {
+  std::uint64_t v;
+  unsigned char pad[Item::kInlineCapacity];
+};
+static_assert(sizeof(Boxed) > Item::kInlineCapacity);
+
+Item make_payload(bool pooled, std::uint64_t v) {
+  return pooled ? Item::of(Boxed{v, {}}) : Item::of(v);
+}
+
+/// CountingSource's shape but with a real (pooled or inline) payload per
 /// item — tokens never touch the allocator, so they cannot measure it.
 class PayloadSource : public PassiveSource {
  public:
-  PayloadSource(std::string name, std::uint64_t count)
-      : PassiveSource(std::move(name)), count_(count) {}
-
-  void reset() noexcept { next_ = 0; }
+  PayloadSource(std::string name, std::uint64_t count, bool pooled)
+      : PassiveSource(std::move(name)), count_(count), pooled_(pooled) {}
 
  protected:
   Item generate() override {
     if (next_ >= count_) return Item::eos();
-    Item x = Item::of<std::uint64_t>(next_);
+    Item x = make_payload(pooled_, next_);
     x.seq = next_++;
     return x;
   }
 
  private:
   std::uint64_t count_;
+  bool pooled_;
   std::uint64_t next_ = 0;
 };
 
@@ -107,33 +119,29 @@ void report(benchmark::State& state, std::uint64_t items,
 
 // ---------------------------------------------------------------------------
 // Bare item make/destroy: the allocator cost of the representation alone.
-// Steady state: the pooled path recycles one block forever (0 allocator
-// calls per item), the legacy path pays make_shared every time.
+// Steady state: the pooled path recycles one block forever and the inline
+// path never leaves the Item (0 allocator calls per item either way).
 
 void BM_ItemMakeDestroy(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
-  config().pooling = mode == 1;
-  config().inline_payloads = mode == 2;
+  const bool pooled = state.range(0) == kPooled;
   mem::Pool pool("bench");
   mem::PoolScope scope(&pool);
 
   std::uint64_t items = 0;
   const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
-    Item x = Item::of<std::uint64_t>(items);
+    Item x = make_payload(pooled, items);
     benchmark::DoNotOptimize(x);
     ++items;
   }
   const std::uint64_t allocs =
       g_allocs.load(std::memory_order_relaxed) - before;
   const mem::Pool::Stats s = pool.stats();
-  report(state, items, allocs, mode == 1 ? &s : nullptr);
-  config().pooling = true;
-  config().inline_payloads = true;
+  report(state, items, allocs, pooled ? &s : nullptr);
 }
-// mode: 0 = legacy shared_ptr, 1 = pooled block, 2 = inline-in-Item.
+// mode: 1 = pooled block, 2 = inline-in-Item.
 BENCHMARK(BM_ItemMakeDestroy)
-    ->DenseRange(0, 2)
+    ->DenseRange(kPooled, kInline)
     ->ArgName("mode")
     ->Unit(benchmark::kNanosecond);
 
@@ -143,15 +151,16 @@ BENCHMARK(BM_ItemMakeDestroy)
 // the same runtime — the pure owner-recycling path.
 
 struct PumpedChain {
-  PayloadSource src{"src", kItems};
+  PayloadSource src;
   FreeRunningPump p1;
   Buffer buf{"buf", 64};
   FreeRunningPump p2;
   CountingSink sink{"sink"};
   Pipeline pipe;
 
-  explicit PumpedChain(std::size_t max_batch = 1)
-      : p1(PumpSpec{.name = "p1", .max_batch = max_batch}),
+  explicit PumpedChain(bool pooled, std::size_t max_batch = 1)
+      : src("src", kItems, pooled),
+        p1(PumpSpec{.name = "p1", .max_batch = max_batch}),
         p2(PumpSpec{.name = "p2", .max_batch = max_batch}) {
     pipe.connect(src, 0, p1, 0);
     pipe.connect(p1, 0, buf, 0);
@@ -161,13 +170,10 @@ struct PumpedChain {
 };
 
 void BM_SingleRuntimeFlow(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
-  const bool pooled = mode == 1;
-  config().pooling = pooled;
-  config().inline_payloads = mode == 2;
+  const bool pooled = state.range(0) == kPooled;
   for (auto _ : state) {
     state.PauseTiming();
-    PumpedChain c;
+    PumpedChain c(pooled);
     rt::Runtime rtm;
     Realization real(rtm, c.pipe);
     real.start();
@@ -183,17 +189,14 @@ void BM_SingleRuntimeFlow(benchmark::State& state) {
     }
     const mem::Pool::Stats s = rtm.pool().stats();
     report(state, kItems, allocs, pooled ? &s : nullptr);
-    obsbench::capture(rtm, mode == 2   ? "BM_SingleRuntimeFlow/inline"
-                           : pooled    ? "BM_SingleRuntimeFlow/pooled"
-                                       : "BM_SingleRuntimeFlow/legacy");
+    obsbench::capture(rtm, pooled ? "BM_SingleRuntimeFlow/pooled"
+                                  : "BM_SingleRuntimeFlow/inline");
     state.ResumeTiming();
   }
-  config().pooling = true;
-  config().inline_payloads = true;
 }
-// mode: 0 = legacy shared_ptr, 1 = pooled block, 2 = inline-in-Item.
+// mode: 1 = pooled block, 2 = inline-in-Item.
 BENCHMARK(BM_SingleRuntimeFlow)
-    ->DenseRange(0, 2)
+    ->DenseRange(kPooled, kInline)
     ->ArgName("mode")
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
@@ -205,13 +208,10 @@ BENCHMARK(BM_SingleRuntimeFlow)
 // path, and the pooled run should STILL be allocator-quiet per item.
 
 void BM_CrossShardFlow(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
-  const bool pooled = mode == 1;
-  config().pooling = pooled;
-  config().inline_payloads = mode == 2;
+  const bool pooled = state.range(0) == kPooled;
   for (auto _ : state) {
     state.PauseTiming();
-    PumpedChain c;
+    PumpedChain c(pooled);
     shard::ShardGroup group(2);
     shard::ShardedRealization real(group, c.pipe);
     real.start();
@@ -240,37 +240,32 @@ void BM_CrossShardFlow(benchmark::State& state) {
           static_cast<double>(kItems));
     }
     if (obsbench::enabled()) {
-      obsbench::captured()[mode == 2  ? "BM_CrossShardFlow/inline"
-                           : pooled   ? "BM_CrossShardFlow/pooled"
-                                      : "BM_CrossShardFlow/legacy"] =
+      obsbench::captured()[pooled ? "BM_CrossShardFlow/pooled"
+                                  : "BM_CrossShardFlow/inline"] =
           real.metrics_snapshot().to_json();
     }
     state.ResumeTiming();
   }
-  config().pooling = true;
-  config().inline_payloads = true;
 }
 // Real time: the bench thread parks in wait_finished while shard threads
 // do the work.
-// mode: 0 = legacy shared_ptr, 1 = pooled block, 2 = inline-in-Item.
+// mode: 1 = pooled block, 2 = inline-in-Item.
 BENCHMARK(BM_CrossShardFlow)
-    ->DenseRange(0, 2)
+    ->DenseRange(kPooled, kInline)
     ->ArgName("mode")
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// The same cut flow with span-moving pumps (max_batch = 32), batch on vs
-// off — inline + pooled both enabled, i.e. the full fast path. The off row
-// is the identical pipeline under the INFOPIPE_BATCH kill switch, so the
-// delta is the per-burst amortization alone.
+// The same cut flow with inline payloads and span-moving pumps
+// (max_batch = 32), batch on vs off. The off row is the identical pipeline
+// at max_batch = 1, so the delta is the per-burst amortization alone.
 
 void BM_CrossShardFlowBatched(benchmark::State& state) {
   const bool batched = state.range(0) != 0;
-  config().batching = batched;
   for (auto _ : state) {
     state.PauseTiming();
-    PumpedChain c(32);
+    PumpedChain c(/*pooled=*/false, batched ? 32 : 1);
     shard::ShardGroup group(2);
     shard::ShardedRealization real(group, c.pipe);
     real.start();
@@ -290,7 +285,6 @@ void BM_CrossShardFlowBatched(benchmark::State& state) {
     }
     state.ResumeTiming();
   }
-  config().batching = true;
 }
 BENCHMARK(BM_CrossShardFlowBatched)
     ->Arg(1)

@@ -10,9 +10,9 @@
 // Without the flag, capture() is a single predicate test, so normal timing
 // runs are not distorted.
 // The first line of the file is a `{"host":{...}}` object recording where
-// the numbers came from: core count, cpufreq governor, build type, and the
-// kill-switch configuration (core/config.hpp) the process ran under — the
-// four things that most often explain why two BENCH_*.json files disagree.
+// the numbers came from: core count, cpufreq governor, build type,
+// compiler, and the INFOPIPE_SEED the process ran under — what most often
+// explains why two BENCH_*.json files disagree.
 #pragma once
 
 #include <cstdio>
@@ -81,7 +81,6 @@ inline std::string cpu_governor() {
 /// One JSON object describing the machine and process configuration the
 /// numbers were taken under.
 inline std::string host_json() {
-  const infopipe::InfopipeConfig& c = infopipe::config();
   std::string j = "{";
   j += "\"num_cpus\":" + std::to_string(std::thread::hardware_concurrency());
   j += ",\"governor\":\"" + cpu_governor() + "\"";
@@ -90,15 +89,14 @@ inline std::string host_json() {
 #else
   j += ",\"build_type\":\"debug\"";
 #endif
-  j += ",\"config\":{";
-  j += std::string("\"pooling\":") + (c.pooling ? "true" : "false");
-  j += std::string(",\"batching\":") + (c.batching ? "true" : "false");
-  j += std::string(",\"inline_payloads\":") +
-       (c.inline_payloads ? "true" : "false");
-  j += std::string(",\"real_net\":") + (c.real_net ? "true" : "false");
-  j += std::string(",\"record\":") + (c.record ? "true" : "false");
-  j += std::string(",\"sessions\":") + (c.sessions ? "true" : "false");
-  j += ",\"seed\":" + std::to_string(c.seed);
+#if defined(__clang__)
+  j += ",\"compiler\":\"clang " __VERSION__ "\"";
+#elif defined(__GNUC__)
+  j += ",\"compiler\":\"gcc " __VERSION__ "\"";
+#else
+  j += ",\"compiler\":\"" __VERSION__ "\"";
+#endif
+  j += ",\"config\":{\"seed\":" + std::to_string(infopipe::config().seed);
   j += "}}";
   return j;
 }

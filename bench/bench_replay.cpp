@@ -1,7 +1,7 @@
 // ip_replay: what does schedule recording cost the paths it taps?
 //
-// The dormant rows are the acceptance claim behind INFOPIPE_RECORD=off made
-// measurable: with no sink installed a tap is one relaxed atomic load and a
+// The dormant rows show what a run that never records pays for the taps:
+// with no sink installed a tap is one relaxed atomic load and a
 // not-taken branch, so BM_TapDormant should sit within noise of
 // BM_TapCompiledOut (the same loop with the tap call absent). BM_TapLive
 // prices the other end — a ScheduleRecorder actually appending frames under
@@ -16,7 +16,6 @@
 
 #include <cstdint>
 
-#include "core/config.hpp"
 #include "core/infopipes.hpp"
 #include "replay/recorder.hpp"
 #include "rt/runtime.hpp"
@@ -51,9 +50,7 @@ BENCHMARK(BM_TapDormant);
 
 void BM_TapLive(benchmark::State& state) {
   replay::ScheduleRecorder rec;
-  const bool saved = config().record;
-  config().record = true;
-  (void)rec.install();
+  rec.install();
   std::uint64_t i = 0;
   for (auto _ : state) {
     g_work += ++i;
@@ -61,7 +58,6 @@ void BM_TapLive(benchmark::State& state) {
     benchmark::DoNotOptimize(g_work);
   }
   rec.uninstall();
-  config().record = saved;
   state.counters["frames"] =
       static_cast<double>(rec.frames_recorded());
 }
@@ -75,18 +71,13 @@ void BM_ChannelPushPop(benchmark::State& state) {
   ch.bind_producer(rtm, 0);
   ch.bind_consumer(rtm, 1);
   replay::ScheduleRecorder rec;
-  const bool saved = config().record;
-  if (state.range(0) != 0) {
-    config().record = true;
-    (void)rec.install();
-  }
+  if (state.range(0) != 0) rec.install();
   for (auto _ : state) {
     Item x = Item::token(1);
     benchmark::DoNotOptimize(ch.try_push(x));
     benchmark::DoNotOptimize(ch.try_pop());
   }
   rec.uninstall();
-  config().record = saved;
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ChannelPushPop)->Arg(0)->Arg(1);

@@ -4,11 +4,11 @@
 //
 //  1. Opening a session is a STAMP, not a realization. BM_OpenCloseStamp
 //     times open_on()+close() against the shared per-shard engines (a
-//     counter increment and two queue pushes); BM_OpenCloseRealize flips
-//     the INFOPIPE_SESSIONS kill switch and times the identical call when
-//     every open plans and realizes its own solo pipeline — the classic
-//     per-flow cost. The ratio between the two is the headline number and
-//     the acceptance bar is >= 10x.
+//     counter increment and two queue pushes); BM_OpenCloseRealize times
+//     the classic per-flow alternative built here in the bench: every open
+//     plans and realizes its own pipeline emitting the same items. The
+//     ratio between the two is the headline number and the acceptance bar
+//     is >= 10x.
 //
 //  2. Tens of thousands of live flows fit in one process.
 //     BM_HoldTenThousandSessions opens 10,000 sessions with staggered
@@ -29,9 +29,9 @@
 #include <thread>
 #include <vector>
 
-#include "core/config.hpp"
 #include "core/infopipes.hpp"
 #include "rt/clock.hpp"
+#include "session/engine.hpp"
 #include "session/plan.hpp"
 #include "session/session.hpp"
 #include "session/table.hpp"
@@ -49,40 +49,97 @@ shard::ShardGroup::GroupOptions manual_opts() {
   return opt;
 }
 
+const SessionParams kOpenCloseParams{QosClass::kBronze, 10.0, 64};
+
 /// Manual group: open_on/close run to completion inline with no engine
 /// threads competing, so the loop times exactly the per-flow admission
-/// cost of the selected mode and nothing else.
-void open_close_loop(benchmark::State& state) {
+/// cost and nothing else.
+void BM_OpenCloseStamp(benchmark::State& state) {
   shard::ShardGroup group(2, manual_opts());
   const auto plan = SharedPlan::analyze(EngineSpec{});
   SessionTable table(group, plan);
   int shard = 0;
   rt::Time t = 0;
   for (auto _ : state) {
-    const SessionId id =
-        table.open_on(shard, SessionParams{QosClass::kBronze, 10.0, 64});
+    const SessionId id = table.open_on(shard, kOpenCloseParams);
     table.close(id);
-    // Drive the shard runtimes so each mode also pays its engine-side
-    // work: the stamp path drains two queue ops; the realize path
-    // dispatches start/shutdown and reclaims the solo flow's threads
-    // (without this the manual runtimes never run and memory just grows).
+    // Drive the shard runtimes so the stamp path also pays its engine-side
+    // work (two queue ops drained), as the realize loop below does.
     group.step_until(t += rt::microseconds(10));
     shard ^= 1;
   }
   state.counters["realizations"] = static_cast<double>(table.realizations());
   state.SetItemsProcessed(state.iterations());
 }
-
-void BM_OpenCloseStamp(benchmark::State& state) {
-  config().sessions = true;
-  open_close_loop(state);
-}
 BENCHMARK(BM_OpenCloseStamp);
 
+/// The classic per-flow source: the items the shared engine would stamp for
+/// one session.
+class PerFlowSource : public ClockedSourceBase {
+ public:
+  PerFlowSource(SessionId id, const SessionParams& p)
+      : ClockedSourceBase("flow.src", p.rate_hz),
+        id_(id),
+        bytes_(p.payload_bytes) {}
+
+ protected:
+  [[nodiscard]] Item generate() override {
+    return make_session_item(scratch_, id_, seq_++, pipeline_now(), bytes_);
+  }
+
+ private:
+  SessionId id_;
+  std::size_t bytes_;
+  std::uint64_t seq_ = 0;
+  std::vector<std::uint8_t> scratch_;
+};
+
+/// One session as its own pipeline and realization: what open_on() would
+/// cost without the shared plan.
+struct PerFlow {
+  PerFlowSource src;
+  std::vector<std::unique_ptr<Component>> stages;
+  SessionSink sink;
+  std::shared_ptr<Pipeline> pipe = std::make_shared<Pipeline>();
+  std::unique_ptr<Realization> real;
+
+  PerFlow(rt::Runtime& rtm, const SharedPlan& plan, int shard, SessionId id,
+          ShardState* st)
+      : src(id, kOpenCloseParams), sink("flow.sink", st) {
+    if (plan.spec().stages) stages = plan.spec().stages(shard);
+    Component* prev = &src;
+    for (auto& stage : stages) {
+      pipe->connect(*prev, *stage);
+      prev = stage.get();
+    }
+    pipe->connect(*prev, sink);
+    real = std::make_unique<Realization>(rtm, pipe);
+    real->post_event(Event{kEventStart});
+  }
+};
+
 void BM_OpenCloseRealize(benchmark::State& state) {
-  config().sessions = false;
-  open_close_loop(state);
-  config().sessions = true;
+  shard::ShardGroup group(2, manual_opts());
+  const auto plan = SharedPlan::analyze(EngineSpec{});
+  ShardState states[2];
+  std::uint64_t counter = 1;
+  int shard = 0;
+  rt::Time t = 0;
+  for (auto _ : state) {
+    {
+      // Open plans and realizes the flow; close shuts it down and destroys
+      // the realization.
+      PerFlow flow(group.runtime(shard), *plan, shard,
+                   make_session_id(counter++, shard), &states[shard]);
+      flow.real->post_event(Event{kEventShutdown});
+    }
+    // Dispatch start/shutdown and reclaim the flow's threads (without this
+    // the manual runtimes never run and memory just grows).
+    group.step_until(t += rt::microseconds(10));
+    shard ^= 1;
+  }
+  state.counters["realizations"] = static_cast<double>(counter - 1);
+  state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_OpenCloseRealize);
 

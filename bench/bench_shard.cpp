@@ -111,8 +111,10 @@ void BM_ShardThroughput(benchmark::State& state) {
     FourStageChain c;
     shard::ShardGroup group(n_shards);
     shard::ShardedRealization real(group, c.pipe);
-    real.start();
+    // start() launches the shard threads and can block for most of the
+    // flow, so it sits inside the timed region.
     state.ResumeTiming();
+    real.start();
     real.wait_finished(std::chrono::seconds(120));
     state.PauseTiming();
     if (c.sink.count() != kItems) {
@@ -143,16 +145,12 @@ BENCHMARK(BM_ShardThroughput)
 // spin work: token items through src -> pump -> [cut] -> pump -> sink on 2
 // shards, so items/sec measures the movement machinery itself — driver
 // cycles, buffer locks, channel pushes — which is exactly what spans
-// amortize. max_batch = 1 is the per-item baseline; max_batch = 0 encodes
-// "batched pumps (64) but INFOPIPE_BATCH=off", which must collapse onto
-// that baseline.
+// amortize. max_batch = 1 is the per-item baseline.
 
 constexpr std::uint64_t kFlowItems = 200000;
 
 void BM_CrossShardBatchedFlow(benchmark::State& state) {
-  const auto arg = static_cast<std::size_t>(state.range(0));
-  const std::size_t mb = arg == 0 ? 64 : arg;
-  config().batching = arg != 0;
+  const auto mb = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
     CountingSource src{"src", kFlowItems};
@@ -167,8 +165,8 @@ void BM_CrossShardBatchedFlow(benchmark::State& state) {
     pipe.connect(p2, 0, sink, 0);
     shard::ShardGroup group(2);
     shard::ShardedRealization real(group, pipe);
+    state.ResumeTiming();  // start() included, as in BM_ShardThroughput
     real.start();
-    state.ResumeTiming();
     real.wait_finished(std::chrono::seconds(120));
     state.PauseTiming();
     if (sink.count() != kFlowItems) {
@@ -177,7 +175,7 @@ void BM_CrossShardBatchedFlow(benchmark::State& state) {
     }
     if (obsbench::enabled()) {
       obsbench::captured()["BM_CrossShardBatchedFlow/" +
-                           std::to_string(arg)] =
+                           std::to_string(mb)] =
           real.metrics_snapshot().to_json();
     }
     state.SetItemsProcessed(state.items_processed() +
@@ -185,14 +183,11 @@ void BM_CrossShardBatchedFlow(benchmark::State& state) {
     state.ResumeTiming();
   }
   state.counters["max_batch"] = static_cast<double>(mb);
-  state.counters["batching"] = arg != 0 ? 1 : 0;
-  config().batching = true;
 }
 BENCHMARK(BM_CrossShardBatchedFlow)
     ->Arg(1)   // per-item baseline
     ->Arg(8)
     ->Arg(64)
-    ->Arg(0)   // max_batch=64 under the kill switch: must match Arg(1)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

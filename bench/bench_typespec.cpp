@@ -116,7 +116,9 @@ void BM_MicroLangParse(benchmark::State& state) {
 }
 BENCHMARK(BM_MicroLangParse)->Unit(benchmark::kMicrosecond);
 
-/// Realize+teardown: thread creation cost per pipeline.
+/// Realize+teardown: thread creation cost per pipeline, reclamation
+/// included — the runtime only reaps killed threads when it runs, so
+/// without the run() every iteration would leak its stacks.
 void BM_RealizeTeardown(benchmark::State& state) {
   rt::Runtime rt;
   CountingSource src("src", 1);
@@ -125,8 +127,11 @@ void BM_RealizeTeardown(benchmark::State& state) {
   CountingSink sink("sink");
   auto ch = src >> fn >> pump >> sink;
   for (auto _ : state) {
-    Realization real(rt, ch.pipeline());
-    benchmark::DoNotOptimize(real.thread_count());
+    {
+      Realization real(rt, ch.pipeline());
+      benchmark::DoNotOptimize(real.thread_count());
+    }
+    rt.run();
   }
   obsbench::capture(rt, "BM_RealizeTeardown");
 }

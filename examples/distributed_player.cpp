@@ -14,8 +14,8 @@
 //      stream that crossed loopback TCP between two OS processes must be
 //      byte-identical to the one that crossed the in-process SimLink.
 //
-// INFOPIPE_NET=sim is the kill switch: only the single-process SimLink run
-// happens, same digest, no sockets, no child processes.
+// --sim runs only the single-process SimLink reference: same digest, no
+// sockets, no child processes.
 //
 //   distributed_player                 orchestrate sim + server + client
 //   distributed_player --sim           single-process SimLink run only
@@ -29,7 +29,6 @@
 #include <cstring>
 #include <string>
 
-#include "core/config.hpp"
 #include "core/infopipes.hpp"
 #include "media/mpeg.hpp"
 #include "net/binder.hpp"
@@ -104,9 +103,7 @@ class DigestTap : public FunctionComponent {
 
  protected:
   Item convert(Item x) override {
-    if (const auto* v = x.payload<std::vector<std::uint8_t>>()) {
-      h_.update(v->data(), v->size());
-    } else if (const std::uint8_t* p = x.bytes_data()) {
+    if (const std::uint8_t* p = x.bytes_data()) {
       h_.update(p, x.bytes_size());
     }
     h_.update_u64(x.seq);
@@ -399,11 +396,6 @@ int run_orchestrator(std::uint64_t frames) {
               " frames displayed\n",
               hex64(ref.digest).c_str(), ref.packets, ref.displayed);
   if (ref.displayed != frames) return 1;
-
-  if (!config().real_net) {
-    std::printf("\nINFOPIPE_NET=sim: real-socket run skipped (kill switch)\n");
-    return 0;
-  }
 
   // Loopback port pair for this run: derived from the pid, rounded even so
   // port+1 (the data link) stays in range and distinct runs rarely collide.

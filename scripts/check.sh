@@ -26,40 +26,7 @@ echo "== RelWithDebInfo build + tests + benches (INFOPIPE_SEED=$INFOPIPE_SEED) =
 cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build --output-on-failure
-for b in build/bench/*; do "$b"; done
-
-echo "== pooling=off pass (legacy shared_ptr item path) =="
-# The escape hatch must stay a working configuration: the whole suite runs
-# again with pooled payload blocks disabled (INFOPIPE_POOLING=off), so both
-# item representations keep their identical observable behaviour.
-INFOPIPE_POOLING=off ctest --test-dir build --output-on-failure
-
-echo "== batch=off pass (per-item pump cycles) =="
-# Same discipline for the batched item path (ARCHITECTURE §15): the kill
-# switch must collapse every span-moving pump back to classic one-item
-# cycles with bit-identical delivery, across the whole suite.
-INFOPIPE_BATCH=off ctest --test-dir build --output-on-failure
-
-echo "== sessions=off pass (per-flow realization fallback) =="
-# The session layer's kill switch (ARCHITECTURE §17): with the shared
-# engines disabled every open falls back to a full per-flow plan+realize,
-# and per-session item streams must stay bit-identical (the session suite
-# asserts the digests; the rest of the suite must simply not care).
-INFOPIPE_SESSIONS=off ctest --test-dir build --output-on-failure
-
-echo "== elastic=off pass (topology pinned at construction) =="
-# The elastic topology's kill switch (ARCHITECTURE §19): with
-# INFOPIPE_ELASTIC=off, add_shard/retire_shard refuse and every group keeps
-# its construction-time shard count — the whole suite must behave exactly
-# as it did before the topology learned to move (the elastic tests pin the
-# flag on for their own mechanics, or drive both modes explicitly).
-INFOPIPE_ELASTIC=off ctest --test-dir build --output-on-failure
-
-echo "== record=off pass (dormant replay taps) =="
-# The recorder's kill switch (ARCHITECTURE §18): install() refuses, the
-# taps stay dormant, and the whole suite must behave identically (the
-# recording tests skip themselves; nothing else may notice).
-INFOPIPE_RECORD=off ctest --test-dir build --output-on-failure
+for b in build/bench/bench_*; do "$b"; done
 
 echo "== replay stage: record -> replay smoke + schedule fuzz =="
 # The §18 claim end to end: a LIVE two-kernel-thread run of the sharded
@@ -118,6 +85,6 @@ TSAN_OPTIONS=halt_on_error=1 \
 echo "== multi-process smoke: distributed_player over loopback TCP =="
 # Two real OS processes exchange the stream over loopback TCP; the client
 # verifies a byte-identical digest against the in-process SimLink
-# reference, and the INFOPIPE_NET=sim kill switch must keep working.
+# reference, and the single-process --sim run must keep working.
 ./build/examples/distributed_player
-INFOPIPE_NET=sim ./build/examples/distributed_player
+./build/examples/distributed_player --sim

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/config.hpp"
 #include "rt/clock.hpp"
 #include "rt/msg_registry.hpp"
 
@@ -111,7 +110,7 @@ void Rebalancer::record_report(const MigrationReport& r) {
 }
 
 void Rebalancer::maybe_scale(const LoadSnapshot& load) {
-  if (!opts_.elastic.enabled || !config().elastic) return;
+  if (!opts_.elastic.enabled) return;
   shard::ShardGroup& g = sr_->group();
   const std::vector<int> live = g.live_shards();
   if (live.empty()) return;

@@ -24,7 +24,7 @@
 // gated by the same hysteresis (min_imbalance) and cooldown the old
 // one-move policy used, so a balanced flow is never churned.
 //
-// Elastic mode (opt-in via ElasticOptions::enabled AND config().elastic):
+// Elastic mode (opt-in via ElasticOptions::enabled):
 // hysteresis counters over the live shards' mean busy fraction drive
 // ShardGroup::add_shard / retire_shard. Scale-up grows the group and
 // replans onto the new shard; scale-down evacuates the least-busy live
@@ -62,8 +62,7 @@
 namespace infopipe::balance {
 
 /// Autoscaling knobs. Off by default: a rebalancer only changes the shard
-/// count when the embedding application opted in (and INFOPIPE_ELASTIC is
-/// not forcing the topology fixed).
+/// count when the embedding application opted in.
 struct ElasticOptions {
   bool enabled = false;
   /// Scale up after the live shards' mean busy fraction stayed at or above

@@ -273,8 +273,8 @@ class FunctionComponent : public Component {
 /// from this when the whole point of the component is burst processing
 /// (vectorized transforms, amortized encode scratch). The per-item
 /// convert() is the automatic adapter — a BatchFilter dropped into a
-/// non-batched chain (or with INFOPIPE_BATCH=off) behaves identically,
-/// one-item spans included.
+/// non-batched chain (max_batch = 1) behaves identically, one-item spans
+/// included.
 class BatchFilter : public FunctionComponent {
  public:
   using FunctionComponent::FunctionComponent;

@@ -1,35 +1,17 @@
 #include "core/config.hpp"
 
 #include <cstdlib>
-#include <string>
 
 namespace infopipe {
 
 InfopipeConfig& config() noexcept {
   static InfopipeConfig cfg = [] {
     InfopipeConfig c;
-    const auto enabled = [](const char* name, bool dflt) {
-      const char* e = std::getenv(name);
-      if (e == nullptr) return dflt;
-      const std::string v(e);
-      return !(v == "0" || v == "off" || v == "false");
-    };
-    c.pooling = enabled("INFOPIPE_POOLING", c.pooling);
-    c.batching = enabled("INFOPIPE_BATCH", c.batching);
-    c.inline_payloads = enabled("INFOPIPE_INLINE", c.inline_payloads);
-    c.sessions = enabled("INFOPIPE_SESSIONS", c.sessions);
-    c.record = enabled("INFOPIPE_RECORD", c.record);
-    c.elastic = enabled("INFOPIPE_ELASTIC", c.elastic);
     if (const char* s = std::getenv("INFOPIPE_SEED")) {
       char* end = nullptr;
       const unsigned long long v = std::strtoull(s, &end, 10);
       if (end != s) c.seed = static_cast<std::uint64_t>(v);
     }
-    // "sim" reads better than "off" for a transport selector; both work.
-    const char* net = std::getenv("INFOPIPE_NET");
-    c.real_net = net == nullptr ? c.real_net
-                                : !(std::string(net) == "sim" ||
-                                    !enabled("INFOPIPE_NET", true));
     return c;
   }();
   return cfg;

@@ -1,10 +1,10 @@
 // Process-wide platform configuration (ipcore).
 //
-// Every knob here gates a pure representation or mechanism change: the same
-// pipeline must deliver the bit-identical item sequence with the knob on or
-// off. The off positions are kept alive deliberately — lockstep tests run
-// the same pipeline both ways and assert identical sink sequences, which is
-// the strongest statement we can make that the optimization is transparent.
+// The platform, not the programmer, picks every mechanism: payload
+// representation by payload type and size, batched movement by each
+// Driver's max_batch, shared session engines, elastic topology and the
+// replay taps are always on. What is left to set is the one value that
+// changes which schedules are explored, never what a pipeline delivers.
 #pragma once
 
 #include <cstdint>
@@ -12,66 +12,26 @@
 namespace infopipe {
 
 struct InfopipeConfig {
-  /// Pooled payload blocks (mem::Pool) vs. per-item shared_ptr allocation.
-  /// Initialized from the INFOPIPE_POOLING environment variable ("0", "off"
-  /// or "false" disable it); tests may flip it directly between pipelines.
-  /// Flipping mid-flow is safe — accessors understand both representations —
-  /// but items already allocated keep the representation they started with.
-  bool pooling = true;
-
-  /// Span-based batched item movement (Driver::max_batch > 1 drains bursts
-  /// per fire through put_span/take_span/try_push_span/try_pop_span).
-  /// INFOPIPE_BATCH=off forces every pump down the one-item-per-cycle path
-  /// regardless of its max_batch — the lockstep escape hatch.
-  bool batching = true;
-
-  /// Inline small-payload storage: trivially-copyable payloads no larger
-  /// than Item::kInlineCapacity (two cache lines) live inside the Item
-  /// itself — no refcount, no pool round trip, memcpy on copy. Disable with
-  /// INFOPIPE_INLINE=off; items already created keep their representation.
-  bool inline_payloads = true;
-
-  /// Real-socket transports (net::SocketTransport) vs. the in-process
-  /// SimLink. INFOPIPE_NET=sim (or off/0/false) is the kill switch: tools
-  /// that would run multi-process over loopback TCP — examples/
-  /// distributed_player foremost — fall back to a single-process SimLink
-  /// run that delivers the byte-identical item stream.
-  bool real_net = true;
-
-  /// Schedule recording (replay::ScheduleRecorder, ARCHITECTURE §18):
-  /// whether installing the replay tap sink is permitted at all. The taps
-  /// themselves cost one relaxed atomic load + branch when no sink is
-  /// installed; INFOPIPE_RECORD=off additionally makes
-  /// ScheduleRecorder::install() a no-op, so a binary built with recording
-  /// support runs with the hot path provably untouched.
-  bool record = true;
-
-  /// Shared-plan session stamping (session::SessionTable): thousands of
-  /// flows ride a handful of per-shard engine realizations stamped from one
-  /// immutable PlanInfo. INFOPIPE_SESSIONS=off is the kill switch: every
-  /// open() falls back to a full per-use Pipeline realization on the
-  /// session's home shard — the per-session item sequence (payload bytes,
-  /// seq, kind) must stay bit-identical either way.
-  bool sessions = true;
-
-  /// Elastic shard topology (shard::ShardGroup::add_shard / retire_shard,
-  /// ARCHITECTURE §19): whether the group may grow or shrink at runtime and
-  /// whether the Rebalancer's scale triggers may fire. INFOPIPE_ELASTIC=off
-  /// is the kill switch: add_shard/retire_shard refuse, the Rebalancer never
-  /// scales, and the topology is pinned at construction — today's fixed
-  /// behavior, with bit-identical per-flow digests.
-  bool elastic = true;
-
   /// Base seed for every randomized test and bench in the tree
   /// (INFOPIPE_SEED, default 1). Suites that roll their own std::mt19937
   /// derive their per-case seeds from this one value, and scripts/check.sh
   /// prints it on failure — so a sanitizer churn failure reproduces with
-  /// one env var instead of an archaeology session. Not a kill switch:
-  /// changing it changes which schedules are explored, never correctness.
+  /// one env var. Changing it changes which schedules are explored, never
+  /// correctness.
   std::uint64_t seed = 1;
+
+  // Not settable: every mechanism is always on. The names exist only
+  // because the bench/e2e host record prints them.
+  static constexpr bool pooling = true;
+  static constexpr bool batching = true;
+  static constexpr bool inline_payloads = true;
+  static constexpr bool real_net = true;
+  static constexpr bool record = true;
+  static constexpr bool sessions = true;
+  static constexpr bool elastic = true;
 };
 
-/// The mutable singleton. First use reads the environment.
+/// The mutable singleton. First use reads INFOPIPE_SEED.
 [[nodiscard]] InfopipeConfig& config() noexcept;
 
 }  // namespace infopipe

@@ -6,26 +6,23 @@
 // reference frames; the control protocol decides when a shared frame dies,
 // and shared ownership here makes that safe by construction.
 //
-// Three payload representations coexist (config() picks at creation):
-//   * inline (default for small payloads): trivially-copyable payloads no
-//     larger than kInlineCapacity (two cache lines) live in a buffer inside
-//     the Item itself — no allocation, no refcount, a bounded memcpy on
-//     copy. A drained batch of small items is therefore a contiguous,
-//     memcpy-friendly run with no allocator traffic at all.
-//   * pooled (default otherwise): one intrusive-refcounted block from the
+// Two payload representations coexist; the payload's type and size pick
+// one at creation:
+//   * inline: trivially-copyable payloads no larger than kInlineCapacity
+//     (two cache lines) live in a buffer inside the Item itself — no
+//     allocation, no refcount, a bounded memcpy on copy. A drained batch of
+//     small items is therefore a contiguous, memcpy-friendly run with no
+//     allocator traffic at all.
+//   * pooled: everything else is one intrusive-refcounted block from the
 //     current runtime's mem::Pool — one allocation, usually a free-list
-//     hit, and the block is recycled when the last Item drops it;
-//   * legacy: shared_ptr<const std::any>, two general-allocator hits per
-//     item — kept alive so lockstep tests can assert the pooled path is a
-//     pure representation change.
-// All accessors understand all three, so items of any kind can meet in one
-// pipeline (e.g. when a test flips the config between stages). Inline items
-// trade the shared-payload property for allocation-freedom: each copy owns
-// its bytes (use_count() == 1), which is indistinguishable to consumers of
-// an immutable payload.
+//     hit, and the block is recycled when the last Item drops it.
+// All accessors understand both. Inline items trade the shared-payload
+// property for allocation-freedom: each copy owns its bytes
+// (use_count() == 1), which is indistinguishable to consumers of an
+// immutable payload.
 //
 // Items MOVE along the hot path — buffer deques, channel rings, pump
-// forwarding — and all representations have noexcept moves, which the
+// forwarding — and both representations have noexcept moves, which the
 // static_asserts at the bottom pin down. The hand-written copy/move
 // members exist only so the inline buffer is copied to its used length
 // instead of all kInlineCapacity bytes per hop.
@@ -34,15 +31,12 @@
 #include <any>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <new>
 #include <span>
 #include <type_traits>
 #include <typeinfo>
 #include <utility>
-#include <vector>
 
-#include "core/config.hpp"
 #include "mem/pool.hpp"
 #include "rt/types.hpp"
 
@@ -58,8 +52,8 @@ enum class ItemSpecial : std::uint8_t {
 class Item {
  public:
   /// Payloads up to this size (and trivially copyable) are stored inside
-  /// the Item itself when config().inline_payloads is set: two cache lines,
-  /// the crossover below which a memcpy beats even a pool free-list hit.
+  /// the Item itself: two cache lines, the crossover below which a memcpy
+  /// beats even a pool free-list hit.
   static constexpr std::size_t kInlineCapacity = 128;
 
   /// An invalid/nil item (what a non-blocking pull on an empty buffer
@@ -79,7 +73,6 @@ class Item {
         kind(o.kind),
         size_bytes(o.size_bytes),
         special_(o.special_),
-        data_(o.data_),
         block_(o.block_),
         inline_type_(o.inline_type_),
         inline_size_(o.inline_size_),
@@ -93,7 +86,6 @@ class Item {
       kind = o.kind;
       size_bytes = o.size_bytes;
       special_ = o.special_;
-      data_ = o.data_;
       block_ = o.block_;
       inline_type_ = o.inline_type_;
       inline_size_ = o.inline_size_;
@@ -110,7 +102,6 @@ class Item {
         kind(o.kind),
         size_bytes(o.size_bytes),
         special_(o.special_),
-        data_(std::move(o.data_)),
         block_(std::move(o.block_)),
         inline_type_(o.inline_type_),
         inline_size_(o.inline_size_),
@@ -127,7 +118,6 @@ class Item {
       kind = o.kind;
       size_bytes = o.size_bytes;
       special_ = o.special_;
-      data_ = std::move(o.data_);
       block_ = std::move(o.block_);
       inline_type_ = o.inline_type_;
       inline_size_ = o.inline_size_;
@@ -153,43 +143,27 @@ class Item {
     if constexpr (std::is_trivially_copyable_v<T> &&
                   sizeof(T) <= kInlineCapacity &&
                   alignof(T) <= alignof(std::max_align_t)) {
-      if (config().inline_payloads) {
-        ::new (static_cast<void*>(it.inline_buf_)) T(std::move(payload));
-        it.inline_type_ = &typeid(T);
-        it.inline_size_ = static_cast<std::uint16_t>(sizeof(T));
-        return it;
-      }
-    }
-    if (config().pooling) {
-      it.block_ = mem::make_typed<T>(std::move(payload));
+      ::new (static_cast<void*>(it.inline_buf_)) T(std::move(payload));
+      it.inline_type_ = &typeid(T);
+      it.inline_size_ = static_cast<std::uint16_t>(sizeof(T));
     } else {
-      it.data_ = std::make_shared<const std::any>(std::in_place_type<T>,
-                                                  std::move(payload));
+      it.block_ = mem::make_typed<T>(std::move(payload));
     }
     return it;
   }
 
   /// A data item carrying a raw byte payload (wire messages, serialization
   /// scratch). Payloads up to kInlineCapacity live inside the Item itself;
-  /// larger ones follow the pooled path (a class-rounded pool block, so
-  /// successive messages of similar size reuse storage) or, with pooling
-  /// off, the legacy path (a std::vector payload, so old-style
-  /// payload<vector<uint8_t>>() consumers still work).
+  /// larger ones get a class-rounded pool block, so successive messages of
+  /// similar size reuse storage.
   static Item of_bytes(const void* data, std::size_t n) {
     Item it(ItemSpecial::kNone);
-    if (n <= kInlineCapacity && config().inline_payloads) {
+    if (n <= kInlineCapacity) {
       if (n > 0) std::memcpy(it.inline_buf_, data, n);
       it.inline_size_ = static_cast<std::uint16_t>(n);
       it.inline_bytes_ = true;
-      it.size_bytes = n;
-      return it;
-    }
-    if (config().pooling) {
-      it.block_ = mem::make_bytes(data, n);
     } else {
-      const auto* p = static_cast<const std::uint8_t*>(data);
-      it.data_ = std::make_shared<const std::any>(
-          std::in_place_type<std::vector<std::uint8_t>>, p, p + n);
+      it.block_ = mem::make_bytes(data, n);
     }
     it.size_bytes = n;
     return it;
@@ -224,7 +198,6 @@ class Item {
       }
       return nullptr;
     }
-    if (data_) return std::any_cast<T>(data_.get());
     return block_.get_if<T>();
   }
 
@@ -237,37 +210,26 @@ class Item {
   }
 
   /// Raw-bytes payload access: valid for of_bytes() items of either
-  /// representation, and for legacy vector<uint8_t> payloads. nullptr/0
-  /// otherwise.
+  /// representation. nullptr/0 otherwise.
   [[nodiscard]] const std::uint8_t* bytes_data() const noexcept {
     if (inline_bytes_) {
       return reinterpret_cast<const std::uint8_t*>(inline_buf_);
     }
-    if (block_.is_bytes()) return block_.bytes();
-    if (const auto* v = payload<std::vector<std::uint8_t>>()) {
-      return v->data();
-    }
-    return nullptr;
+    return block_.is_bytes() ? block_.bytes() : nullptr;
   }
   [[nodiscard]] std::size_t bytes_size() const noexcept {
     if (inline_bytes_) return inline_size_;
-    if (block_.is_bytes()) return block_.size();
-    if (const auto* v = payload<std::vector<std::uint8_t>>()) {
-      return v->size();
-    }
-    return 0;
+    return block_.is_bytes() ? block_.size() : 0;
   }
   [[nodiscard]] bool has_bytes() const noexcept {
-    return inline_bytes_ || block_.is_bytes() ||
-           payload<std::vector<std::uint8_t>>() != nullptr;
+    return inline_bytes_ || block_.is_bytes();
   }
 
   /// How many Items currently share this payload (0 for payload-less items).
   /// Each copy of an inline item owns its bytes, so the count is 1.
   /// Used by reference-frame lifetime tests.
   [[nodiscard]] long use_count() const noexcept {
-    if (inlined()) return 1;
-    return data_ ? data_.use_count() : block_.use_count();
+    return inlined() ? 1 : block_.use_count();
   }
 
   /// True when the payload is a pooled block (diagnostics/tests).
@@ -291,8 +253,7 @@ class Item {
   explicit Item(ItemSpecial s) noexcept : special_(s) {}
 
   ItemSpecial special_;
-  std::shared_ptr<const std::any> data_;  ///< legacy representation
-  mem::PayloadRef block_;                 ///< pooled representation
+  mem::PayloadRef block_;  ///< pooled representation
 
   // Inline representation: non-null inline_type_ (typed payload) or set
   // inline_bytes_ (raw bytes) marks the buffer as live; only the first
@@ -312,6 +273,8 @@ using ItemSpan = std::span<Item>;
 // round trip per hop.
 static_assert(std::is_nothrow_move_constructible_v<Item>);
 static_assert(std::is_nothrow_move_assignable_v<Item>);
+// Three cache lines: header, pooled block reference and the inline buffer.
+static_assert(sizeof(Item) <= 192);
 
 /// Thrown by pull links when the upstream flow has ended; caught by the
 /// middleware glue, never by component code. This is what lets component

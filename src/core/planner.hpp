@@ -22,8 +22,8 @@
 // Batching (PumpSpec::max_batch, ARCHITECTURE §15) is orthogonal to
 // everything decided here: spans ride the same sections, drivers and
 // coroutine assignments, and whether a given edge actually moves bursts is
-// resolved at wiring/run time (span link present + config().batching), never
-// in the Plan. A batched pump plans identically to a per-item one.
+// resolved at wiring/run time (a span link is present and max_batch > 1),
+// never in the Plan. A batched pump plans identically to a per-item one.
 #pragma once
 
 #include <map>

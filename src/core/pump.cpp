@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/config.hpp"
 #include "core/realization.hpp"
 
 namespace infopipe {
@@ -40,7 +39,7 @@ void Driver::push_next_span(ItemSpan xs) {
 
 std::size_t Driver::effective_batch(bool need_pull,
                                     bool need_push) const noexcept {
-  if (max_batch_ <= 1 || !config().batching) return 1;
+  if (max_batch_ <= 1) return 1;
   if (need_pull && !pull_span_link_) return 1;
   if (need_push && !push_span_link_) return 1;
   return max_batch_;

@@ -38,7 +38,6 @@ namespace infopipe {
 /// identical to every pipeline built before batching existed. Clock-driven
 /// pumps default to 1 deliberately — bursting a clocked pump changes its
 /// rate semantics, so opting in is an explicit per-pump decision.
-/// INFOPIPE_BATCH=off forces every pump back to 1 at run time.
 struct PumpSpec {
   std::string name;
   double rate_hz = 0.0;  ///< required by clocked/adaptive pumps, else unused
@@ -88,8 +87,8 @@ class Driver : public Component {
 
   /// Upper bound on items moved per fire through the batched span path
   /// (PumpSpec::max_batch). 1 = classic per-item cycling. The effective
-  /// value also honours the INFOPIPE_BATCH kill switch and falls back to 1
-  /// when the wiring found no span-capable chain on either side.
+  /// value falls back to 1 when the wiring found no span-capable chain on
+  /// either side.
   void set_max_batch(std::size_t n) noexcept { max_batch_ = n == 0 ? 1 : n; }
   [[nodiscard]] std::size_t max_batch() const noexcept { return max_batch_; }
 
@@ -130,7 +129,7 @@ class Driver : public Component {
   }
 
   /// How many items the next fire may move: max_batch(), clamped to 1 when
-  /// batching is off (INFOPIPE_BATCH) or the chain has no span glue.
+  /// the chain has no span glue.
   [[nodiscard]] std::size_t effective_batch(bool need_pull,
                                             bool need_push) const noexcept;
 

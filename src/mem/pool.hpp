@@ -171,8 +171,8 @@ class PoolScope {
 template <typename T>
 [[nodiscard]] PayloadRef make_typed(T value) {
   static_assert(alignof(T) <= alignof(std::max_align_t),
-                "over-aligned payload types are not supported by the pooled "
-                "item path; disable pooling for them");
+                "over-aligned payload types are not supported as item "
+                "payloads");
   BlockHeader* h = active_pool().acquire(sizeof(T));
   try {
     ::new (block_payload(h)) T(std::move(value));

@@ -140,10 +140,8 @@ class MarshalFilter : public FunctionComponent {
 
  protected:
   Item convert(Item x) override {
-    // The wire copy lives in a pooled byte block (class-rounded, so
-    // consecutive messages of similar size recycle the same storage) rather
-    // than a fresh vector boxed in a shared_ptr per message; under
-    // pooling=off, of_bytes falls back to the legacy vector payload.
+    // The wire copy lives inline or in a pooled byte block (class-rounded,
+    // so consecutive messages of similar size recycle the same storage).
     const std::vector<std::uint8_t> bytes = enc_(x);
     Item wire = Item::of_bytes(bytes.data(), bytes.size());
     wire.seq = x.seq;
@@ -185,13 +183,10 @@ class UnmarshalFilter : public FunctionComponent {
  protected:
   Item convert(Item x) override {
     Item y = Item::nil();
-    if (const auto* v = x.payload<std::vector<std::uint8_t>>()) {
-      // Legacy vector payload (pooling=off): hand it to the codec directly.
-      y = dec_(*v);
-    } else if (const std::uint8_t* p = x.bytes_data()) {
-      // Pooled byte block: the codec API speaks vectors, so stage through a
-      // member scratch whose capacity is reused across messages (assign
-      // does not reallocate once it has grown to the flow's packet size).
+    if (const std::uint8_t* p = x.bytes_data()) {
+      // The codec API speaks vectors, so stage through a member scratch
+      // whose capacity is reused across messages (assign does not
+      // reallocate once it has grown to the flow's packet size).
       scratch_.assign(p, p + x.bytes_size());
       y = dec_(scratch_);
     }

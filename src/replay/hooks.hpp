@@ -8,8 +8,8 @@
 // shard, mem, balance) include ONLY this header: it is header-only and has
 // no link dependency, so taking the taps costs them nothing at link time
 // and one relaxed atomic load plus a predictable branch at run time while
-// no sink is installed. That load-and-branch is the entire
-// INFOPIPE_RECORD=off hot-path cost, which bench_shard verifies.
+// no sink is installed. That load-and-branch is the entire hot-path cost
+// of a run that never records, which bench_replay measures.
 //
 // A TapSink observes the decisions. Two live in src/replay/: the
 // ScheduleRecorder (writes a replay::Trace) and the HBChecker (vector-clock

@@ -28,11 +28,9 @@ void ScheduleRecorder::attach(shard::ShardGroup& group) {
   }
 }
 
-bool ScheduleRecorder::install() {
-  if (!config().record) return false;
-  if (installed_.exchange(true, std::memory_order_acq_rel)) return true;
+void ScheduleRecorder::install() {
+  if (installed_.exchange(true, std::memory_order_acq_rel)) return;
   install_tap_sink(this);
-  return true;
 }
 
 void ScheduleRecorder::uninstall() {
@@ -222,14 +220,8 @@ void ScheduleRecorder::note_mark(std::uint64_t tag) {
 
 Trace ScheduleRecorder::finish() {
   Trace t;
-  const InfopipeConfig& c = config();
   t.meta.version = kTraceVersion;
-  t.meta.seed = c.seed;
-  t.meta.flags = static_cast<std::uint8_t>(
-      (c.pooling ? Trace::kFlagPooling : 0) |
-      (c.batching ? Trace::kFlagBatching : 0) |
-      (c.inline_payloads ? Trace::kFlagInline : 0) |
-      (c.sessions ? Trace::kFlagSessions : 0));
+  t.meta.seed = config().seed;
   const std::lock_guard<std::mutex> lk(mu_);
   t.meta.n_shards = n_shards_;
   t.flows = flows_;

@@ -5,16 +5,14 @@
 //
 //   replay::ScheduleRecorder rec;
 //   rec.attach(group);              // map runtimes/pools -> shard ids
-//   if (rec.install()) { ... }     // taps live; no-op if INFOPIPE_RECORD=off
+//   rec.install();                 // taps live from here
 //   ... run the flow ...
 //   rec.uninstall();               // group must be stopped/quiescent first
 //   rec.note_flow("frames", probe.digest(), probe.items());
 //   replay::Trace t = rec.finish();
 //
-// install() refuses (returns false) when config().record is off — that is
-// the INFOPIPE_RECORD kill switch: the binary keeps the tap call sites,
-// but nothing ever observes them, so the hot path stays the documented
-// one-relaxed-load branch.
+// Until install(), the tap call sites stay dormant: the hot path pays one
+// relaxed load and a branch per tap.
 //
 // Frames are stamped with nanoseconds since the recorder's construction on
 // one process-wide steady clock, giving every shard's decisions a common
@@ -55,9 +53,8 @@ class ScheduleRecorder : public TapSink {
   /// attribution. Call before install(); safe on an unlaunched group.
   void attach(shard::ShardGroup& group);
 
-  /// Makes this the process tap sink. Returns false (and installs nothing)
-  /// when INFOPIPE_RECORD=off. Install around quiescent groups only.
-  [[nodiscard]] bool install();
+  /// Makes this the process tap sink. Install around quiescent groups only.
+  void install();
   /// Removes this sink if installed. Must be called while no shard thread
   /// can still be inside a tap — i.e. after ShardGroup::stop() or before
   /// launch(); the destructor calls it as a backstop.

@@ -9,10 +9,7 @@
 //   flows    n_flows x { u16 name_len, name bytes, u64 digest, u64 items }
 //   frames   n_frames x 32 bytes (see Frame)
 //
-// `flags` snapshots the kill switches the run was recorded under
-// (pooling/batching/inline/sessions) — a replay under different switches
-// is still expected to match (that is the transparency claim), but the
-// trace records the truth so a mismatch report can say what differed.
+// `flags` is reserved: the recorder writes 0 and readers ignore it.
 //
 // A Frame is one decision point. The five generic fields (t, a, b, aux16,
 // aux32) mean different things per kind — the per-kind constructors in
@@ -75,7 +72,7 @@ struct Trace {
   struct Meta {
     std::uint16_t version = kTraceVersion;
     std::uint8_t n_shards = 0;
-    std::uint8_t flags = 0;        ///< kill-switch snapshot, kFlag* below
+    std::uint8_t flags = 0;        ///< reserved; the recorder writes 0
     std::uint64_t seed = 0;        ///< config().seed at record time
     std::int64_t end_time_ns = 0;  ///< timestamp of the last frame
   };
@@ -88,11 +85,6 @@ struct Trace {
     std::uint64_t digest = 0;
     std::uint64_t items = 0;
   };
-
-  static constexpr std::uint8_t kFlagPooling = 1u << 0;
-  static constexpr std::uint8_t kFlagBatching = 1u << 1;
-  static constexpr std::uint8_t kFlagInline = 1u << 2;
-  static constexpr std::uint8_t kFlagSessions = 1u << 3;
 
   Meta meta;
   std::vector<Flow> flows;

@@ -39,8 +39,8 @@ void SessionSource::drain_pending(rt::Time now) {
       const double hz = op.params.rate_hz > 0.0 ? op.params.rate_hz : 1.0;
       s.period = static_cast<rt::Time>(1e9 / hz);
       // First fire at the drain instant, then every period — the same
-      // schedule ClockedSourceBase gives the INFOPIPE_SESSIONS=off solo
-      // flows, so both modes emit the same item count at any horizon.
+      // schedule ClockedSourceBase gives a per-flow source, so a per-flow
+      // reference emits the same item count at any horizon.
       s.due = now;
       sessions_.emplace(op.id, s);
       wheel_.push(WheelEntry{s.due, op.id});

@@ -37,9 +37,9 @@ struct ShardState {
   }
 };
 
-/// Deterministic payload for (id, seq): both the shared-engine path and the
-/// INFOPIPE_SESSIONS=off solo path fill from this one function, which is
-/// what makes their per-session digests bit-identical.
+/// Deterministic payload for (id, seq): the shared engine and any per-flow
+/// reference source fill from this one function, which is what makes their
+/// per-session digests bit-identical.
 inline void fill_payload(std::uint8_t* b, std::size_t n, SessionId id,
                          std::uint64_t seq) {
   for (std::size_t i = 0; i < n; ++i) {

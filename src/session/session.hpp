@@ -102,8 +102,8 @@ struct JitterSnapshot {
 /// Timestamps are deliberately NOT hashed — they are clock-dependent while
 /// the information content is not (the distributed_player convention).
 /// Per-session digests are interleaving-independent: the only ordering that
-/// matters is each session's own seq order, which both the shared-engine
-/// path and the INFOPIPE_SESSIONS=off solo path produce identically.
+/// matters is each session's own seq order, which the shared engine and a
+/// per-flow reference pipeline produce identically.
 struct StreamDigest {
   std::uint64_t h = 1469598103934665603ull;
 

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "core/config.hpp"
 #include "core/event.hpp"
 #include "core/pipeline.hpp"
 #include "core/realization.hpp"
@@ -14,36 +13,7 @@
 
 namespace infopipe::session {
 
-namespace {
-
-/// INFOPIPE_SESSIONS=off fallback: the classic one-flow-one-realization
-/// source, emitting exactly the items the shared engine would stamp for
-/// this session (same fill_payload, same seq/kind), so per-session digests
-/// are bit-identical across modes.
-class SoloSource : public ClockedSourceBase {
- public:
-  SoloSource(std::string name, SessionId id, const SessionParams& p)
-      : ClockedSourceBase(std::move(name),
-                          p.rate_hz > 0.0 ? p.rate_hz : 1.0),
-        id_(id),
-        bytes_(p.payload_bytes) {}
-
- protected:
-  [[nodiscard]] Item generate() override {
-    return make_session_item(scratch_, id_, seq_++, pipeline_now(), bytes_);
-  }
-
- private:
-  SessionId id_;
-  std::size_t bytes_;
-  std::uint64_t seq_ = 0;
-  std::vector<std::uint8_t> scratch_;
-};
-
-}  // namespace
-
-/// One shard's engine (shared mode). In fallback mode only `state` is used
-/// (for the per-shard jitter histogram and counters the solo flows share).
+/// One shard's engine.
 struct SessionTable::Engine {
   ShardState state;
   std::unique_ptr<SessionSource> src;
@@ -58,17 +28,6 @@ struct SessionTable::Engine {
   bool retired = false;
 };
 
-/// One fallback-mode session: its own pipeline, its own realization — the
-/// classic per-flow cost the shared path exists to avoid.
-struct SessionTable::Solo {
-  int shard = 0;
-  std::unique_ptr<SoloSource> src;
-  std::vector<std::unique_ptr<Component>> stages;
-  std::unique_ptr<SessionSink> sink;
-  std::shared_ptr<Pipeline> pipe;
-  std::unique_ptr<Realization> real;
-};
-
 void SessionTable::on_shard(int shard, const std::function<void()>& fn) {
   if (group_->running() && !group_->on_shard_thread(shard)) {
     group_->run_on(shard, fn);
@@ -79,13 +38,11 @@ void SessionTable::on_shard(int shard, const std::function<void()>& fn) {
 
 SessionTable::SessionTable(shard::ShardGroup& group,
                            std::shared_ptr<const SharedPlan> plan)
-    : group_(&group),
-      plan_(std::move(plan)),
-      shared_mode_(config().sessions) {
+    : group_(&group), plan_(std::move(plan)) {
   engines_.resize(static_cast<std::size_t>(group.size()));
   for (int s = 0; s < group.size(); ++s) {
     engines_[static_cast<std::size_t>(s)] = std::make_unique<Engine>();
-    if (shared_mode_) build_engine(s);
+    build_engine(s);
   }
 }
 
@@ -125,7 +82,7 @@ void SessionTable::sync_topology() {
     }
   }
   for (const int s : fresh) {
-    if (shared_mode_ && group_->is_live(s)) build_engine(s);
+    if (group_->is_live(s)) build_engine(s);
   }
 }
 
@@ -191,14 +148,6 @@ SessionTable::~SessionTable() {
       on_shard(static_cast<int>(s), [&e] { e.real.reset(); });
     }
   }
-  const std::lock_guard<std::mutex> lk(solo_mu_);
-  for (auto& [id, solo] : solos_) {
-    if (solo->real) {
-      Solo* sp = solo.get();
-      on_shard(sp->shard, [sp] { sp->real.reset(); });
-    }
-  }
-  solos_.clear();
 }
 
 SessionId SessionTable::open_on(int shard, SessionParams p) {
@@ -210,33 +159,9 @@ SessionId SessionTable::open_on(int shard, SessionParams p) {
   const std::uint64_t c = next_counter_.fetch_add(1, std::memory_order_relaxed);
   const SessionId id = make_session_id(c, shard);
 
-  if (shared_mode_) {
-    // The stamp: one queue push. The wheel picks it up at the engine's
-    // next fire (bounded by idle_poll_hz).
-    e.src->enqueue_open(id, p);
-  } else {
-    auto solo = std::make_unique<Solo>();
-    solo->shard = shard;
-    solo->src = std::make_unique<SoloSource>("solo.src", id, p);
-    if (plan_->spec().stages) solo->stages = plan_->spec().stages(shard);
-    solo->sink = std::make_unique<SessionSink>("solo.sink", &e.state);
-    solo->pipe = std::make_shared<Pipeline>();
-    Component* prev = solo->src.get();
-    for (auto& stage : solo->stages) {
-      solo->pipe->connect(*prev, *stage);
-      prev = stage.get();
-    }
-    solo->pipe->connect(*prev, *solo->sink);
-    Solo* sp = solo.get();
-    on_shard(shard, [this, shard, sp] {
-      sp->real = std::make_unique<Realization>(group_->runtime(shard),
-                                               sp->pipe);
-      realizations_.fetch_add(1, std::memory_order_relaxed);
-      sp->real->post_event(Event{kEventStart});
-    });
-    const std::lock_guard<std::mutex> lk(solo_mu_);
-    solos_.emplace(id, std::move(solo));
-  }
+  // The stamp: one queue push. The wheel picks it up at the engine's next
+  // fire (bounded by idle_poll_hz).
+  e.src->enqueue_open(id, p);
 
   live_.fetch_add(1, std::memory_order_relaxed);
   e.state.live.fetch_add(1, std::memory_order_relaxed);
@@ -249,23 +174,7 @@ void SessionTable::close(SessionId id) {
   Engine& e = engine_at(shard);
   if (e.retired) return;  // force-closed with its shard already
 
-  if (shared_mode_) {
-    e.src->enqueue_close(id);
-  } else {
-    std::unique_ptr<Solo> solo;
-    {
-      const std::lock_guard<std::mutex> lk(solo_mu_);
-      auto it = solos_.find(id);
-      if (it == solos_.end()) return;
-      solo = std::move(it->second);
-      solos_.erase(it);
-    }
-    Solo* sp = solo.get();
-    on_shard(shard, [sp] {
-      sp->real->post_event(Event{kEventShutdown});
-      sp->real.reset();
-    });
-  }
+  e.src->enqueue_close(id);
 
   live_.fetch_sub(1, std::memory_order_relaxed);
   e.state.live.fetch_sub(1, std::memory_order_relaxed);
@@ -286,35 +195,19 @@ std::uint64_t SessionTable::items_total() const {
 
 std::uint64_t SessionTable::items_of(SessionId id) {
   const int shard = shard_of_session(id);
+  Engine& e = engine_at(shard);
+  if (e.retired) return 0;
   std::uint64_t out = 0;
-  if (shared_mode_) {
-    Engine& e = engine_at(shard);
-    if (e.retired) return 0;
-    on_shard(shard, [&out, &e, id] { out = e.sink->items_of(id); });
-  } else {
-    const std::lock_guard<std::mutex> lk(solo_mu_);
-    auto it = solos_.find(id);
-    if (it == solos_.end()) return 0;
-    SessionSink* sink = it->second->sink.get();
-    on_shard(shard, [&out, sink, id] { out = sink->items_of(id); });
-  }
+  on_shard(shard, [&out, &e, id] { out = e.sink->items_of(id); });
   return out;
 }
 
 std::uint64_t SessionTable::digest(SessionId id) {
   const int shard = shard_of_session(id);
+  Engine& e = engine_at(shard);
+  if (e.retired) return 0;
   std::uint64_t out = 0;
-  if (shared_mode_) {
-    Engine& e = engine_at(shard);
-    if (e.retired) return 0;
-    on_shard(shard, [&out, &e, id] { out = e.sink->digest_of(id); });
-  } else {
-    const std::lock_guard<std::mutex> lk(solo_mu_);
-    auto it = solos_.find(id);
-    if (it == solos_.end()) return 0;
-    SessionSink* sink = it->second->sink.get();
-    on_shard(shard, [&out, sink, id] { out = sink->digest_of(id); });
-  }
+  on_shard(shard, [&out, &e, id] { out = e.sink->digest_of(id); });
   return out;
 }
 
@@ -343,7 +236,6 @@ JitterSnapshot SessionTable::jitter() const {
 }
 
 void SessionTable::start_loops() {
-  if (!shared_mode_) return;
   const EngineSpec& sp = plan_->spec();
   for (std::size_t s = 0; s < engine_count(); ++s) {
     Engine& e = engine_at(static_cast<int>(s));
@@ -375,7 +267,6 @@ void SessionTable::stop_loops() {
 }
 
 void SessionTable::inject_hint(int shard, double h) {
-  if (!shared_mode_) return;
   Engine& e = engine_at(shard);
   if (e.retired || !e.real) return;
   const Event hint{kEventQualityHint, h};
@@ -395,13 +286,6 @@ void SessionTable::stop() {
     if (!e.real) continue;
     on_shard(static_cast<int>(s),
              [&e] { e.real->post_event(Event{kEventShutdown}); });
-  }
-  const std::lock_guard<std::mutex> lk(solo_mu_);
-  for (auto& [id, solo] : solos_) {
-    if (!solo->real) continue;
-    Solo* sp = solo.get();
-    on_shard(sp->shard,
-             [sp] { sp->real->post_event(Event{kEventShutdown}); });
   }
 }
 

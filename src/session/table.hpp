@@ -18,18 +18,16 @@
 // cadence while gold stays untouched: gold sessions steal pump rate from
 // bronze under pressure, through ordinary control events.
 //
-// INFOPIPE_SESSIONS=off is the kill switch: the table falls back to the
-// classic one-realization-per-flow path (a solo clocked source + sink per
-// session, planned and realized on open_on), emitting bit-identical
-// per-session item streams — digest(id) matches across modes — at the
-// classic cost. The lockstep suites run both ways.
+// Each session's item stream is exactly what a classic one-realization-
+// per-flow pipeline (a clocked source emitting make_session_item, the
+// plan's stages, a SessionSink) would deliver: session_test builds that
+// reference and asserts digest(id) matches it.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "core/introspect.hpp"
@@ -72,8 +70,6 @@ class SessionTable {
   [[nodiscard]] const PlanInfo& plan_info() const noexcept {
     return plan_->info();
   }
-  /// False when INFOPIPE_SESSIONS=off selected the per-flow fallback.
-  [[nodiscard]] bool shared_mode() const noexcept { return shared_mode_; }
   /// Engines ever built (grows with the elastic topology, never shrinks —
   /// a retired shard keeps its engine slot and final counters).
   [[nodiscard]] int shards() const;
@@ -85,8 +81,7 @@ class SessionTable {
   // ---- elastic topology -----------------------------------------------------
 
   /// Adopts shards the group grew after this table was built: realizes one
-  /// engine per new live shard (shared mode; fallback mode just grows the
-  /// bookkeeping). Idempotent. Call after ShardGroup::add_shard().
+  /// engine per new live shard. Idempotent. Call after ShardGroup::add_shard().
   void sync_topology();
 
   /// Tears down a shard's engine ahead of ShardGroup::retire_shard():
@@ -100,11 +95,9 @@ class SessionTable {
 
   // ---- the stamp path -------------------------------------------------------
 
-  /// Opens a session on `shard`. Shared mode: thread-safe, constant-time,
-  /// callable from any thread while the engines run. Fallback mode: plans
-  /// and realizes a solo flow for the session (the classic cost, routed
-  /// onto the shard thread). Admission policy lives in SessionAcceptor —
-  /// the table itself never refuses.
+  /// Opens a session on `shard`: thread-safe, constant-time, callable from
+  /// any thread while the engines run. Admission policy lives in
+  /// SessionAcceptor — the table itself never refuses.
   [[nodiscard]] SessionId open_on(int shard, SessionParams p);
 
   /// Closes an open session. Each id must be closed at most once.
@@ -116,29 +109,26 @@ class SessionTable {
     return live_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::size_t live_on(int shard) const;
-  /// Items emitted across all engines (shared mode; 0 in fallback mode —
-  /// use items_of per session there).
+  /// Items emitted across all engines.
   [[nodiscard]] std::uint64_t items_total() const;
   /// Items delivered / stream digest of one session (sampled on the home
   /// shard's thread while running). Digest covers payload+seq+kind per the
-  /// distributed_player convention and is identical in both modes.
+  /// distributed_player convention.
   [[nodiscard]] std::uint64_t items_of(SessionId id);
   [[nodiscard]] std::uint64_t digest(SessionId id);
   /// Current cadence multiplier of a class on a shard (1.0 untouched).
   [[nodiscard]] double mult(int shard, QosClass c) const;
   /// Merged inter-item jitter across every shard's histogram.
   [[nodiscard]] JitterSnapshot jitter() const;
-  /// Planner+realize runs so far: n_shards in shared mode, n_shards + one
-  /// per open in fallback mode. The bench's >= 10x stamp-out claim is the
-  /// ratio this exposes.
+  /// Planner+realize runs so far: one per engine, never one per open.
   [[nodiscard]] std::uint64_t realizations() const noexcept {
     return realizations_.load(std::memory_order_relaxed);
   }
 
   // ---- per-class QoS --------------------------------------------------------
 
-  /// Binds and starts one lag-holding feedback loop per shard (shared mode;
-  /// no-op in fallback mode). Call while the group is running.
+  /// Binds and starts one lag-holding feedback loop per shard. Call while
+  /// the group is running.
   void start_loops();
   void stop_loops();
   /// Deterministic substitute for the loops: applies one quality hint to a
@@ -146,13 +136,11 @@ class SessionTable {
   /// class stealing through this, bit-identically across runs).
   void inject_hint(int shard, double h);
 
-  /// Posts shutdown to every engine (and solo flow). Idempotent; the
-  /// destructor calls it.
+  /// Posts shutdown to every engine. Idempotent; the destructor calls it.
   void stop();
 
  private:
   struct Engine;
-  struct Solo;
 
   void on_shard(int shard, const std::function<void()>& fn);
   void build_engine(int shard);
@@ -163,7 +151,6 @@ class SessionTable {
 
   shard::ShardGroup* group_;
   std::shared_ptr<const SharedPlan> plan_;
-  bool shared_mode_;
   /// Guards the engines_ vector's SHAPE (elastic growth); the Engines
   /// themselves are reached through stable unique_ptrs.
   mutable std::mutex engines_mu_;
@@ -172,9 +159,6 @@ class SessionTable {
   std::atomic<std::uint64_t> realizations_{0};
   std::atomic<std::uint64_t> live_{0};
   bool stopped_ = false;
-
-  std::mutex solo_mu_;  ///< fallback mode: id -> solo flow
-  std::unordered_map<SessionId, std::unique_ptr<Solo>> solos_;
 };
 
 }  // namespace infopipe::session

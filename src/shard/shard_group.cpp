@@ -3,7 +3,6 @@
 #include <chrono>
 #include <string>
 
-#include "core/config.hpp"
 #include "replay/hooks.hpp"
 #include "shard/channel.hpp"  // detail::kMsgRunFn
 
@@ -112,10 +111,6 @@ ShardGroup::Shard& ShardGroup::make_shard(int i) {
 }
 
 int ShardGroup::add_shard() {
-  if (!config().elastic) {
-    throw rt::RuntimeError(
-        "ShardGroup::add_shard: INFOPIPE_ELASTIC=off pins the topology");
-  }
   const std::lock_guard<std::mutex> lk(topo_mu_);
   const int id = n_shards_.load(std::memory_order_acquire);
   if (id >= kMaxShards) {
@@ -136,10 +131,6 @@ int ShardGroup::add_shard() {
 }
 
 void ShardGroup::retire_shard(int shard) {
-  if (!config().elastic) {
-    throw rt::RuntimeError(
-        "ShardGroup::retire_shard: INFOPIPE_ELASTIC=off pins the topology");
-  }
   const std::lock_guard<std::mutex> lk(topo_mu_);
   Shard& s = shard_at(shard);
   if (s.retired.load(std::memory_order_acquire)) {

@@ -23,9 +23,8 @@
 // runtime object and its final counters (the retired-channel retention rule
 // extended to whole shards), so every index that escaped into channels,
 // plans or traces stays valid. size() therefore counts every shard ever
-// created; is_live()/live_shards() describe the current topology.
-// INFOPIPE_ELASTIC=off pins the construction-time topology: both calls
-// refuse.
+// created; is_live()/live_shards() describe the current topology. A group
+// that never calls either keeps its construction-time topology.
 #pragma once
 
 #include <atomic>
@@ -112,16 +111,15 @@ class ShardGroup {
   /// running — a pinned host kernel thread starts immediately. Existing
   /// realizations do not use it until sections are spliced onto it
   /// (ShardedRealization::sync_topology + migrate_section). Throws when
-  /// INFOPIPE_ELASTIC=off or the kMaxShards cap is reached.
+  /// the kMaxShards cap is reached.
   int add_shard();
 
   /// Retires a shard: marks it dead to new work, halts its runtime and
   /// joins its host thread (when running). The caller must have evacuated
   /// it first (ShardedRealization::evacuate_shard) — retirement is a
   /// thread-lifecycle operation, not a migration. The slot, runtime and
-  /// counters are retained; the id is never reused. Throws when
-  /// INFOPIPE_ELASTIC=off, the shard is unknown or already retired, or it
-  /// is the last live shard.
+  /// counters are retained; the id is never reused. Throws when the shard
+  /// is unknown or already retired, or it is the last live shard.
   void retire_shard(int shard);
 
   /// False for out-of-range or retired shards.

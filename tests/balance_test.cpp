@@ -20,7 +20,6 @@
 #include "balance/migration.hpp"
 #include "balance/policy.hpp"
 #include "balance/rebalancer.hpp"
-#include "core/config.hpp"
 #include "core/infopipes.hpp"
 #include "shard/sharded_realization.hpp"
 #include "shard/topology.hpp"
@@ -36,19 +35,6 @@ shard::ShardGroup::GroupOptions manual_opts() {
   opt.manual = true;
   return opt;
 }
-
-/// Pins config().elastic for the autoscaling tests (see elastic_test.cpp
-/// for the kill switch itself).
-class ElasticGuard {
- public:
-  explicit ElasticGuard(bool on) : prev_(config().elastic) {
-    config().elastic = on;
-  }
-  ~ElasticGuard() { config().elastic = prev_; }
-
- private:
-  bool prev_;
-};
 
 /// Function stage whose section may never migrate (stands in for a
 /// device-bound component).
@@ -402,7 +388,6 @@ TEST(Rebalancer, BalancedLoadHoldsStill) {
 }
 
 TEST(Rebalancer, ElasticScaleUpAndDownWithHysteresis) {
-  const ElasticGuard elastic_on(true);
   shard::ShardGroup group(2, manual_opts());
 
   constexpr std::uint64_t kN = 1000;

@@ -4,32 +4,21 @@
 // The contract under test: batching (PumpSpec::max_batch > 1) is a pure
 // throughput optimization — the flow a sink observes (sequence, payloads,
 // EOS) is bit-identical to the per-item path, including under buffer drop
-// policies, mid-batch end-of-stream, and a live cross-shard migration; and
-// INFOPIPE_BATCH=off (config().batching) collapses every batched pump back
-// to classic one-item cycles at run time.
+// policies, mid-batch end-of-stream, and a live cross-shard migration. The
+// per-item reference is the same pipeline with every pump at max_batch = 1.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
-#include "core/config.hpp"
 #include "core/infopipes.hpp"
 #include "shard/sharded_realization.hpp"
 
 namespace infopipe {
 namespace {
 
-/// Flips config().batching for one scope (the INFOPIPE_BATCH kill switch).
-class BatchGuard {
- public:
-  explicit BatchGuard(bool on) : prev_(config().batching) {
-    config().batching = on;
-  }
-  ~BatchGuard() { config().batching = prev_; }
-
- private:
-  bool prev_;
-};
+/// A pump's max_batch: `n` on the batched run, 1 on the per-item one.
+std::size_t batch_of(bool batched, std::size_t n) { return batched ? n : 1; }
 
 // ---------- ShardChannel span primitives ------------------------------------
 
@@ -78,14 +67,14 @@ struct FlowResult {
 };
 
 TEST(Batch, BatchedAndPerItemFlowsAreBitIdentical) {
-  auto run = [](bool batching) {
-    BatchGuard guard(batching);
+  auto run = [](bool batched) {
     rt::Runtime rtm;
     CountingSource src("src", 500);
-    FreeRunningPump pump(PumpSpec{.name = "pump", .max_batch = 16});
+    FreeRunningPump pump(
+        PumpSpec{.name = "pump", .max_batch = batch_of(batched, 16)});
     Buffer buf("buf", 32);
-    ClockedPump drain(
-        PumpSpec{.name = "drain", .rate_hz = 500.0, .max_batch = 8});
+    ClockedPump drain(PumpSpec{
+        .name = "drain", .rate_hz = 500.0, .max_batch = batch_of(batched, 8)});
     CollectorSink sink("sink");
     auto ch = src >> pump >> buf >> drain >> sink;
     Realization real(rtm, ch.pipeline());
@@ -97,14 +86,13 @@ TEST(Batch, BatchedAndPerItemFlowsAreBitIdentical) {
   const FlowResult off = run(false);
   ASSERT_EQ(on.seqs.size(), 500u);
   for (std::uint64_t i = 0; i < 500; ++i) ASSERT_EQ(on.seqs[i], i);
-  // The kill switch is the whole per-item path, not a tuned-down batch.
+  // max_batch = 1 is the whole per-item path, not a tuned-down batch.
   EXPECT_EQ(on.seqs, off.seqs);
   EXPECT_TRUE(on.eos);
   EXPECT_TRUE(off.eos);
 }
 
 TEST(Batch, DropOldestEvictsSpanPrefixBurstWise) {
-  BatchGuard guard(true);
   rt::Runtime rtm;
   CountingSource src("src", 64);
   // One 1 Hz fire moves the entire flow as a single 64-item span.
@@ -127,7 +115,6 @@ TEST(Batch, DropOldestEvictsSpanPrefixBurstWise) {
 }
 
 TEST(Batch, EosArrivesOnlyAtBurstBoundaries) {
-  BatchGuard guard(true);
   rt::Runtime rtm;
   CountingSource src("src", 10);  // deliberately not a multiple of max_batch
   FreeRunningPump pump(PumpSpec{.name = "pump", .max_batch = 64});
@@ -167,11 +154,11 @@ class TagKind : public BatchFilter {
 };
 
 TEST(Batch, BatchFilterAndPerItemFilterComposeIdentically) {
-  auto run = [](bool batching) {
-    BatchGuard guard(batching);
+  auto run = [](bool batched) {
     rt::Runtime rtm;
     CountingSource src("src", 300);
-    FreeRunningPump pump(PumpSpec{.name = "pump", .max_batch = 32});
+    FreeRunningPump pump(
+        PumpSpec{.name = "pump", .max_batch = batch_of(batched, 32)});
     TagKind tag("tag", 7);  // span-native
     LambdaFunction bump("bump", [](Item x) {  // per-item, auto-adapted
       x.seq += 1000;
@@ -205,12 +192,13 @@ struct LockstepResult {
   std::vector<shard::MigrationOutcome> outcomes;
 };
 
-/// Three sections over two manual shards, all pumps batched (max_batch = 8).
+/// Three sections over two manual shards, all pumps batched (max_batch = 8)
+/// or all per-item (max_batch = 1).
 /// When `migrate` is set, section 1 moves to the other shard at t = 0.5 s
 /// and back at t = 1 s — mid-flow in both the batched and per-item runs, so
 /// the quiesce lands between span bursts with items queued in the cut ring.
-LockstepResult run_sharded(bool batching, bool migrate) {
-  BatchGuard guard(batching);
+LockstepResult run_sharded(bool batched, bool migrate) {
+  const std::size_t mb = batch_of(batched, 8);
   shard::ShardGroup::GroupOptions opt;
   opt.clock_factory = [] { return std::make_unique<rt::VirtualClock>(); };
   opt.manual = true;
@@ -218,11 +206,11 @@ LockstepResult run_sharded(bool batching, bool migrate) {
 
   constexpr std::uint64_t kN = 3000;
   CountingSource src("src", kN);
-  ClockedPump p1(PumpSpec{.name = "p1", .rate_hz = 200.0, .max_batch = 8});
+  ClockedPump p1(PumpSpec{.name = "p1", .rate_hz = 200.0, .max_batch = mb});
   Buffer b1("b1", 32);
-  ClockedPump p2(PumpSpec{.name = "p2", .rate_hz = 200.0, .max_batch = 8});
+  ClockedPump p2(PumpSpec{.name = "p2", .rate_hz = 200.0, .max_batch = mb});
   Buffer b2("b2", 32);
-  ClockedPump p3(PumpSpec{.name = "p3", .rate_hz = 200.0, .max_batch = 8});
+  ClockedPump p3(PumpSpec{.name = "p3", .rate_hz = 200.0, .max_batch = mb});
   CollectorSink sink("sink");
   auto ch = src >> p1 >> b1 >> p2 >> b2 >> p3 >> sink;
 

@@ -4,12 +4,13 @@
 // recycling, the bounded foreign-return stash, adoption), the Item facade
 // over both payload representations, the NUMA placement decisions (pools and
 // channel rings follow the consumer shard of an injected topology), and the
-// end-to-end guarantees — lockstep runs are bit-identical pooled vs
-// pooling=off INCLUDING across a live migration, and a multi-shard flow
-// under live rebalancing recycles blocks across shards without races (the
-// TSan job runs this file).
+// end-to-end guarantees — lockstep runs are bit-identical whether the same
+// value travels inline or in a pooled block, INCLUDING across a live
+// migration, and a multi-shard flow under live rebalancing recycles blocks
+// across shards without races (the TSan job runs this file).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <numeric>
@@ -17,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/config.hpp"
 #include "core/infopipes.hpp"
 #include "mem/pool.hpp"
 #include "shard/sharded_realization.hpp"
@@ -28,44 +28,31 @@ namespace {
 
 using namespace std::chrono_literals;
 
-/// Flips config().pooling for one scope; every test leaves the process-wide
-/// default untouched.
-class PoolingGuard {
- public:
-  explicit PoolingGuard(bool on) : prev_(config().pooling) {
-    config().pooling = on;
-  }
-  ~PoolingGuard() { config().pooling = prev_; }
-
- private:
-  bool prev_;
+/// A uint64_t value boxed past Item::kInlineCapacity, so it takes the
+/// pooled representation where a bare uint64_t would go inline.
+struct Boxed {
+  std::uint64_t v;
+  unsigned char pad[Item::kInlineCapacity];
 };
+static_assert(sizeof(Boxed) > Item::kInlineCapacity);
 
-/// Flips config().inline_payloads for one scope. The pool tests below
-/// exercise the POOLED representation, which small payloads skip entirely
-/// when inlining is on (the default), so they pin it off explicitly.
-class InlineGuard {
- public:
-  explicit InlineGuard(bool on) : prev_(config().inline_payloads) {
-    config().inline_payloads = on;
-  }
-  ~InlineGuard() { config().inline_payloads = prev_; }
+/// The uint64_t an item carries, bare (inline) or boxed (pooled).
+const std::uint64_t* value_of(const Item& x) {
+  if (const Boxed* b = x.payload<Boxed>()) return &b->v;
+  return x.payload<std::uint64_t>();
+}
 
- private:
-  bool prev_;
-};
-
-/// CountingSource's shape, but every item carries a pooled (or legacy)
-/// payload — tokens would never touch the allocator.
+/// CountingSource's shape, but every item carries a payload — inline or,
+/// with `boxed`, pooled; tokens would never touch the allocator.
 class PayloadSource : public PassiveSource {
  public:
-  PayloadSource(std::string name, std::uint64_t count)
-      : PassiveSource(std::move(name)), count_(count) {}
+  PayloadSource(std::string name, std::uint64_t count, bool boxed)
+      : PassiveSource(std::move(name)), count_(count), boxed_(boxed) {}
 
  protected:
   Item generate() override {
     if (next_ >= count_) return Item::eos();
-    Item x = Item::of<std::uint64_t>(next_);
+    Item x = boxed_ ? Item::of(Boxed{next_, {}}) : Item::of(next_);
     x.seq = next_++;
     x.timestamp = pipeline_now();
     return x;
@@ -73,6 +60,7 @@ class PayloadSource : public PassiveSource {
 
  private:
   std::uint64_t count_;
+  bool boxed_;
   std::uint64_t next_ = 0;
 };
 
@@ -182,7 +170,6 @@ TEST(MemPool, OversizePayloadsBypassThePool) {
 TEST(MemItem, PooledCopySharesMoveSteals) {
   mem::Pool p("t");
   mem::PoolScope scope(&p);
-  PoolingGuard pooled(true);
 
   Item a = Item::of<std::string>("payload");
   EXPECT_TRUE(a.pooled());
@@ -200,11 +187,10 @@ TEST(MemItem, PooledCopySharesMoveSteals) {
   EXPECT_EQ(s.hits + s.misses, 1u);  // ONE allocation for all three items
 }
 
-TEST(MemItem, BytesRoundTripInAllRepresentations) {
+TEST(MemItem, BytesRoundTripInBothRepresentations) {
   const std::uint8_t wire[] = {1, 2, 3, 4, 5};
   {
-    // Inline (the default for a 5-byte payload): lives inside the Item.
-    InlineGuard inl(true);
+    // Inline (a 5-byte payload): lives inside the Item.
     const Item x = Item::of_bytes(wire, sizeof(wire));
     EXPECT_TRUE(x.inlined());
     EXPECT_FALSE(x.pooled());
@@ -217,26 +203,24 @@ TEST(MemItem, BytesRoundTripInAllRepresentations) {
     EXPECT_EQ(y.bytes_data()[0], 1);
     EXPECT_NE(y.bytes_data(), x.bytes_data());
   }
-  InlineGuard no_inline(false);
-  {
-    PoolingGuard pooled(true);
-    const Item x = Item::of_bytes(wire, sizeof(wire));
-    EXPECT_TRUE(x.pooled());
+  // The size alone picks the representation: kInlineCapacity bytes still
+  // fit inside the Item, one more takes a pooled block.
+  constexpr std::size_t kCap = Item::kInlineCapacity;
+  for (const std::size_t n : {kCap, kCap + 1}) {
+    std::vector<std::uint8_t> big(n);
+    std::iota(big.begin(), big.end(), std::uint8_t{1});
+    const Item x = Item::of_bytes(big.data(), big.size());
+    const bool fits = n <= kCap;
+    EXPECT_EQ(x.inlined(), fits) << n;
+    EXPECT_EQ(x.pooled(), !fits) << n;
     ASSERT_TRUE(x.has_bytes());
-    EXPECT_EQ(x.bytes_size(), sizeof(wire));
-    EXPECT_EQ(x.bytes_data()[4], 5);
-    EXPECT_EQ(x.size_bytes, sizeof(wire));
-  }
-  {
-    PoolingGuard legacy(false);
-    const Item x = Item::of_bytes(wire, sizeof(wire));
-    EXPECT_FALSE(x.pooled());
-    ASSERT_TRUE(x.has_bytes());
-    EXPECT_EQ(x.bytes_size(), sizeof(wire));
-    EXPECT_EQ(x.bytes_data()[0], 1);
-    // Legacy bytes are a vector payload, so old-style consumers still work.
-    ASSERT_NE(x.payload<std::vector<std::uint8_t>>(), nullptr);
-    EXPECT_EQ(x.payload<std::vector<std::uint8_t>>()->size(), sizeof(wire));
+    EXPECT_EQ(x.bytes_size(), n);
+    EXPECT_EQ(x.size_bytes, n);
+    EXPECT_TRUE(std::equal(big.begin(), big.end(), x.bytes_data())) << n;
+    const Item y = x;
+    EXPECT_EQ(y.bytes_size(), n);
+    EXPECT_EQ(y.bytes_data()[n - 1], big[n - 1]);
+    EXPECT_EQ(y.use_count(), fits ? 1 : 2) << n;
   }
 }
 
@@ -274,7 +258,7 @@ TEST(MemNuma, PoolsAndRingsLandOnConsumerNodeUnderInjectedTopology) {
   EXPECT_EQ(group.runtime(0).pool().numa_node(), 0);
   EXPECT_EQ(group.runtime(1).pool().numa_node(), 1);
 
-  PayloadSource src("src", 1000000);
+  PayloadSource src("src", 1000000, /*boxed=*/false);
   ClockedPump fill("fill", 300.0);
   Buffer buf("buf", 64);
   ClockedPump drain("drain", 100.0);
@@ -307,7 +291,8 @@ TEST(MemNuma, RingFollowsConsumerAcrossMigrationWhenEmpty) {
   opt.topology = shard::Topology({0, 0, 1});
   shard::ShardGroup group(3, std::move(opt));
 
-  PayloadSource src("src", 50);  // finite: the flow drains, the ring empties
+  // Finite: the flow drains, the ring empties.
+  PayloadSource src("src", 50, /*boxed=*/false);
   ClockedPump fill("fill", 500.0);
   Buffer buf("buf", 64);
   ClockedPump drain("drain", 500.0);
@@ -345,8 +330,8 @@ TEST(MemNuma, RingFollowsConsumerAcrossMigrationWhenEmpty) {
 
 // ============================ lockstep equivalence ==========================
 
-/// Everything flow-visible one deterministic run produces; pooled and
-/// legacy runs must agree on every field, bit for bit.
+/// Everything flow-visible one deterministic run produces; inline and
+/// pooled runs must agree on every field, bit for bit.
 struct LockstepResult {
   std::vector<std::uint64_t> seqs;
   std::uint64_t payload_sum = 0;
@@ -354,18 +339,15 @@ struct LockstepResult {
   bool eos = false;
 };
 
-LockstepResult run_lockstep_scenario(bool pooling) {
-  PoolingGuard guard(pooling);
-  // The uint64_t payloads would go inline (and never touch either allocator
-  // path); this scenario is specifically about pooled vs legacy.
-  InlineGuard no_inline(false);
-
+/// `pooled` carries each value boxed (a pool block); otherwise the bare
+/// uint64_t rides inline.
+LockstepResult run_lockstep_scenario(bool pooled) {
   shard::ShardGroup::GroupOptions opt;
   opt.clock_factory = [] { return std::make_unique<rt::VirtualClock>(); };
   opt.manual = true;
   shard::ShardGroup group(2, std::move(opt));
 
-  PayloadSource src("src", 1000000);
+  PayloadSource src("src", 1000000, pooled);
   ClockedPump fill("fill", 400.0);
   Buffer buf("buf", 64);
   ClockedPump drain("drain", 200.0);
@@ -405,27 +387,28 @@ LockstepResult run_lockstep_scenario(bool pooling) {
 
   r.seqs = sink.seqs();
   for (const CollectorSink::Arrival& a : sink.arrivals()) {
-    const std::uint64_t* v = a.item.payload<std::uint64_t>();
+    const std::uint64_t* v = value_of(a.item);
     EXPECT_NE(v, nullptr);
-    EXPECT_EQ(a.item.pooled(), pooling);  // the representation under test
+    EXPECT_EQ(a.item.pooled(), pooled);  // the representation under test
+    EXPECT_EQ(a.item.inlined(), !pooled);
     if (v != nullptr) r.payload_sum += *v;
   }
   r.eos = sink.eos_seen();
   return r;
 }
 
-TEST(MemLockstep, PooledAndLegacyRunsAreBitIdenticalAcrossMigration) {
+TEST(MemLockstep, PooledAndInlineRunsAreBitIdenticalAcrossMigration) {
   const LockstepResult pooled = run_lockstep_scenario(true);
-  const LockstepResult legacy = run_lockstep_scenario(false);
+  const LockstepResult inlined = run_lockstep_scenario(false);
   // The flow delivered real work in both runs...
   EXPECT_GT(pooled.seqs.size(), 100u);
   EXPECT_GT(pooled.items_moved, 0u);
-  // ... and pooling is a pure representation change: identical delivery
+  // ... and the representation is a pure storage choice: identical delivery
   // order, identical payloads, identical migration behaviour.
-  EXPECT_EQ(pooled.seqs, legacy.seqs);
-  EXPECT_EQ(pooled.payload_sum, legacy.payload_sum);
-  EXPECT_EQ(pooled.items_moved, legacy.items_moved);
-  EXPECT_EQ(pooled.eos, legacy.eos);
+  EXPECT_EQ(pooled.seqs, inlined.seqs);
+  EXPECT_EQ(pooled.payload_sum, inlined.payload_sum);
+  EXPECT_EQ(pooled.items_moved, inlined.items_moved);
+  EXPECT_EQ(pooled.eos, inlined.eos);
 }
 
 // ============================ cross-shard recycling stress ==================
@@ -435,11 +418,9 @@ TEST(MemStress, RecyclingAcrossShardsUnderLiveRebalancing) {
   // middle section migrating around the group while payload blocks stream
   // through. TSan runs this: the pooled release path (owner free list vs
   // foreign stash vs adoption) must be race-free under live rebalancing.
-  PoolingGuard pooled(true);
-  InlineGuard no_inline(false);  // uint64_t payloads must exercise the pool
   shard::ShardGroup group(3);
 
-  PayloadSource src("src", 1000000);
+  PayloadSource src("src", 1000000, /*boxed=*/true);  // exercise the pool
   ClockedPump fill("fill", 3000.0);
   Buffer b1("b1", 128);
   ClockedPump mid("mid", 3000.0);

@@ -3,10 +3,11 @@
 // The deterministic core runs under manual ShardGroups and virtual clocks —
 // the same lockstep harness the balance suite uses — so session emission,
 // class stealing and admission replay bit-identically across runs, which is
-// asserted literally (two full runs, equal digests). The kill switch
-// (config().sessions = false) is exercised against the shared path in the
-// same harness: per-session digests must match across modes, while the
-// realization counter exposes the cost the shared path avoids. The network
+// asserted literally (two full runs, equal digests). A per-flow reference —
+// one classic pipeline and one realization per session, built here in the
+// test — runs in the same harness: per-session digests must match the
+// shared table's, while the realization counter exposes the cost the shared
+// path avoids. The network
 // front door runs real loopback TCP: N concurrent peers, each with its own
 // adopted transport, opening and closing sessions through control frames.
 #include <gtest/gtest.h>
@@ -20,7 +21,6 @@
 #include <vector>
 
 #include "balance/accountant.hpp"
-#include "core/config.hpp"
 #include "core/infopipes.hpp"
 #include "core/realization_handle.hpp"
 #include "net/error.hpp"
@@ -28,6 +28,7 @@
 #include "rt/clock.hpp"
 #include "rt/io_bridge.hpp"
 #include "session/acceptor.hpp"
+#include "session/engine.hpp"
 #include "session/plan.hpp"
 #include "session/session.hpp"
 #include "session/table.hpp"
@@ -44,38 +45,9 @@ shard::ShardGroup::GroupOptions manual_opts() {
   return opt;
 }
 
-/// Pins config().sessions for one scope (the INFOPIPE_SESSIONS kill
-/// switch), so the suite behaves the same under the sessions=off CI pass:
-/// tests of the shared-path mechanics pin it on; the kill-switch test
-/// drives both modes explicitly.
-class SessionsGuard {
- public:
-  explicit SessionsGuard(bool on) : prev_(config().sessions) {
-    config().sessions = on;
-  }
-  ~SessionsGuard() { config().sessions = prev_; }
-
- private:
-  bool prev_;
-};
-
-/// Pins config().elastic for the topology-change tests (the
-/// INFOPIPE_ELASTIC kill switch has its own suite in elastic_test.cpp).
-class ElasticGuard {
- public:
-  explicit ElasticGuard(bool on) : prev_(config().elastic) {
-    config().elastic = on;
-  }
-  ~ElasticGuard() { config().elastic = prev_; }
-
- private:
-  bool prev_;
-};
-
 // ---------- the shared plan --------------------------------------------------------
 
 TEST(SharedPlan, AnalyzedOnceAndStampedManyTimes) {
-  const SessionsGuard shared_on(true);
   EngineSpec spec;
   spec.stages = [](int) {
     std::vector<std::unique_ptr<Component>> v;
@@ -102,7 +74,6 @@ TEST(SharedPlan, AnalyzedOnceAndStampedManyTimes) {
 
   shard::ShardGroup group(2, manual_opts());
   SessionTable table(group, plan);
-  ASSERT_TRUE(table.shared_mode());
   // One realize per shard, at construction — and never again.
   EXPECT_EQ(table.realizations(), 2u);
 
@@ -137,7 +108,6 @@ struct LockstepResult {
 };
 
 LockstepResult lockstep_run() {
-  const SessionsGuard shared_on(true);
   shard::ShardGroup group(2, manual_opts());
   const auto plan = SharedPlan::analyze(EngineSpec{});
   SessionTable table(group, plan);
@@ -188,58 +158,116 @@ TEST(SessionLockstep, ClassStealingIsBitIdenticalAcrossRuns) {
   EXPECT_LE(a.jitter.p99_ns, 1u);
 }
 
-// ---------- the kill switch --------------------------------------------------------
+// ---------- the per-flow reference ------------------------------------------------
 
-struct ModeResult {
-  bool shared = false;
-  std::uint64_t realizations = 0;
+/// The classic one-flow-one-realization source: emits exactly the items the
+/// shared engine stamps for session `id` (same make_session_item, same
+/// first-fire-then-every-period schedule).
+class PerFlowSource : public ClockedSourceBase {
+ public:
+  PerFlowSource(SessionId id, const SessionParams& p)
+      : ClockedSourceBase("ref.src", p.rate_hz > 0.0 ? p.rate_hz : 1.0),
+        id_(id),
+        bytes_(p.payload_bytes) {}
+
+ protected:
+  [[nodiscard]] Item generate() override {
+    return make_session_item(scratch_, id_, seq_++, pipeline_now(), bytes_);
+  }
+
+ private:
+  SessionId id_;
+  std::size_t bytes_;
+  std::uint64_t seq_ = 0;
+  std::vector<std::uint8_t> scratch_;
+};
+
+/// One session as its own pipeline and realization on its home shard: the
+/// plan's stages between a PerFlowSource and a SessionSink.
+struct PerFlow {
+  ShardState state;
+  PerFlowSource src;
+  std::vector<std::unique_ptr<Component>> stages;
+  SessionSink sink{"ref.sink", &state};
+  std::shared_ptr<Pipeline> pipe = std::make_shared<Pipeline>();
+  std::unique_ptr<Realization> real;
+
+  PerFlow(shard::ShardGroup& group, const SharedPlan& plan, SessionId id,
+          const SessionParams& p)
+      : src(id, p) {
+    const int shard = shard_of_session(id);
+    if (plan.spec().stages) stages = plan.spec().stages(shard);
+    Component* prev = &src;
+    for (auto& stage : stages) {
+      pipe->connect(*prev, *stage);
+      prev = stage.get();
+    }
+    pipe->connect(*prev, sink);
+    real = std::make_unique<Realization>(group.runtime(shard), pipe);
+    real->post_event(Event{kEventStart});
+  }
+};
+
+struct FlowResult {
   std::vector<std::uint64_t> items;
   std::vector<std::uint64_t> digests;
 };
 
-ModeResult mode_run(bool shared_on) {
-  const SessionsGuard mode(shared_on);
-  shard::ShardGroup group(2, manual_opts());
+TEST(SessionReference, SharedTableMatchesPerFlowRealizations) {
   const auto plan = SharedPlan::analyze(EngineSpec{});
-  SessionTable table(group, plan);
+  // The sessions both runs open, in open order: (home shard, params).
+  const std::vector<std::pair<int, SessionParams>> sessions{
+      {0, SessionParams{QosClass::kGold, 20.0, 32}},
+      {0, SessionParams{QosClass::kBronze, 5.0, 16}},
+      {1, SessionParams{QosClass::kSilver, 10.0, 8}},
+  };
 
-  std::vector<SessionId> ids;
-  ids.push_back(table.open_on(0, SessionParams{QosClass::kGold, 20.0, 32}));
-  ids.push_back(table.open_on(0, SessionParams{QosClass::kBronze, 5.0, 16}));
-  ids.push_back(table.open_on(1, SessionParams{QosClass::kSilver, 10.0, 8}));
-  group.step_until(rt::seconds(2));
-
-  ModeResult r;
-  r.shared = table.shared_mode();
-  r.realizations = table.realizations();
-  for (SessionId id : ids) {
-    r.items.push_back(table.items_of(id));
-    r.digests.push_back(table.digest(id));
+  FlowResult shared;
+  {
+    shard::ShardGroup group(2, manual_opts());
+    SessionTable table(group, plan);
+    std::vector<SessionId> ids;
+    for (const auto& [shard, p] : sessions) {
+      ids.push_back(table.open_on(shard, p));
+    }
+    group.step_until(rt::seconds(2));
+    for (SessionId id : ids) {
+      shared.items.push_back(table.items_of(id));
+      shared.digests.push_back(table.digest(id));
+    }
+    // The cost difference is the whole point: one realization per shard,
+    // where the reference below needs one per session.
+    EXPECT_EQ(table.realizations(), 2u);
+    for (SessionId id : ids) table.close(id);
   }
-  for (SessionId id : ids) table.close(id);
-  return r;
-}
 
-TEST(SessionKillSwitch, FallbackEmitsBitIdenticalStreamsAtClassicCost) {
-  const ModeResult shared = mode_run(true);
-  const ModeResult solo = mode_run(false);
+  FlowResult ref;
+  {
+    shard::ShardGroup group(2, manual_opts());
+    std::vector<std::unique_ptr<PerFlow>> flows;
+    std::vector<SessionId> ids;
+    std::uint64_t counter = 1;  // the table's first id counter
+    for (const auto& [shard, p] : sessions) {
+      ids.push_back(make_session_id(counter++, shard));
+      flows.push_back(std::make_unique<PerFlow>(group, *plan, ids.back(), p));
+    }
+    group.step_until(rt::seconds(2));
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      ref.items.push_back(flows[i]->sink.items_of(ids[i]));
+      ref.digests.push_back(flows[i]->sink.digest_of(ids[i]));
+    }
+    for (auto& f : flows) f->real->post_event(Event{kEventShutdown});
+  }
 
-  ASSERT_TRUE(shared.shared);
-  ASSERT_FALSE(solo.shared);
   // Same ids, same item counts, same payload digests — the sessions cannot
-  // tell which mode produced them.
-  EXPECT_EQ(shared.items, solo.items);
-  EXPECT_EQ(shared.digests, solo.digests);
+  // tell which path produced them.
+  EXPECT_EQ(shared.items, ref.items);
+  EXPECT_EQ(shared.digests, ref.digests);
   for (std::uint64_t d : shared.digests) EXPECT_NE(d, 0u);
   for (std::uint64_t n : shared.items) EXPECT_GT(n, 0u);
-  // The cost difference is the whole point: n_shards realizations shared,
-  // one per session in fallback.
-  EXPECT_EQ(shared.realizations, 2u);
-  EXPECT_EQ(solo.realizations, 3u);
 }
 
 TEST(SessionTableManual, CloseStopsEmissionExactly) {
-  const SessionsGuard shared_on(true);
   shard::ShardGroup group(1, manual_opts());
   const auto plan = SharedPlan::analyze(EngineSpec{});
   SessionTable table(group, plan);
@@ -260,8 +288,6 @@ TEST(SessionTableManual, CloseStopsEmissionExactly) {
 // ---------- elastic topology -------------------------------------------------------
 
 TEST(SessionTableElastic, GrowsAndRetiresEnginesMidRun) {
-  const SessionsGuard shared_on(true);
-  const ElasticGuard elastic_on(true);
   shard::ShardGroup group(2, manual_opts());
   const auto plan = SharedPlan::analyze(EngineSpec{});
   SessionTable table(group, plan);
@@ -300,7 +326,6 @@ TEST(SessionTableElastic, GrowsAndRetiresEnginesMidRun) {
 // ---------- admission --------------------------------------------------------------
 
 TEST(SessionAcceptorTest, DecidesDeterministicallyAgainstMeasuredLoad) {
-  const SessionsGuard shared_on(true);
   shard::ShardGroup group(2, manual_opts());
   const auto plan = SharedPlan::analyze(EngineSpec{});
   SessionTable table(group, plan);
@@ -350,7 +375,6 @@ TEST(SessionAcceptorTest, DecidesDeterministicallyAgainstMeasuredLoad) {
 }
 
 TEST(SessionAcceptorTest, PlannedLoadSpreadsAdmissionsBeforeTheEwmaSees) {
-  const SessionsGuard shared_on(true);
   shard::ShardGroup group(2, manual_opts());
   const auto plan = SharedPlan::analyze(EngineSpec{});
   SessionTable table(group, plan);
@@ -380,8 +404,6 @@ TEST(SessionAcceptorTest, PlannedLoadSpreadsAdmissionsBeforeTheEwmaSees) {
 }
 
 TEST(SessionAcceptorTest, SeesShardsAddedAfterConstruction) {
-  const SessionsGuard shared_on(true);
-  const ElasticGuard elastic_on(true);
   shard::ShardGroup group(2, manual_opts());
   const auto plan = SharedPlan::analyze(EngineSpec{});
   SessionTable table(group, plan);
@@ -459,7 +481,6 @@ TEST(RealizationHandleTest, OneSurfaceOverSingleAndShardedRealizations) {
 // ---------- churn under real threads (TSan) ----------------------------------------
 
 TEST(SessionTableLive, SurvivesConcurrentOpenCloseChurn) {
-  const SessionsGuard shared_on(true);
   shard::ShardGroup group(2);
   group.launch();
   const auto plan = SharedPlan::analyze(EngineSpec{});
@@ -538,7 +559,6 @@ bool drive_until(rt::Runtime& rtm, Pred done,
 }
 
 TEST(SessionFrontDoor, ManyPeersOpenCloseAndDieOverRealSockets) {
-  const SessionsGuard shared_on(true);
   shard::ShardGroup group(2);
   group.launch();
   const auto plan = SharedPlan::analyze(EngineSpec{});
