@@ -97,6 +97,11 @@ void BM_TcpLoopbackBurst(benchmark::State& state) {
     Collector got;
     got.spawn(rig.rtm);
     rig.server->attach_receiver(got.tid);
+    // Connect first: a burst sent while connecting would leave in the
+    // connect-time flush, never through send()'s own write path.
+    drive_until(rig.rtm, [&] {
+      return rig.client->connected() && rig.server->connected();
+    });
     state.ResumeTiming();
     for (int i = 0; i < kBurstItems; ++i) {
       rig.client->send(rig.rtm, payload_item(static_cast<std::uint64_t>(i)));

@@ -10,9 +10,9 @@
 // Without the flag, capture() is a single predicate test, so normal timing
 // runs are not distorted.
 // The first line of the file is a `{"host":{...}}` object recording where
-// the numbers came from: core count, cpufreq governor, build type,
-// compiler, and the INFOPIPE_SEED the process ran under — what most often
-// explains why two BENCH_*.json files disagree.
+// the numbers came from: core count, clock rate, cpufreq governor, build
+// type, compiler, and the INFOPIPE_SEED the process ran under — what most
+// often explains why two BENCH_*.json files disagree.
 #pragma once
 
 #include <cstdio>
@@ -78,11 +78,30 @@ inline std::string cpu_governor() {
   return g;
 }
 
+/// The first "cpu MHz" in /proc/cpuinfo, rounded, as a JSON number; "null"
+/// where the kernel does not report one (non-x86, non-Linux).
+inline std::string cpu_mhz() {
+  std::string mhz = "null";
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[256];
+    double v = 0.0;
+    while (std::fgets(line, sizeof(line), f) != nullptr) {
+      if (std::sscanf(line, "cpu MHz : %lf", &v) == 1) {
+        mhz = std::to_string(static_cast<long>(v + 0.5));
+        break;
+      }
+    }
+    std::fclose(f);
+  }
+  return mhz;
+}
+
 /// One JSON object describing the machine and process configuration the
 /// numbers were taken under.
 inline std::string host_json() {
   std::string j = "{";
   j += "\"num_cpus\":" + std::to_string(std::thread::hardware_concurrency());
+  j += ",\"mhz_per_cpu\":" + cpu_mhz();
   j += ",\"governor\":\"" + cpu_governor() + "\"";
 #ifdef NDEBUG
   j += ",\"build_type\":\"release\"";

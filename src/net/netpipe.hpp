@@ -48,20 +48,6 @@ class NetSender : public PassiveSink {
 
  protected:
   void consume(Item x) override { link_->send(realization()->runtime(), std::move(x)); }
-  /// Batched path: resolve the runtime once per burst; the transport itself
-  /// stays frame-per-item (lockstep parity with the per-item path — a
-  /// coalescing send would change on-the-wire framing).
-  void consume_span(ItemSpan xs) override {
-    rt::Runtime& rtm = realization()->runtime();
-    for (Item& x : xs) {
-      if (x.is_eos()) {
-        on_eos();
-        continue;
-      }
-      if (x.is_nil()) continue;
-      link_->send(rtm, std::move(x));
-    }
-  }
   void on_eos() override { link_->send(realization()->runtime(), Item::eos()); }
 
  private:
@@ -148,14 +134,6 @@ class MarshalFilter : public FunctionComponent {
     wire.timestamp = x.timestamp;
     wire.kind = x.kind;
     return wire;
-  }
-
-  /// Batched path: one frame per item, unchanged (coalescing frames would
-  /// alter the wire format); the win is the amortized call chain.
-  void convert_span(ItemSpan xs) override {
-    for (Item& x : xs) {
-      if (x.is_data()) x = convert(std::move(x));
-    }
   }
 
  private:

@@ -18,6 +18,10 @@ namespace {
 /// Largest UDP payload we attempt (conservative: fits any loopback MTU).
 constexpr std::size_t kMaxDatagramBytes = 60 * 1024;
 
+/// One read() chunk, and the unsent bytes at which send() writes at once
+/// instead of leaving the burst to the agent's flush.
+constexpr std::size_t kChunkBytes = 64 * 1024;
+
 std::string errno_text(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
@@ -262,6 +266,10 @@ rt::CodeResult SocketTransport::agent_code(rt::Runtime&, rt::Message m) {
     case rt::msg::kNetSocketRetry:
       if (state_ == State::kBackoff) start_connect();
       break;
+    case rt::msg::kNetSocketFlush:
+      flush_queued_ = false;
+      flush();
+      break;
     default:
       break;
   }
@@ -270,7 +278,7 @@ rt::CodeResult SocketTransport::agent_code(rt::Runtime&, rt::Message m) {
 
 void SocketTransport::drain_reads() {
   for (;;) {
-    if (rdbuf_.size() < 64 * 1024) rdbuf_.resize(64 * 1024);
+    if (rdbuf_.size() < kChunkBytes) rdbuf_.resize(kChunkBytes);
     const ssize_t n = ::recv(fd_, rdbuf_.data(), rdbuf_.size(), 0);
     if (n > 0) {
       stats_.bytes_received += static_cast<std::uint64_t>(n);
@@ -302,7 +310,7 @@ void SocketTransport::drain_reads() {
 
 void SocketTransport::drain_datagrams() {
   for (;;) {
-    if (rdbuf_.size() < 64 * 1024) rdbuf_.resize(64 * 1024);
+    if (rdbuf_.size() < kChunkBytes) rdbuf_.resize(kChunkBytes);
     const ssize_t n = ::recv(fd_, rdbuf_.data(), rdbuf_.size(), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -398,7 +406,13 @@ void SocketTransport::send(rt::Runtime&, Item packet) {
     ++stats_.frames_sent;
     obs_frames_tx_->inc();
   }
-  flush();
+  if (eos_sent_ || out_.size() - out_pos_ >= kChunkBytes) {
+    flush();
+  } else if (!flush_queued_) {  // written once the sending section yields
+    flush_queued_ = true;
+    rt_->send(agent_,
+              rt::Message{rt::msg::kNetSocketFlush, rt::MsgClass::kData});
+  }
 }
 
 void SocketTransport::send_udp(const Item& packet) {
@@ -414,6 +428,7 @@ void SocketTransport::send_udp(const Item& packet) {
     return;
   }
   const ssize_t n = ::send(fd_, frame.data(), frame.size(), MSG_NOSIGNAL);
+  ++stats_.writes;
   if (n < 0) return;  // best-effort, like SimLink loss: EAGAIN/no-peer drop
   stats_.bytes_sent += static_cast<std::uint64_t>(n);
   ++stats_.frames_sent;
@@ -428,6 +443,7 @@ void SocketTransport::flush() {
   while (out_pos_ < out_.size()) {
     const ssize_t n = ::send(fd_, out_.data() + out_pos_,
                              out_.size() - out_pos_, MSG_NOSIGNAL);
+    ++stats_.writes;
     if (n >= 0) {
       out_pos_ += static_cast<std::size_t>(n);
       stats_.bytes_sent += static_cast<std::uint64_t>(n);

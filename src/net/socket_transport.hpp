@@ -15,8 +15,11 @@
 // readability/writability as one-shot messages to the transport's agent —
 // a user-level thread on the owning runtime — which does the actual
 // read()/write()/accept()/connect() completion on the runtime's thread, so
-// the transport needs no locks of its own. Outbound frames accumulate in a
-// single buffer; partial writes re-arm a writability watch. Inbound bytes
+// the transport needs no locks of its own. send() appends to one outbound
+// buffer and posts the agent one flush per burst; the agent (kPriorityData)
+// does not preempt the sender, so a burst leaves in one send(2) when the
+// sending section yields — at once on EOS, control frames, connect, or 64
+// KiB unsent. Partial writes re-arm a writability watch. Inbound bytes
 // stream through wire::FrameReader, which reassembles frames across
 // arbitrary read() boundaries and rejects hostile input with RemoteError
 // (the connection is then dropped, never the process).
@@ -141,6 +144,7 @@ class SocketTransport : public Transport {
     std::uint64_t bytes_sent = 0;
     std::uint64_t frames_received = 0;
     std::uint64_t bytes_received = 0;
+    std::uint64_t writes = 0;           ///< send(2) calls
     std::uint64_t partial_writes = 0;   ///< EAGAIN → writability re-arm
     std::uint64_t connects = 0;         ///< successful active connects
     std::uint64_t accepts = 0;          ///< successful passive accepts
@@ -197,6 +201,7 @@ class SocketTransport : public Transport {
   wire::FrameReader reader_;
   std::vector<std::uint8_t> out_;  ///< outbound bytes, [out_pos_, end) unsent
   std::size_t out_pos_ = 0;
+  bool flush_queued_ = false;  ///< a kNetSocketFlush is on its way
   std::vector<std::uint8_t> rdbuf_;  ///< reusable read scratch
   std::deque<Item> early_;  ///< frames that arrived before attach_receiver
 

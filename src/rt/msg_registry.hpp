@@ -44,6 +44,7 @@ inline constexpr int kNetArqTimer = 111;         ///< ARQ retransmission check
 inline constexpr int kNetSocketRetry = 120;      ///< connect backoff expired
 inline constexpr int kNetControlReply = 121;     ///< socket control-link reply
 inline constexpr int kNetControlTimeout = 122;   ///< socket control-call timer
+inline constexpr int kNetSocketFlush = 123;      ///< write the queued burst
 
 // ---- ip_feedback (200..299) -----------------------------------------------
 inline constexpr int kFeedbackLoopTick = 200;  ///< PeriodicTask step

@@ -45,6 +45,7 @@ static_assert(in_band(kNetArqTimer, kNetBandFirst, kNetBandLast));
 static_assert(in_band(kNetSocketRetry, kNetBandFirst, kNetBandLast));
 static_assert(in_band(kNetControlReply, kNetBandFirst, kNetBandLast));
 static_assert(in_band(kNetControlTimeout, kNetBandFirst, kNetBandLast));
+static_assert(in_band(kNetSocketFlush, kNetBandFirst, kNetBandLast));
 
 static_assert(in_band(kFeedbackLoopTick, kFeedbackBandFirst, kFeedbackBandLast));
 
@@ -73,6 +74,7 @@ TEST(MsgRegistry, AllConstantsAreDistinct) {
       kCoreLockGrant,   kNetDeliver,       kNetTypespecQuery,
       kNetCreateComponent, kNetArqSubmit,  kNetArqTimer,
       kNetSocketRetry,  kNetControlReply,  kNetControlTimeout,
+      kNetSocketFlush,
       kFeedbackLoopTick, kIoData,          kIoSignal,
       kIoEof,           kIoReadable,       kIoWritable,
       kChanData,        kChanSpace,        kRunFn,

@@ -16,6 +16,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -394,6 +395,101 @@ TEST(SocketTransport, UdpLoopbackBestEffortDelivery) {
       EXPECT_GT(seq, got.items[k - 1].seq);
     }
   }
+}
+
+// ---------- write coalescing ------------------------------------------------------
+
+/// Frame `i` of a burst: `bytes` bytes of a pattern that depends on `i`.
+Item burst_item(std::uint64_t i, std::size_t bytes) {
+  std::vector<std::uint8_t> b(bytes);
+  for (std::size_t j = 0; j < bytes; ++j) {
+    b[j] = static_cast<std::uint8_t>(i * 131 + j);
+  }
+  Item x = Item::of_bytes(b.data(), b.size());
+  x.seq = i;
+  x.kind = 7;
+  return x;
+}
+
+/// Sends `frames` burst items and then EOS, all in ONE step of a fresh ULT
+/// (the way a pump's section pushes a burst); returns the bytes the
+/// encoded stream takes on the wire.
+std::size_t send_burst(rt::Runtime& rtm, SocketTransport& tx, int frames,
+                       std::size_t bytes) {
+  std::vector<std::uint8_t> wire_bytes;
+  for (int i = 0; i < frames; ++i) {
+    wire::append_data_frame(wire_bytes,
+                            burst_item(static_cast<std::uint64_t>(i), bytes));
+  }
+  wire::append_eos_frame(wire_bytes);
+  const rt::ThreadId t = rtm.spawn(
+      "burst", rt::kPriorityData, [&tx, frames, bytes](rt::Runtime& r,
+                                                       rt::Message) {
+        for (int i = 0; i < frames; ++i) {
+          tx.send(r, burst_item(static_cast<std::uint64_t>(i), bytes));
+        }
+        tx.send(r, Item::eos());
+        return rt::CodeResult::kTerminate;
+      });
+  rtm.send(t, rt::Message{0, rt::MsgClass::kData});
+  return wire_bytes.size();
+}
+
+/// Expects `items` to be exactly the burst's frames, in order and intact.
+void expect_burst(const std::vector<Item>& items, int frames,
+                  std::size_t bytes) {
+  ASSERT_EQ(items.size(), static_cast<std::size_t>(frames));
+  for (int i = 0; i < frames; ++i) {
+    const Item want = burst_item(static_cast<std::uint64_t>(i), bytes);
+    const Item& x = items[static_cast<std::size_t>(i)];
+    ASSERT_EQ(x.seq, want.seq);
+    ASSERT_EQ(x.kind, want.kind);
+    ASSERT_EQ(x.bytes_size(), bytes);
+    ASSERT_EQ(std::memcmp(x.bytes_data(), want.bytes_data(), bytes), 0)
+        << "frame " << i;
+  }
+}
+
+TEST(SocketTransport, BurstIsOneWrite) {
+  constexpr int kFrames = 32;
+  constexpr std::size_t kBytes = 1024;
+  LoopbackRig rig;
+  Collector got;
+  got.spawn(rig.rtm);
+  rig.server->attach_receiver(got.tid);
+  ASSERT_TRUE(drive_until(rig.rtm, [&] { return rig.client->connected(); }));
+  ASSERT_EQ(rig.client->stats().writes, 0u);
+
+  const std::size_t wire_size =
+      send_burst(rig.rtm, *rig.client, kFrames, kBytes);
+  ASSERT_TRUE(drive_until(rig.rtm, [&] { return got.eos; }));
+  expect_burst(got.items, kFrames, kBytes);
+  EXPECT_EQ(rig.client->stats().writes, 1u)
+      << "the whole burst (and its EOS) must leave in one send()";
+  EXPECT_EQ(rig.client->stats().bytes_sent, wire_size);
+  EXPECT_EQ(rig.client->stats().frames_sent,
+            static_cast<std::uint64_t>(kFrames));
+  EXPECT_TRUE(rig.client->eos_flushed());
+}
+
+TEST(SocketTransport, BackpressuredBurstKeepsOrder) {
+  // About 24 MB from one ULT step while the receiver, on the same runtime,
+  // cannot drain: the socket buffers fill and writes hit EAGAIN.
+  constexpr int kFrames = 2000;
+  constexpr std::size_t kBytes = 12 * 1024;
+  LoopbackRig rig;
+  Collector got;
+  got.spawn(rig.rtm);
+  rig.server->attach_receiver(got.tid);
+  ASSERT_TRUE(drive_until(rig.rtm, [&] { return rig.client->connected(); }));
+
+  const std::size_t wire_size =
+      send_burst(rig.rtm, *rig.client, kFrames, kBytes);
+  ASSERT_TRUE(drive_until(rig.rtm, [&] { return got.eos; }));
+  EXPECT_GT(rig.client->stats().partial_writes, 0u);
+  expect_burst(got.items, kFrames, kBytes);
+  EXPECT_EQ(rig.client->stats().bytes_sent, wire_size);
+  EXPECT_TRUE(rig.client->eos_flushed());
 }
 
 // ---------- netpipes over a real socket -------------------------------------------
