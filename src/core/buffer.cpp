@@ -39,88 +39,13 @@ void Buffer::notify_one(std::vector<rt::ThreadId>& waiters,
 }
 
 void Buffer::put(Item x, HostContext& host) {
-  if (x.is_eos()) {
-    // EOS is a sticky flag, not a queue entry: queued items drain first and
-    // every subsequent take observes end-of-stream.
-    eos_ = true;
-    notify_one(waiting_readers_, host);
-    return;
-  }
-  while (q_.size() >= capacity_) {
-    if (full_ == FullPolicy::kDropNewest) {
-      ++stats_.drops;
-      IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kDrop, name().c_str(), 0,
-                   static_cast<std::int64_t>(q_.size()));
-      return;
-    }
-    if (full_ == FullPolicy::kDropOldest) {
-      q_.pop_front();
-      ++stats_.drops;
-      IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kDrop, name().c_str(), 1,
-                   static_cast<std::int64_t>(q_.size()));
-      continue;
-    }
-    // FullPolicy::kBlock
-    if (host.flow_stopped()) {
-      // The section was stopped while this thread was blocked in the push.
-      // The item is already in flight — dropping it would lose data across
-      // a stop/restart — so accept it with a transient one-slot overflow;
-      // the drain recovers on restart.
-      break;
-    }
-    ++stats_.put_blocks;
-    IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kBufferBlock,
-                 name().c_str(), 0, static_cast<std::int64_t>(q_.size()));
-    const rt::Time t0 = host.runtime().now();
-    waiting_writers_.push_back(host.tid());
-    Buffer* self = this;
-    (void)host.wait_interruptible([self](const rt::Message& m) {
-      const auto* b = m.get<Buffer*>();
-      return m.type == detail::kMsgBufNotify && b != nullptr && *b == self;
-    });
-    // A control event may have woken us instead of a notification (e.g.
-    // STOP or FLUSH); deregister and re-evaluate the condition.
-    erase_tid(waiting_writers_, host.tid());
-    block_hist(host)->record(host.runtime().now() - t0);
-    IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kBufferUnblock,
-                 name().c_str(), 0, static_cast<std::int64_t>(q_.size()));
-  }
-  q_.push_back(std::move(x));
-  ++stats_.puts;
-  stats_.max_fill = std::max(stats_.max_fill, q_.size());
-  notify_one(waiting_readers_, host);
+  put_span(ItemSpan(&x, 1), host);
 }
 
 Item Buffer::take(HostContext& host) {
-  for (;;) {
-    if (!q_.empty()) {
-      Item x = std::move(q_.front());
-      q_.pop_front();
-      ++stats_.takes;
-      notify_one(waiting_writers_, host);
-      return x;
-    }
-    if (eos_) return Item::eos();
-    if (empty_ == EmptyPolicy::kNil) {
-      ++stats_.nil_returns;
-      return Item::nil();
-    }
-    if (host.flow_stopped()) throw detail::StopFlow{};
-    ++stats_.take_blocks;
-    IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kBufferBlock,
-                 name().c_str(), 1, 0);
-    const rt::Time t0 = host.runtime().now();
-    waiting_readers_.push_back(host.tid());
-    Buffer* self = this;
-    (void)host.wait_interruptible([self](const rt::Message& m) {
-      const auto* b = m.get<Buffer*>();
-      return m.type == detail::kMsgBufNotify && b != nullptr && *b == self;
-    });
-    erase_tid(waiting_readers_, host.tid());
-    block_hist(host)->record(host.runtime().now() - t0);
-    IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kBufferUnblock,
-                 name().c_str(), 1, static_cast<std::int64_t>(q_.size()));
-  }
+  Item x;
+  (void)take_span(ItemSpan(&x, 1), host);
+  return x;
 }
 
 void Buffer::put_span(ItemSpan xs, HostContext& host) {
@@ -130,9 +55,10 @@ void Buffer::put_span(ItemSpan xs, HostContext& host) {
   bool saw_eos = false;
   while (i < n) {
     if (xs[i].is_eos()) {
-      // Defensive: pumps end bursts before EOS, but a hand-built span may
-      // carry one. Sticky flag, never a queue entry — and nothing follows
-      // an EOS in a well-formed flow.
+      // EOS is a sticky flag, not a queue entry: queued items drain first
+      // and every subsequent take observes end-of-stream. Pumps end bursts
+      // before EOS, so it normally arrives alone through put(); nothing
+      // follows an EOS in a well-formed flow.
       eos_ = true;
       saw_eos = true;
       break;
@@ -156,7 +82,11 @@ void Buffer::put_span(ItemSpan xs, HostContext& host) {
           ++stats_.drops;
           --excess;
         }
-        if (excess > 0) {  // remainder > capacity_: skip the span prefix
+        if (excess > 0) {
+          // remainder > capacity_: the span's own prefix is accepted and at
+          // once evicted, so it counts as puts AND drops — as one-item puts
+          // would count it (puts == takes + fill + drops).
+          stats_.puts += excess;
           stats_.drops += excess;
           i += excess;
         }
@@ -166,8 +96,10 @@ void Buffer::put_span(ItemSpan xs, HostContext& host) {
       }
       // FullPolicy::kBlock
       if (host.flow_stopped()) {
-        // Same escape as put(): the burst is already in flight, so accept
-        // it past capacity rather than lose items across a stop/restart.
+        // The section was stopped while this thread was blocked in the
+        // push. The burst is already in flight — dropping it would lose
+        // data across a stop/restart — so accept it past capacity; the
+        // drain recovers on restart.
         q_.push_back(std::move(xs[i]));
         ++queued;
         ++i;
@@ -183,6 +115,8 @@ void Buffer::put_span(ItemSpan xs, HostContext& host) {
         const auto* b = m.get<Buffer*>();
         return m.type == detail::kMsgBufNotify && b != nullptr && *b == self;
       });
+      // A control event may have woken us instead of a notification (e.g.
+      // STOP or FLUSH); deregister and re-evaluate the condition.
       erase_tid(waiting_writers_, host.tid());
       block_hist(host)->record(host.runtime().now() - t0);
       IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kBufferUnblock,

@@ -64,27 +64,31 @@ class Buffer : public Component {
 
   // -- middleware interface (called by the glue, not by applications) --------
 
-  /// Insert an item, honouring the full policy. An EOS item sets the sticky
+  /// Insert one item: put_span() of a one-item span, so every item takes
+  /// the same path whatever the burst size. An EOS item sets the sticky
   /// end-of-stream flag instead of occupying space.
   void put(Item x, HostContext& host);
 
-  /// Remove an item, honouring the empty policy. Returns Item::eos() once
-  /// drained past end-of-stream, Item::nil() on empty under the nil policy.
+  /// Remove one item: take_span() into a one-item span. Returns Item::eos()
+  /// once drained past end-of-stream, Item::nil() on empty under the nil
+  /// policy.
   [[nodiscard]] Item take(HostContext& host);
 
-  /// Batched put (PR 6): insert a burst with ONE policy/stats decision per
-  /// burst instead of one per item. The end state is sequential-equivalent
-  /// to per-item puts: kDropNewest drops the part that does not fit,
-  /// kDropOldest keeps the newest `capacity` items of (queue ++ xs) — which
-  /// may mean dropping a PREFIX of the span itself — and kBlock waits for
-  /// space (burst-wise: one put_blocks tick per wait, puts counted once).
+  /// Insert a burst with ONE policy/stats decision per burst instead of one
+  /// per item, honouring the full policy. The end state is
+  /// sequential-equivalent to one-item puts: kDropNewest drops the part
+  /// that does not fit, kDropOldest keeps the newest `capacity` items of
+  /// (queue ++ xs) — which may mean dropping a PREFIX of the span itself,
+  /// counted as puts and drops like any evicted item — and kBlock waits for space (burst-wise: one put_blocks tick per wait,
+  /// puts counted once), or accepts the burst past capacity when the flow
+  /// was stopped meanwhile.
   void put_span(ItemSpan xs, HostContext& host);
 
-  /// Batched take (PR 6): move up to out.size() queued items into `out` and
-  /// return how many, with one stats decision per burst. A burst never
-  /// crosses the end of the queued data into a special: an empty buffer
-  /// yields a single Item::eos() (drained past end-of-stream) or
-  /// Item::nil() (nil policy) at out[0], exactly like take().
+  /// Move up to out.size() queued items into `out` and return how many,
+  /// with one stats decision per burst, honouring the empty policy. A burst
+  /// never crosses the end of the queued data into a special: an empty
+  /// buffer yields a single Item::eos() (drained past end-of-stream) or
+  /// Item::nil() (nil policy) at out[0].
   [[nodiscard]] std::size_t take_span(ItemSpan out, HostContext& host);
 
   /// Discard queued items (kEventFlush does this).
@@ -98,7 +102,8 @@ class Buffer : public Component {
   [[nodiscard]] std::deque<Item> drain_for_migration();
   /// Insert an item carried over from a collapsed cross-shard channel.
   /// Counted as a put; may exceed capacity transiently (like the stopped-
-  /// flow overflow in put()) — the drain recovers once the flow restarts.
+  /// flow overflow in put_span()) — the drain recovers once the flow
+  /// restarts.
   void preload(Item x);
   [[nodiscard]] bool saw_eos() const noexcept { return eos_; }
   void mark_eos() noexcept { eos_ = true; }

@@ -48,22 +48,6 @@ void ShardChannel::place_ring(int node) {
   alloc_slots(node);
 }
 
-bool ShardChannel::try_push(Item& x) {
-  const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-  const std::uint64_t h = head_.load(std::memory_order_seq_cst);
-  if (t - h >= capacity_) return false;
-  slots_[t % n_slots_] = std::move(x);
-  tail_.store(t + 1, std::memory_order_seq_cst);
-  pushes_.fetch_add(1, std::memory_order_relaxed);
-  note_depth(t + 1 - h);
-  // Tap after the tail store: position t is published. The sink check is
-  // hoisted so the off path never loads the shard binding.
-  if (replay::tap_sink() != nullptr) {
-    replay::note_chan_push(this, name_hash_, t, 1, from_shard());
-  }
-  return true;
-}
-
 bool ShardChannel::force_push(Item& x) {
   const std::uint64_t t = tail_.load(std::memory_order_relaxed);
   const std::uint64_t h = head_.load(std::memory_order_seq_cst);
@@ -94,6 +78,8 @@ std::size_t ShardChannel::try_push_span(ItemSpan xs) {
   tail_.store(t + n, std::memory_order_seq_cst);
   pushes_.fetch_add(n, std::memory_order_relaxed);
   note_depth(t + n - h);
+  // Tap after the tail store: positions [t, t+n) are published. The sink
+  // check is hoisted so the off path never loads the shard binding.
   if (replay::tap_sink() != nullptr) {
     replay::note_chan_push(this, name_hash_, t, n, from_shard());
   }
@@ -106,6 +92,9 @@ std::size_t ShardChannel::try_pop_span(ItemSpan out) {
   const std::size_t n =
       static_cast<std::size_t>(std::min<std::uint64_t>(t - h, out.size()));
   if (n == 0) return 0;
+  // Moves, not copies: each slot is left empty (no payload reference stays
+  // behind in the ring), so when the consumer side drops an item the block
+  // recycles to the CONSUMER's pool / the bounded return-to-owner stash.
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = std::move(slots_[(h + i) % n_slots_]);
   }
@@ -115,21 +104,6 @@ std::size_t ShardChannel::try_pop_span(ItemSpan out) {
     replay::note_chan_pop(this, name_hash_, h, n, to_shard());
   }
   return n;
-}
-
-std::optional<Item> ShardChannel::try_pop() {
-  const std::uint64_t h = head_.load(std::memory_order_relaxed);
-  if (h == tail_.load(std::memory_order_seq_cst)) return std::nullopt;
-  // A move, not a copy: the slot is left empty (no payload reference stays
-  // behind in the ring), so when the consumer side drops the item the block
-  // recycles to the CONSUMER's pool / the bounded return-to-owner stash.
-  Item x = std::move(slots_[h % n_slots_]);
-  head_.store(h + 1, std::memory_order_seq_cst);
-  pops_.fetch_add(1, std::memory_order_relaxed);
-  if (replay::tap_sink() != nullptr) {
-    replay::note_chan_pop(this, name_hash_, h, 1, to_shard());
-  }
-  return x;
 }
 
 void ShardChannel::wake_producer() {
@@ -175,51 +149,7 @@ ChannelStats ShardChannel::stats() const {
 
 // ============================ ChannelSink ===================================
 
-void ChannelSink::consume(Item x) {
-  HostContext& host = realization()->current_host();
-  ShardChannel& ch = *chan_;
-  for (;;) {
-    if (ch.try_push(x)) {
-      ch.wake_consumer();
-      return;
-    }
-    // Ring full.
-    if (ch.full_policy() == FullPolicy::kDropNewest) {
-      ch.count_drop();
-      IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kDrop, name().c_str(), 0,
-                   static_cast<std::int64_t>(ch.depth()));
-      return;
-    }
-    ch.count_producer_stall();
-    // The section was stopped while this thread was blocked in the push; the
-    // item is already in flight, so park it in the overflow reserve rather
-    // than lose it across a stop/restart (mirrors Buffer::put).
-    if (host.flow_stopped() && ch.force_push(x)) {
-      ch.wake_consumer();
-      return;
-    }
-    IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kBufferBlock,
-                 name().c_str(), 0, static_cast<std::int64_t>(ch.depth()));
-    ch.register_producer_waiter(host.tid());
-    // Dekker recheck: the consumer may have popped (and missed our waiter
-    // registration) between our failed try_push and the store above.
-    if (ch.try_push(x)) {
-      ch.clear_producer_waiter();
-      ch.wake_consumer();
-      return;
-    }
-    ShardChannel* self = &ch;
-    (void)host.wait_interruptible([self](const rt::Message& m) {
-      const auto* c = m.get<ShardChannel*>();
-      return m.type == detail::kMsgChanSpace && c != nullptr && *c == self;
-    });
-    // A control event may have woken us instead of a space notification;
-    // deregister and re-evaluate.
-    ch.clear_producer_waiter();
-    IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kBufferUnblock,
-                 name().c_str(), 0, static_cast<std::int64_t>(ch.depth()));
-  }
-}
+void ChannelSink::consume(Item x) { consume_span(ItemSpan(&x, 1)); }
 
 void ChannelSink::consume_span(ItemSpan xs) {
   HostContext& host = realization()->current_host();
@@ -230,7 +160,7 @@ void ChannelSink::consume_span(ItemSpan xs) {
     if (!xs[i].is_data()) {
       // Specials never enter the ring: EOS is the sticky flag (set via
       // on_eos so the wake goes out), nils are dropped exactly as the
-      // per-item sink glue drops them.
+      // per-item sink glue drops them (it never hands them to consume()).
       if (xs[i].is_eos()) on_eos();
       ++i;
       continue;
@@ -256,8 +186,10 @@ void ChannelSink::consume_span(ItemSpan xs) {
       }
       ch.count_producer_stall();
       if (host.flow_stopped()) {
-        // Stopped mid-burst: the remainder is already in flight, so park it
-        // in the overflow reserve item by item (mirrors consume()).
+        // The section was stopped while this thread was blocked in the
+        // push; the remainder is already in flight, so park it in the
+        // overflow reserve item by item rather than lose it across a
+        // stop/restart (mirrors Buffer's stopped-flow overflow).
         while (done < run.size() && ch.force_push(run[done])) ++done;
         if (done == run.size()) {
           ch.wake_consumer();
@@ -267,9 +199,8 @@ void ChannelSink::consume_span(ItemSpan xs) {
       IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kBufferBlock,
                    name().c_str(), 0, static_cast<std::int64_t>(ch.depth()));
       ch.register_producer_waiter(host.tid());
-      // Dekker recheck with the span op: the consumer may have popped (and
-      // missed our waiter registration) between the failed reserve and the
-      // store above.
+      // Dekker recheck: the consumer may have popped (and missed our waiter
+      // registration) between the failed reserve and the store above.
       const std::size_t again = ch.try_push_span(run.subspan(done));
       if (again > 0) {
         ch.clear_producer_waiter();
@@ -282,6 +213,8 @@ void ChannelSink::consume_span(ItemSpan xs) {
         const auto* c = m.get<ShardChannel*>();
         return m.type == detail::kMsgChanSpace && c != nullptr && *c == self;
       });
+      // A control event may have woken us instead of a space notification;
+      // deregister and re-evaluate.
       ch.clear_producer_waiter();
       IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kBufferUnblock,
                    name().c_str(), 0, static_cast<std::int64_t>(ch.depth()));
@@ -298,67 +231,9 @@ void ChannelSink::on_eos() {
 // ============================ ChannelSource =================================
 
 Item ChannelSource::generate() {
-  HostContext& host = realization()->current_host();
-  ShardChannel& ch = *chan_;
-  for (;;) {
-    if (std::optional<Item> x = ch.try_pop()) {
-      ch.wake_producer();
-      IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kShardHop,
-                   name().c_str(), ch.from_shard(), ch.to_shard());
-      return std::move(*x);
-    }
-    if (ch.eos()) {
-      // EOS-drain race: the producer may have pushed an item and THEN set
-      // the sticky flag after our failed try_pop loaded the tail. Observing
-      // eos_ (seq_cst) orders us after that push, so one re-pop is enough —
-      // returning EOS here without it would lose the final items and leave
-      // nil_returns/pops inconsistent with the producer's pushes.
-      if (std::optional<Item> x = ch.try_pop()) {
-        ch.wake_producer();
-        IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kShardHop,
-                     name().c_str(), ch.from_shard(), ch.to_shard());
-        return std::move(*x);
-      }
-      return Item::eos();
-    }
-    if (ch.empty_policy() == EmptyPolicy::kNil) {
-      ch.count_nil();
-      return Item::nil();
-    }
-    ch.count_consumer_stall();
-    if (host.flow_stopped()) throw infopipe::detail::StopFlow{};
-    IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kBufferBlock,
-                 name().c_str(), 1, 0);
-    ch.register_consumer_waiter(host.tid());
-    // Dekker recheck against both the ring and the sticky EOS flag.
-    if (std::optional<Item> x = ch.try_pop()) {
-      ch.clear_consumer_waiter();
-      ch.wake_producer();
-      IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kShardHop,
-                   name().c_str(), ch.from_shard(), ch.to_shard());
-      return std::move(*x);
-    }
-    if (ch.eos()) {
-      ch.clear_consumer_waiter();
-      // Same EOS-drain re-pop as above: the flag was observed after a
-      // failed pop, so drain once more before declaring the end.
-      if (std::optional<Item> x = ch.try_pop()) {
-        ch.wake_producer();
-        IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kShardHop,
-                     name().c_str(), ch.from_shard(), ch.to_shard());
-        return std::move(*x);
-      }
-      return Item::eos();
-    }
-    ShardChannel* self = &ch;
-    (void)host.wait_interruptible([self](const rt::Message& m) {
-      const auto* c = m.get<ShardChannel*>();
-      return m.type == detail::kMsgChanData && c != nullptr && *c == self;
-    });
-    ch.clear_consumer_waiter();
-    IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kBufferUnblock,
-                 name().c_str(), 1, static_cast<std::int64_t>(ch.depth()));
-  }
+  Item x;
+  (void)generate_span(ItemSpan(&x, 1));
+  return x;
 }
 
 std::size_t ChannelSource::generate_span(ItemSpan out) {
@@ -372,8 +247,11 @@ std::size_t ChannelSource::generate_span(ItemSpan out) {
       return n;
     }
     if (ch.eos()) {
-      // EOS-drain re-pop (see generate()): observing the sticky flag orders
-      // us after any pre-EOS push, so drain once more before the end.
+      // EOS-drain race: the producer may have pushed items and THEN set the
+      // sticky flag after our failed pop loaded the tail. Observing eos_
+      // (seq_cst) orders us after that push, so one re-pop is enough —
+      // returning EOS here without it would lose the final items and leave
+      // nil_returns/pops inconsistent with the producer's pushes.
       if (const std::size_t n = ch.try_pop_span(out)) {
         ch.wake_producer();
         IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kShardHop,
@@ -393,7 +271,9 @@ std::size_t ChannelSource::generate_span(ItemSpan out) {
     IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kBufferBlock,
                  name().c_str(), 1, 0);
     ch.register_consumer_waiter(host.tid());
-    // Dekker recheck with the span op (ring first, then the sticky flag).
+    // Dekker recheck against both the ring and the sticky EOS flag (ring
+    // first): the producer may have pushed or ended the stream, and missed
+    // our waiter registration, between the failed pop and the store above.
     if (const std::size_t n = ch.try_pop_span(out)) {
       ch.clear_consumer_waiter();
       ch.wake_producer();
@@ -403,6 +283,8 @@ std::size_t ChannelSource::generate_span(ItemSpan out) {
     }
     if (ch.eos()) {
       ch.clear_consumer_waiter();
+      // Same EOS-drain re-pop as above: the flag was observed after a
+      // failed pop, so drain once more before declaring the end.
       if (const std::size_t n = ch.try_pop_span(out)) {
         ch.wake_producer();
         IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kShardHop,

@@ -4,13 +4,14 @@
 // planner placed between two sections is replaced by a bounded SPSC ring
 // whose producer endpoint (ChannelSink) lives on the upstream shard and
 // whose consumer endpoint (ChannelSource) lives on the downstream shard.
-// The fast path is wait-free — one atomic load, a slot move, one atomic
-// store per item. Only when a side finds the ring full/empty does it fall
-// back to the doorbell path: it publishes its thread id in a waiter slot and
-// parks in the middleware's control-responsive wait; the other side, after
-// every push/pop, exchanges the waiter slot and posts a wakeup message
-// through rt::Runtime::post_external (which rings the shard's Doorbell), so
-// an idle shard sleeps instead of spinning.
+// The fast path is wait-free — one atomic load, the slot moves, one atomic
+// store per burst (a one-item burst for the per-item ops). Only when a side
+// finds the ring full/empty does it fall back to the doorbell path: it
+// publishes its thread id in a waiter slot and parks in the middleware's
+// control-responsive wait; the other side, after every push/pop, exchanges
+// the waiter slot and posts a wakeup message through
+// rt::Runtime::post_external (which rings the shard's Doorbell), so an idle
+// shard sleeps instead of spinning.
 //
 // The sleep/wake handshake is a classic Dekker pattern on
 // (ring state, waiter slot): the waiter stores its tid and THEN re-checks
@@ -121,23 +122,31 @@ class ShardChannel {
 
   // -- ring (producer side: try_push/force_push; consumer side: try_pop) -----
 
-  /// Moves `x` into the ring if depth < capacity. Producer shard only.
-  bool try_push(Item& x);
+  /// Moves `x` into the ring if depth < capacity: an adapter over
+  /// try_push_span() of one item (same tap frame, n = 1). Producer shard
+  /// only.
+  bool try_push(Item& x) { return try_push_span(ItemSpan(&x, 1)) == 1; }
   /// Like try_push but may use the small overflow reserve beyond capacity;
-  /// the stopped-flow escape hatch mirroring Buffer::put's transient
-  /// one-slot overflow. Returns false only when even the reserve is full.
+  /// the stopped-flow escape hatch mirroring Buffer's transient overflow.
+  /// Per-item by design: the one queue op with no span twin. Returns false
+  /// only when even the reserve is full.
   bool force_push(Item& x);
-  /// Takes the oldest item, if any. Consumer shard only.
-  std::optional<Item> try_pop();
+  /// Takes the oldest item, if any: an adapter over try_pop_span() of one
+  /// item (same tap frame, n = 1). Consumer shard only.
+  std::optional<Item> try_pop() {
+    std::optional<Item> x(std::in_place);
+    if (try_pop_span(ItemSpan(&*x, 1)) == 0) x.reset();
+    return x;
+  }
 
-  /// Batched push (PR 6): claims min(space, xs.size()) slots and publishes
-  /// them with ONE tail store. SPSC makes the single store a full N-slot
-  /// reservation — the producer is the only tail writer, so the consumer
-  /// either sees none or all of the burst; no CAS loop is needed. Never
-  /// touches the overflow reserve. Returns how many items moved (0: full).
+  /// Claims min(space, xs.size()) slots and publishes them with ONE tail
+  /// store. SPSC makes the single store a full N-slot reservation — the
+  /// producer is the only tail writer, so the consumer either sees none or
+  /// all of the burst; no CAS loop is needed. Never touches the overflow
+  /// reserve. Returns how many items moved (0: full).
   std::size_t try_push_span(ItemSpan xs);
-  /// Batched pop (PR 6): moves up to out.size() queued items out with ONE
-  /// head store. Returns how many (0: empty).
+  /// Moves up to out.size() queued items out with ONE head store. Returns
+  /// how many (0: empty).
   std::size_t try_pop_span(ItemSpan out);
 
   /// Sticky end-of-stream: queued items drain first, then the consumer
@@ -255,9 +264,10 @@ class ShardChannel {
 
 /// Upstream endpoint of a cut: a passive sink the upstream section's driver
 /// pushes into, exactly where it used to push into the cut buffer. Blocking
-/// follows Buffer::put — control events are dispatched while blocked, a
-/// stopped flow escapes into the overflow reserve instead of losing the
-/// in-flight item.
+/// follows Buffer::put_span — control events are dispatched while blocked,
+/// a stopped flow escapes into the overflow reserve instead of losing the
+/// in-flight items. The per-item consume() is an adapter over consume_span()
+/// of one item, so every item takes the same path.
 class ChannelSink : public PassiveSink {
  public:
   explicit ChannelSink(ShardChannel& chan)
@@ -267,8 +277,8 @@ class ChannelSink : public PassiveSink {
 
  protected:
   void consume(Item x) override;
-  /// Batched path: publishes runs of data items through try_push_span — one
-  /// ring reservation and one doorbell per chunk instead of per item.
+  /// Publishes runs of data items through try_push_span — one ring
+  /// reservation and one doorbell per chunk instead of per item.
   void consume_span(ItemSpan xs) override;
   void on_eos() override;
 
@@ -279,7 +289,8 @@ class ChannelSink : public PassiveSink {
 /// Downstream endpoint of a cut: a passive source the downstream section's
 /// driver pulls from, exactly where it used to take from the cut buffer.
 /// Offers the Typespec the original plan propagated onto the cut edge, so
-/// sub-pipeline planning sees the same flow description.
+/// sub-pipeline planning sees the same flow description. The per-item
+/// generate() is an adapter over generate_span() of one item.
 class ChannelSource : public PassiveSource {
  public:
   ChannelSource(ShardChannel& chan, Typespec offer)
@@ -295,7 +306,7 @@ class ChannelSource : public PassiveSource {
 
  protected:
   Item generate() override;
-  /// Batched path: drains a whole run of queued items in one head move.
+  /// Drains a whole run of queued items in one head move.
   std::size_t generate_span(ItemSpan out) override;
 
  private:

@@ -6,12 +6,19 @@
 // EOS) is bit-identical to the per-item path, including under buffer drop
 // policies, mid-batch end-of-stream, and a live cross-shard migration. The
 // per-item reference is the same pipeline with every pump at max_batch = 1.
+// Buffer's one-item put/take are themselves one-item spans, so the Buffer
+// section checks both against a sequential model instead.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <memory>
+#include <random>
 #include <vector>
 
+#include "core/config.hpp"
 #include "core/infopipes.hpp"
+#include "rt/clock.hpp"
 #include "shard/sharded_realization.hpp"
 
 namespace infopipe {
@@ -128,6 +135,161 @@ TEST(Batch, EosArrivesOnlyAtBurstBoundaries) {
   ASSERT_EQ(sink.count(), 10u);
   for (std::uint64_t i = 0; i < 10; ++i) EXPECT_EQ(sink.seqs()[i], i);
   EXPECT_TRUE(sink.eos_seen());
+}
+
+// ---------- Buffer against a sequential model --------------------------------
+
+/// The reference Buffer semantics, one item at a time: a deque plus the
+/// counters Buffer::Stats keeps. A burst equals its items put (or taken)
+/// one by one, except that a take from an empty buffer is one nil return.
+struct BufferModel {
+  std::size_t capacity;
+  FullPolicy full;
+  std::deque<std::uint64_t> q;
+  Buffer::Stats stats;
+
+  void put(std::uint64_t seq) {
+    if (q.size() >= capacity && full == FullPolicy::kDropNewest) {
+      ++stats.drops;
+      return;
+    }
+    // kDropOldest evicts; the kBlock script never puts into a full buffer.
+    while (q.size() >= capacity) {
+      q.pop_front();
+      ++stats.drops;
+    }
+    q.push_back(seq);
+    ++stats.puts;
+    stats.max_fill = std::max(stats.max_fill, q.size());
+  }
+
+  /// The up to `n` oldest items; none (a nil return) when empty.
+  std::vector<std::uint64_t> take(std::size_t n) {
+    std::vector<std::uint64_t> out;
+    if (q.empty()) ++stats.nil_returns;
+    while (out.size() < n && !q.empty()) {
+      out.push_back(q.front());
+      q.pop_front();
+    }
+    stats.takes += out.size();
+    return out;
+  }
+};
+
+/// Runs one seeded step per clock fire against a Buffer and the model side
+/// by side: a one-item put or take, or a put_span/take_span of 1 to
+/// 2 * capacity items. Puts carry fresh sequence numbers; taken items go
+/// downstream to the sink. After every step the sink's sequence, the fill
+/// and Buffer::stats() must equal the model's. The buffer is driven from
+/// this driver's thread with EmptyPolicy::kNil, and the kBlock script never
+/// overfills, so no step waits.
+class BufferScript : public ClockedSourceBase {
+ public:
+  BufferScript(Buffer& buf, const CollectorSink& sink, std::uint64_t seed,
+               int steps)
+      : ClockedSourceBase("script", 1000.0),
+        buf_(buf),
+        sink_(sink),
+        model_{buf.capacity(), buf.full_policy(), {}, {}},
+        rng_(seed),
+        steps_(steps) {}
+
+ protected:
+  // Never called: cycle() below replaces the one-item generate cycle.
+  [[nodiscard]] Item generate() override { return Item::eos(); }
+
+  void cycle() override {
+    if (step_ == steps_) throw EndOfStream{};
+    HostContext& host = realization()->current_host();
+    const bool span = coin_(rng_) != 0;
+    std::size_t k = span ? size_(rng_) : 1;
+    bool put = coin_(rng_) != 0;
+    if (buf_.full_policy() == FullPolicy::kBlock) {
+      const std::size_t space = buf_.capacity() - model_.q.size();
+      if (space == 0) put = false;
+      if (put) k = std::min(k, space);
+    }
+    if (put) {
+      std::vector<Item> xs(k);
+      for (Item& x : xs) {
+        x = Item::token();
+        x.seq = next_seq_;
+        model_.put(next_seq_++);
+      }
+      if (span) {
+        buf_.put_span(ItemSpan(xs), host);
+      } else {
+        buf_.put(std::move(xs[0]), host);
+      }
+    } else {
+      std::vector<Item> out(k);
+      std::size_t n = 1;
+      if (span) {
+        n = buf_.take_span(ItemSpan(out), host);
+      } else {
+        out[0] = buf_.take(host);
+      }
+      for (const std::uint64_t seq : model_.take(k)) want_.push_back(seq);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (out[i].is_data()) push_next(std::move(out[i]));
+      }
+    }
+    check();
+    ++step_;
+  }
+
+ private:
+  void check() {
+    const Buffer::Stats& got = buf_.stats();
+    const Buffer::Stats& want = model_.stats;
+    EXPECT_EQ(sink_.seqs(), want_) << "step " << step_;
+    EXPECT_EQ(buf_.fill(), model_.q.size()) << "step " << step_;
+    EXPECT_EQ(got.puts, want.puts) << "step " << step_;
+    EXPECT_EQ(got.takes, want.takes) << "step " << step_;
+    EXPECT_EQ(got.drops, want.drops) << "step " << step_;
+    EXPECT_EQ(got.nil_returns, want.nil_returns) << "step " << step_;
+    EXPECT_EQ(got.max_fill, want.max_fill) << "step " << step_;
+    EXPECT_EQ(got.put_blocks, 0u) << "step " << step_;
+    EXPECT_EQ(got.take_blocks, 0u) << "step " << step_;
+    // Stop at the first divergence: later steps only repeat it.
+    if (::testing::Test::HasFailure()) throw EndOfStream{};
+  }
+
+  Buffer& buf_;
+  const CollectorSink& sink_;
+  BufferModel model_;
+  std::mt19937_64 rng_;
+  std::uniform_int_distribution<int> coin_{0, 1};
+  std::uniform_int_distribution<std::size_t> size_{1, 2 * buf_.capacity()};
+  std::vector<std::uint64_t> want_;
+  std::uint64_t next_seq_ = 0;
+  int steps_;
+  int step_ = 0;
+};
+
+void run_buffer_script(FullPolicy full, std::uint64_t salt) {
+  rt::Runtime rtm(std::make_unique<rt::VirtualClock>());
+  Buffer buf("buf", 8, full, EmptyPolicy::kNil);
+  CollectorSink sink("sink");
+  BufferScript script(buf, sink, config().seed * 1000 + salt, 2000);
+  auto ch = script >> sink;
+  Realization real(rtm, ch.pipeline());
+  real.start();
+  rtm.run();
+  EXPECT_TRUE(sink.eos_seen());
+  EXPECT_GT(sink.count(), 0u);
+}
+
+TEST(BufferModel, DropNewestMatchesSequentialModel) {
+  run_buffer_script(FullPolicy::kDropNewest, 1);
+}
+
+TEST(BufferModel, DropOldestMatchesSequentialModel) {
+  run_buffer_script(FullPolicy::kDropOldest, 2);
+}
+
+TEST(BufferModel, BlockWithoutWaitsMatchesSequentialModel) {
+  run_buffer_script(FullPolicy::kBlock, 3);
 }
 
 // ---------- BatchFilter and the per-item adapter -----------------------------
