@@ -7,10 +7,10 @@
 // Reproduced here as the cost ladder the planner navigates:
 //   virtual function call                 (direct component invocation)
 //   raw user-level context switch         (Context::switch_to round trip)
-//   scheduled thread switch               (yield through the scheduler)
+//   scheduled thread switch               (yield to the scheduler's pick)
 //   message send + dispatch               (one rt message)
-//   full coroutine data hand-off          (channel push: 2 messages + 2+
-//                                          switches, what one adapted
+//   full coroutine data hand-off          (channel push: 2 messages, one
+//                                          switch each, what one adapted
 //                                          component costs per item)
 //
 // The paper's *shape* to check: switch >> call (about two orders of

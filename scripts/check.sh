@@ -74,12 +74,17 @@ echo "== TSan build + multi-runtime suites =="
 # every shard thread at once; the HB checker joins vector clocks across
 # them), and the elastic suite (host kernel threads are started and
 # joined mid-run while sibling shards keep streaming items across the
-# channels). The remaining suites are single-threaded by construction
+# channels). Two single-runtime suites join them because they run
+# coroutines: the core execution suite and the Figure 1 player. A
+# suspending thread switches straight to the next thread (direct transfer),
+# so these are the suites whose fiber switches go thread to thread and
+# whose fresh contexts start from another thread rather than from the
+# scheduler. The remaining suites are single-threaded by construction
 # (one ULT scheduler on one kernel thread) and run under ASan above.
 cmake -B build-thread -G Ninja -DCMAKE_BUILD_TYPE=Thread
 cmake --build build-thread
 TSAN_OPTIONS=halt_on_error=1 \
-  ctest --test-dir build-thread -R 'rt_runtime_test|rt_stress_test|io_bridge_test|shard|elastic|feedback|balance|mem_test|batch|net_test|socket_transport_test|session_test|replay_test' \
+  ctest --test-dir build-thread -R 'rt_runtime_test|rt_stress_test|core_exec_test|figure1_test|io_bridge_test|shard|elastic|feedback|balance|mem_test|batch|net_test|socket_transport_test|session_test|replay_test' \
     --output-on-failure
 
 echo "== multi-process smoke: distributed_player over loopback TCP =="

@@ -337,8 +337,35 @@ void Runtime::suspend_current() {
   UThread* me = current_thread();
   assert(me != nullptr);
   current_ = kNoThread;
+  // Direct transfer: when a scheduler pass would do nothing but pick_next(),
+  // make the same pick here and switch straight to it.
+  UThread* next = nullptr;
+  if (me->state_ != ThreadState::kDone && !stop_requested_ && !halted() &&
+      !external_pending_.load(std::memory_order_acquire) &&
+      (timers_.empty() || timers_.front().when > now())) {
+    next = pick_next();
+  }
+  if (next == me) {
+    enter(*me);
+    return;
+  }
   ++stats_.context_switches;
-  Context::switch_to(me->context_, sched_ctx_);
+  if (next != nullptr) {
+    enter(*next);
+    Context::switch_to(me->context_, next->context_);
+  } else {
+    Context::switch_to(me->context_, sched_ctx_);
+  }
+}
+
+void Runtime::enter(UThread& t) {
+  if (!t.started_) {
+    t.context_.init(t.stack_.top(), t.stack_.usable_size(),
+                    &Runtime::thread_entry, &t);
+    t.started_ = true;
+  }
+  t.state_ = ThreadState::kRunning;
+  current_ = t.id();
 }
 
 void Runtime::make_ready(UThread& t) {
@@ -424,29 +451,16 @@ bool Runtime::step(Time horizon) {
   }
 
   // Reap terminated threads.
-  for (auto it = threads_.begin(); it != threads_.end();) {
-    if (it->second->state_ == ThreadState::kDone && it->second->started_) {
-      it = threads_.erase(it);
-    } else if (it->second->state_ == ThreadState::kDone) {
-      it = threads_.erase(it);  // never started; nothing on its stack
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(threads_, [](const auto& entry) {
+    return entry.second->state_ == ThreadState::kDone;
+  });
 
   fire_due_timers();
 
   if (UThread* t = pick_next()) {
-    if (!t->started_) {
-      t->context_.init(t->stack_.top(), t->stack_.usable_size(),
-                       &Runtime::thread_entry, t);
-      t->started_ = true;
-    }
-    t->state_ = ThreadState::kRunning;
-    current_ = t->id();
+    enter(*t);
     ++stats_.context_switches;
     Context::switch_to(sched_ctx_, t->context_);
-    current_ = kNoThread;
     return true;
   }
 

@@ -17,6 +17,14 @@
 // in its incoming queue" — §4). A one-level priority-inheritance scheme
 // boosts the callee of a synchronous call() to the caller's effective
 // priority, avoiding priority inversion.
+//
+// Direct transfer: a suspending thread switches straight to the thread the
+// scheduler would pick next, so a message hand-off between two threads costs
+// one context switch. The scheduler context is entered only for external
+// batches, due timers, stop or halt, thread termination and idling; it is
+// the only place that reaps threads, injects post_external() messages,
+// fires timers and waits on the clock. The pick is the same pick_next()
+// on either path, so dispatch order does not depend on which path made it.
 #pragma once
 
 #include <atomic>
@@ -116,10 +124,10 @@ class Runtime {
   /// real-time stall until the dead timeout fires.
   std::size_t cancel_timers(ThreadId to, int type);
 
-  /// Thread-safe injection from OUTSIDE the scheduler's OS thread (â the
+  /// Thread-safe injection from OUTSIDE the scheduler's OS thread (the
   /// only Runtime entry point with that property). Used by rt::IoBridge to
   /// map OS events onto platform messages (§4); wakes an idle RealClock
-  /// wait. The message is delivered at the next scheduling step.
+  /// wait. The message is delivered at the next suspension of any thread.
   void post_external(ThreadId to, Message m);
 
   /// Hook invoked (on the posting kernel thread) after every
@@ -288,9 +296,13 @@ class Runtime {
   /// Extracts the next message honouring control-before-data ordering.
   Message pop_next_message(UThread& t);
 
-  /// Switches from the current thread back to the scheduler with the given
-  /// state already set on the thread.
+  /// Switches away from the current thread, whose new state is already
+  /// set: straight to pick_next()'s choice when a scheduler pass would do
+  /// nothing else (direct transfer), otherwise to the scheduler context.
   void suspend_current();
+
+  /// Makes `t` the running thread, initializing its context on first entry.
+  void enter(UThread& t);
 
   /// Marks a thread runnable (idempotent).
   void make_ready(UThread& t);

@@ -312,6 +312,52 @@ TEST(Exec, DeepFunctionChainSingleThread) {
   for (const auto& a : sink.arrivals()) EXPECT_EQ(a.item.kind, 10);
 }
 
+// ---------- coroutine hand-off cost (§4) --------------------------------------------
+
+// Each hand-off message switches straight from its sender to its receiver,
+// so one message costs one context switch. These are counts, not times, so
+// they hold on any host.
+
+TEST(HandoffCost, ActiveStageCostsTwoSwitchesPerItem) {
+  constexpr std::uint64_t kItems = 2000;
+  rt::Runtime rtm;  // VirtualClock
+  CountingSource src("src", kItems);
+  FreeRunningPump pump("pump");
+  LambdaActive active("active", [](const auto& pull, const auto& push) {
+    for (;;) push(pull());
+  });
+  CountingSink sink("sink");
+  auto ch = src >> pump >> active >> sink;
+  Realization real(rtm, ch.pipeline());
+  ASSERT_EQ(real.thread_count(), 2u);
+  real.start();
+  rtm.run();
+  ASSERT_EQ(sink.count(), kItems);
+  // One hand-off per item: kMsgCoItem and kMsgCoDone, one switch each
+  // (through the scheduler context they cost four).
+  EXPECT_LE(rtm.stats().context_switches, 2 * kItems + 16);
+}
+
+TEST(HandoffCost, Figure9eChainCostsOneSwitchPerMessage) {
+  constexpr std::uint64_t kItems = 1000;
+  rt::Runtime rtm;  // VirtualClock
+  CountingSource src("src", 4 * kItems);
+  DefragmenterConsumer consumer("consumer", sum2);  // pull side: coroutine
+  FreeRunningPump pump("pump");
+  DefragmenterProducer producer("producer", sum2);  // push side: coroutine
+  CountingSink sink("sink");
+  auto ch = src >> consumer >> pump >> producer >> sink;
+  Realization real(rtm, ch.pipeline());
+  ASSERT_EQ(real.thread_count(), 3u);
+  real.start();
+  rtm.run();
+  ASSERT_EQ(sink.count(), kItems);
+  // Per sink item the pump runs two cycles, and each cycle is two pull
+  // messages (kMsgCoPull, kMsgCoItem) plus two push messages (kMsgCoItem,
+  // kMsgCoDone): 8 messages, one switch each (16 through the scheduler).
+  EXPECT_LE(rtm.stats().context_switches, 8 * kItems + 16);
+}
+
 // ---------- buffer policies --------------------------------------------------------
 
 TEST(BufferPolicy, BlockingBufferDeliversEverything) {

@@ -1,6 +1,7 @@
 // Unit tests for the message-based user-level thread package (ip_rt).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -492,6 +493,161 @@ TEST(Runtime, DeadlineBreaksPriorityTies) {
   rt.send(b, std::move(mb));
   rt.run();
   EXPECT_EQ(order, (std::vector<std::string>{"early", "late"}));
+}
+
+// --- direct transfer: a suspending thread switches straight to the pick ------
+
+// Two same-priority threads bouncing one message: each dispatch forwards it
+// to the other thread, until `limit` messages have been dispatched. `hook`
+// runs at every dispatch, before the forward, with the number of messages
+// dispatched so far.
+struct PingPong {
+  ThreadId a = kNoThread;
+  ThreadId b = kNoThread;
+  int messages = 0;
+  std::vector<std::string> order;
+
+  PingPong(Runtime& rt, int limit, std::function<void(Runtime&, int)> hook) {
+    auto body = [this, limit, hook](const char* name, const ThreadId* peer) {
+      return [this, limit, hook, name, peer](Runtime& r, Message) {
+        order.emplace_back(name);
+        ++messages;
+        if (hook) hook(r, messages);
+        if (messages < limit) {
+          r.send(*peer, Message{kMsgPing, MsgClass::kData});
+        }
+        return CodeResult::kContinue;
+      };
+    };
+    a = rt.spawn("a", kPriorityData, body("a", &b));
+    b = rt.spawn("b", kPriorityData, body("b", &a));
+  }
+};
+
+// Long enough to stand for an endless ping-pong in the tests below: they
+// expect the ping-pong to be interrupted at message 10, and the cap turns a
+// missed interruption into a failure rather than a hang.
+constexpr int kEndless = 1000;
+
+TEST(DirectTransfer, PingPongCostsOneSwitchPerMessage) {
+  constexpr int kMessages = 1000;
+  Runtime rt;
+  PingPong pp(rt, kMessages, {});
+  rt.send(pp.a, Message{kMsgPing, MsgClass::kData});
+  rt.run();
+  ASSERT_EQ(pp.messages, kMessages);
+  for (std::size_t i = 0; i < pp.order.size(); ++i) {
+    ASSERT_EQ(pp.order[i], i % 2 == 0 ? "a" : "b") << "at dispatch " << i;
+  }
+  // Through the scheduler context every message costs two switches (thread
+  // -> scheduler -> thread); direct transfer costs one, plus the first
+  // switch in and the last switch out.
+  EXPECT_LE(rt.stats().context_switches, std::uint64_t{kMessages} + 4);
+}
+
+TEST(DirectTransfer, PickFollowsReadyOrderNotMessageReceiver) {
+  Runtime rt;
+  std::vector<std::string> order;
+  auto record = [&order](const char* name) {
+    return [&order, name](Runtime&, Message) {
+      order.emplace_back(name);
+      return CodeResult::kContinue;
+    };
+  };
+  const ThreadId y = rt.spawn("y", kPriorityData, record("y"));
+  const ThreadId z = rt.spawn("z", kPriorityData, record("z"));
+  const ThreadId x = rt.spawn("x", kPriorityData, [&](Runtime& r, Message) {
+    order.emplace_back("x");
+    r.send(z, Message{});  // z becomes ready first ...
+    r.send(y, Message{});  // ... so FIFO among equals runs z before y
+    return CodeResult::kContinue;
+  });
+  rt.send(x, Message{});
+  rt.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"x", "z", "y"}));
+  // scheduler -> x -> z -> y -> scheduler.
+  EXPECT_EQ(rt.stats().context_switches, 4u);
+}
+
+TEST(DirectTransfer, ExternalMessageIsInjectedAtNextSuspension) {
+  Runtime rt;
+  ThreadId hi = kNoThread;
+  PingPong pp(rt, kEndless, [&hi](Runtime& r, int n) {
+    if (n == 10) r.post_external(hi, Message{});
+  });
+  int seen_at = -1;
+  hi = rt.spawn("hi", kPriorityControl, [&](Runtime& r, Message) {
+    seen_at = pp.messages;
+    r.request_stop();
+    return CodeResult::kContinue;
+  });
+  rt.send(pp.a, Message{kMsgPing, MsgClass::kData});
+  rt.run();
+  // Delivered when the thread that posted it suspended, ahead of the
+  // ready same-priority peer.
+  EXPECT_EQ(seen_at, 10);
+  // Messages 1..10 went thread to thread (the scheduler path costs 22).
+  EXPECT_LE(rt.stats().context_switches, 10u + 4);
+}
+
+TEST(DirectTransfer, TimerDueDuringPingPongFires) {
+  Runtime rt;
+  PingPong pp(rt, kEndless, [](Runtime& r, int n) {
+    if (n == 10) static_cast<VirtualClock&>(r.clock()).advance_to(5000);
+  });
+  int seen_at = -1;
+  const ThreadId hi = rt.spawn("hi", kPriorityTimer, [&](Runtime& r, Message) {
+    seen_at = pp.messages;
+    r.request_stop();
+    return CodeResult::kContinue;
+  });
+  rt.send_at(5000, hi, Message{});
+  rt.send(pp.a, Message{kMsgPing, MsgClass::kData});
+  rt.run();
+  EXPECT_EQ(seen_at, 10);
+  EXPECT_EQ(rt.stats().timer_wakeups, 1u);
+  EXPECT_LE(rt.stats().context_switches, 10u + 4);
+}
+
+TEST(DirectTransfer, StopOrHaltFromThreadReturnsWhilePeerIsReady) {
+  Runtime rt;
+  PingPong pp(rt, 30, [](Runtime& r, int n) {
+    if (n == 10) r.request_stop();
+    if (n == 20) r.request_halt();
+  });
+  rt.send(pp.a, Message{kMsgPing, MsgClass::kData});
+  rt.run();
+  EXPECT_EQ(pp.messages, 10);
+  // Message 10 ran on "b" and was forwarded to "a", which is still ready.
+  ASSERT_NE(rt.thread(pp.a), nullptr);
+  EXPECT_EQ(rt.thread(pp.a)->state(), ThreadState::kReady);
+  EXPECT_LE(rt.stats().context_switches, 10u + 4);
+  rt.run();  // the stop request is consumed: this run() carries on
+  EXPECT_EQ(pp.messages, 20);
+  EXPECT_EQ(rt.thread(pp.a)->state(), ThreadState::kReady);
+  rt.run();  // a halt is sticky
+  EXPECT_EQ(pp.messages, 20);
+  rt.clear_halt();
+  rt.run();
+  EXPECT_EQ(pp.messages, 30);
+}
+
+TEST(DirectTransfer, TerminatedThreadIsReapedBeforeNextDispatch) {
+  Runtime rt;
+  ThreadId dying = kNoThread;
+  bool reaped = false;
+  const ThreadId next = rt.spawn("next", kPriorityData,
+                                 [&](Runtime& r, Message) {
+                                   reaped = r.thread(dying) == nullptr;
+                                   return CodeResult::kContinue;
+                                 });
+  dying = rt.spawn("dying", kPriorityData, [next](Runtime& r, Message) {
+    r.send(next, Message{});
+    return CodeResult::kTerminate;
+  });
+  rt.send(dying, Message{});
+  rt.run();
+  EXPECT_TRUE(reaped);
 }
 
 // --- dedicated-host-thread primitives (ip_shard substrate) ------------------
