@@ -5,17 +5,17 @@
 //  1. What does the accounting cost while nothing is wrong?
 //     BM_SteadyStateBaseline vs BM_SteadyStateWithAccountant run the same
 //     2-shard spin-work flow; the second also runs an autonomous
-//     Rebalancer whose policy threshold is set high enough that it only
-//     ever samples (no migrations). The delta is the steady-state tax of
-//     LoadAccountant::sample() firing at the default period, and the
-//     acceptance bar is < 3% of baseline throughput.
+//     Rebalancer whose replan threshold (min_imbalance) is set high enough
+//     that it only ever samples (no migrations). The delta is the
+//     steady-state tax of LoadAccountant::sample() firing at the default
+//     period, and the acceptance bar is < 3% of baseline throughput.
 //
 //  2. How quickly does a skewed placement recover?
 //     BM_SkewRecovery builds a deterministic manual-mode group, piles
 //     every section onto shard 0 with an explicit migrate_section, feeds
 //     the accountant a skewed busy profile, and counts Rebalancer::step()
 //     calls until the placement splits again. The measured time is the
-//     full sample -> decide -> move_section path, i.e. the cost of one
+//     full sample -> plan -> move_section path, i.e. the cost of one
 //     recovery, and the step count is reported as a counter.
 //
 //  3. What does a whole scale cycle cost while the flow runs?
@@ -106,7 +106,7 @@ void run_steady_state(benchmark::State& state, bool with_accountant) {
       balance::Rebalancer::Options opt;
       // Sample at the default cadence but never act: a threshold above
       // 1.0 is unreachable, so this measures pure accounting cost.
-      opt.policy.min_imbalance = 2.0;
+      opt.min_imbalance = 2.0;
       rb = std::make_unique<balance::Rebalancer>(real, opt);
     }
     real.start();
@@ -194,9 +194,8 @@ void BM_SkewRecovery(benchmark::State& state) {
     }
     balance::Rebalancer rb(real);
     state.ResumeTiming();
-    // A busy profile matching the bad placement; the policy needs one
-    // primed sample plus the decision sample, so recovery is expected in
-    // a handful of steps, not one.
+    // A busy profile matching the bad placement: the first step already
+    // replans and runs the plan's first move, so recovery takes one step.
     int steps = 0;
     bool recovered = false;
     for (; steps < 50; ++steps) {

@@ -16,24 +16,6 @@ std::uint64_t steady_now_ns() {
 
 }  // namespace
 
-int LoadSnapshot::max_shard() const {
-  if (busy.empty()) return -1;
-  return static_cast<int>(
-      std::max_element(busy.begin(), busy.end()) - busy.begin());
-}
-
-int LoadSnapshot::min_shard() const {
-  if (busy.empty()) return -1;
-  return static_cast<int>(
-      std::min_element(busy.begin(), busy.end()) - busy.begin());
-}
-
-double LoadSnapshot::imbalance() const {
-  if (busy.empty()) return 0.0;
-  const auto [lo, hi] = std::minmax_element(busy.begin(), busy.end());
-  return *hi - *lo;
-}
-
 LoadAccountant::LoadAccountant(shard::ShardedRealization& sr, Options opts)
     : group_(&sr.group()), sr_(&sr), opts_(opts) {
   shards_.resize(static_cast<std::size_t>(sr.group().size()));

@@ -1,8 +1,8 @@
 // LoadAccountant: decaying per-shard and per-cut load estimates (ip_balance).
 //
-// The rebalance policy needs two signals: how busy each shard's kernel
-// thread is, and how congested each cross-shard channel is. Both are
-// sampled without perturbing the flow:
+// The rebalancer needs two signals: how busy each shard's kernel thread is,
+// and how congested each cross-shard channel is. Both are sampled without
+// perturbing the flow:
 //
 //   * shard busy fraction — differences of rt::Runtime::service_busy_ns /
 //     service_idle_ns between samples (the run_service loop splits its wall
@@ -41,11 +41,6 @@ struct LoadSnapshot {
   std::uint64_t when_ns = 0;  ///< steady-clock sample time
   std::vector<double> busy;   ///< per shard, [0,1]
   std::vector<ChannelLoad> channels;
-
-  [[nodiscard]] int max_shard() const;
-  [[nodiscard]] int min_shard() const;
-  /// busy[max_shard] - busy[min_shard]; the policy's hysteresis input.
-  [[nodiscard]] double imbalance() const;
 };
 
 struct AccountantOptions {

@@ -2,18 +2,22 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <utility>
 
 namespace infopipe::balance {
 
 namespace {
 
+/// Slack for load comparisons.
+constexpr double kEps = 1e-9;
+
+}  // namespace
+
 double busy_of(const std::vector<double>& busy, int shard) {
   if (shard < 0 || static_cast<std::size_t>(shard) >= busy.size()) return 0.0;
   return std::max(0.0, busy[static_cast<std::size_t>(shard)]);
 }
-
-}  // namespace
 
 std::vector<SectionDesc> TargetPlanner::describe(
     shard::ShardedRealization& sr) {
@@ -32,140 +36,60 @@ std::vector<SectionDesc> TargetPlanner::describe(
 
 TargetPlan TargetPlanner::plan(shard::ShardedRealization& sr,
                                const LoadSnapshot& load,
-                               const std::vector<int>& shards) const {
+                               const std::vector<int>& shards) {
   return plan(describe(sr), shards, load.busy);
 }
 
 TargetPlan TargetPlanner::plan(const std::vector<SectionDesc>& sections,
                                const std::vector<int>& shards,
-                               const std::vector<double>& busy) const {
-  TargetPlan out;
-  const std::size_t nb = shards.size();
-  out.assignment.reserve(sections.size());
-  for (const SectionDesc& s : sections) out.assignment.push_back(s.home);
-  if (nb == 0 || sections.empty()) return out;
-
-  // Position of each candidate shard in the caller's vector — every bin
-  // decision below speaks positions, so relabeling the shards (and the busy
-  // readings with them) relabels the plan and nothing else.
-  auto pos_of = [&shards](int shard) -> int {
-    for (std::size_t k = 0; k < shards.size(); ++k) {
-      if (shards[k] == shard) return static_cast<int>(k);
-    }
-    return -1;
-  };
-
+                               const std::vector<double>& busy) {
   // Weights: each home shard's measured busy fraction, attributed to its
   // resident sections proportionally to planned threads. Homes with no
   // measurable load contribute zero-weight sections, which the sticky pass
   // keeps in place.
-  std::vector<int> threads_on_home;  // parallel to sections, total at home
-  {
-    std::vector<std::pair<int, int>> totals;  // (home, threads) accumulator
-    for (const SectionDesc& s : sections) {
-      bool found = false;
-      for (auto& [home, t] : totals) {
-        if (home == s.home) {
-          t += std::max(1, s.threads);
-          found = true;
-        }
-      }
-      if (!found) totals.emplace_back(s.home, std::max(1, s.threads));
-    }
-    threads_on_home.reserve(sections.size());
-    for (const SectionDesc& s : sections) {
-      int t = 1;
-      for (const auto& [home, tt] : totals) {
-        if (home == s.home) t = tt;
-      }
-      threads_on_home.push_back(t);
-    }
-  }
+  std::map<int, int> threads_at;  // home -> planned threads there
   double measured = 0.0;
-  for (const SectionDesc& s : sections) measured += busy_of(busy, s.home);
-  std::vector<double> weight(sections.size(), 0.0);
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    const SectionDesc& s = sections[i];
-    weight[i] = measured > opts_.eps
-                    ? busy_of(busy, s.home) *
-                          static_cast<double>(std::max(1, s.threads)) /
-                          static_cast<double>(threads_on_home[i])
-                    : static_cast<double>(std::max(1, s.threads));
+  for (const SectionDesc& s : sections) {
+    threads_at[s.home] += std::max(1, s.threads);
+    measured += busy_of(busy, s.home);
+  }
+  std::vector<PlaceItem> items;
+  items.reserve(sections.size());
+  for (const SectionDesc& s : sections) {
+    const double threads = std::max(1, s.threads);
+    items.push_back(PlaceItem{
+        measured > kEps ? busy_of(busy, s.home) * threads / threads_at[s.home]
+                        : threads,
+        s.home, s.migratable});
   }
 
-  // Current attributed load per candidate shard (for current_makespan).
-  std::vector<double> current(nb, 0.0);
+  const Placement placed = place(items, shards);
+  TargetPlan out;
+  out.assignment = placed.shard;
+  out.feasible = placed.feasible;
+  // Current attributed load per candidate shard, and the plan's.
+  std::map<int, double> current;
   for (std::size_t i = 0; i < sections.size(); ++i) {
-    const int p = pos_of(sections[i].home);
-    if (p >= 0) current[static_cast<std::size_t>(p)] += weight[i];
-  }
-  for (double c : current) out.current_makespan = std::max(out.current_makespan, c);
-
-  // Bins preloaded with immobile sections. A pinned section homed outside
-  // the candidate set cannot be placed at all: flag the plan infeasible and
-  // leave it where it is.
-  std::vector<double> bin(nb, 0.0);
-  std::vector<std::size_t> mobile;
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    const SectionDesc& s = sections[i];
-    const int p = pos_of(s.home);
-    if (!s.migratable) {
-      if (p < 0) {
-        out.feasible = false;
-      } else {
-        bin[static_cast<std::size_t>(p)] += weight[i];
-      }
-      out.assignment[i] = s.home;
-    } else {
-      mobile.push_back(i);
+    if (std::find(shards.begin(), shards.end(), sections[i].home) !=
+        shards.end()) {
+      current[sections[i].home] += items[i].weight;
     }
   }
-
-  // LPT: heaviest section first onto the lightest bin; all ties by
-  // position, so the order is total and the result deterministic.
-  std::stable_sort(mobile.begin(), mobile.end(),
-                   [&weight](std::size_t a, std::size_t b) {
-                     return weight[a] > weight[b];
-                   });
-  for (std::size_t i : mobile) {
-    std::size_t best = 0;
-    for (std::size_t k = 1; k < nb; ++k) {
-      if (bin[k] < bin[best] - opts_.eps) best = k;
-    }
-    bin[best] += weight[i];
-    out.assignment[i] = shards[best];
+  for (const auto& [shard, load] : current) {
+    out.current_makespan = std::max(out.current_makespan, load);
   }
-  double lpt_makespan = 0.0;
-  for (double b : bin) lpt_makespan = std::max(lpt_makespan, b);
-
-  // Sticky pass: a displaced section returns home whenever home stays
-  // within the LPT makespan — the move would have bought nothing.
-  for (std::size_t i : mobile) {
-    const SectionDesc& s = sections[i];
-    if (out.assignment[i] == s.home) continue;
-    const int hp = pos_of(s.home);
-    if (hp < 0) continue;  // evacuation: home is not a candidate, must move
-    const auto h = static_cast<std::size_t>(hp);
-    if (bin[h] + weight[i] <= lpt_makespan + opts_.eps) {
-      const int ap = pos_of(out.assignment[i]);
-      bin[static_cast<std::size_t>(ap)] -= weight[i];
-      bin[h] += weight[i];
-      out.assignment[i] = s.home;
-    }
-  }
-
-  for (double b : bin) out.makespan = std::max(out.makespan, b);
+  for (const double b : placed.load) out.makespan = std::max(out.makespan, b);
   for (std::size_t i = 0; i < sections.size(); ++i) {
     if (out.assignment[i] != sections[i].home) {
       out.moves.push_back(PlannedMove{sections[i].id, sections[i].home,
-                                      out.assignment[i], weight[i]});
+                                      out.assignment[i], items[i].weight});
     }
   }
   return out;
 }
 
 ScheduledPlan PlanScheduler::schedule(const std::vector<PlannedMove>& moves,
-                                      const std::vector<double>& busy) const {
+                                      const std::vector<double>& busy) {
   ScheduledPlan out;
   if (moves.empty()) return out;
 
@@ -190,7 +114,7 @@ ScheduledPlan PlanScheduler::schedule(const std::vector<PlannedMove>& moves,
     for (std::size_t i = 0; i < pending.size(); ++i) {
       const PlannedMove& m = pending[i];
       if (proj[static_cast<std::size_t>(m.to)] + m.load <=
-          opts_.hotspot_watermark + opts_.eps) {
+          kHotspotWatermark + kEps) {
         eligible.push_back(i);
       }
     }

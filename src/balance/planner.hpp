@@ -1,15 +1,13 @@
 // TargetPlanner + PlanScheduler: whole-topology placement over measured load
 // (ip_balance).
 //
-// The construction-time partitioner (core/planner.cpp) balances sections by
+// The construction-time partitioner (core/planner.cpp) places sections by
 // PLANNED thread counts — all it can know before anything runs. Once the
-// flow is live, the LoadAccountant's EWMA busy shares are the truth, and a
-// one-move-per-decision greedy (RebalancePolicy) converges slowly when the
-// topology changes by whole shards at a time. The TargetPlanner closes that
-// gap: it recomputes a full section->shard assignment by the same
-// deterministic LPT discipline the partitioner uses, but weighted by each
-// section's measured busy share, and emits the multi-move delta between the
-// current and target placements.
+// flow is live, the LoadAccountant's EWMA busy shares are the truth. The
+// TargetPlanner turns them into weights and hands every section to the same
+// place() the partitioner and the shard evacuation use, then reads the
+// multi-move delta between the current and target placements off the
+// result.
 //
 // A multi-move plan executed naively can transit through placements hotter
 // than either endpoint (moving A->B before B's own section left for C piles
@@ -21,11 +19,9 @@
 // plan is returned truncated with complete=false — the caller retries after
 // the next sample rather than thrash a hot shard.
 //
-// Both classes are pure functions over plain data (no ShardedRealization
-// access inside the algorithms), so tests can drive them with synthetic
-// topologies — including permuted shard orderings, which must yield
-// correspondingly permuted plans (the tie-breaks are by POSITION in the
-// caller's shard vector, never by absolute shard id).
+// Both are pure functions over plain data (no ShardedRealization access
+// inside the algorithms), so tests can drive them with synthetic
+// topologies.
 #pragma once
 
 #include <cstddef>
@@ -69,20 +65,17 @@ struct TargetPlan {
   bool feasible = true;
 };
 
-struct TargetPlannerOptions {
-  /// Slack for the sticky pass and for load comparisons. A section is left
-  /// on (or returned to) its home shard whenever doing so keeps that shard
-  /// within eps of the LPT makespan — placement stability is worth a
-  /// rounding error, never a real hot spot.
-  double eps = 1e-9;
-};
+/// No scheduled move may lift its destination's projected load above this.
+/// 0.95 leaves headroom for the measurement noise between planning and
+/// execution.
+inline constexpr double kHotspotWatermark = 0.95;
+
+/// Busy fraction of `shard` in a per-shard vector; shards it does not cover
+/// (added since the sample, or -1) read 0.
+[[nodiscard]] double busy_of(const std::vector<double>& busy, int shard);
 
 class TargetPlanner {
  public:
-  using Options = TargetPlannerOptions;
-
-  explicit TargetPlanner(Options opts = {}) : opts_(opts) {}
-
   /// Computes a target assignment of `sections` over the candidate `shards`
   /// given measured per-shard busy fractions (`busy` is indexed by absolute
   /// shard id; ids not covered read 0).
@@ -94,38 +87,22 @@ class TargetPlanner {
   /// weights fall back to raw thread counts, reproducing the construction
   /// partitioner.
   ///
-  /// Algorithm: pinned sections (and infeasible strays) preload their home
-  /// bins; migratable sections go LPT — heaviest first onto the lightest
-  /// bin, every tie broken by input position (sections) or candidate
-  /// position (shards), so the result is deterministic and equivariant
-  /// under shard relabeling. A final sticky pass returns sections home
-  /// whenever that does not lift the home shard above the LPT makespan, so
-  /// an already-balanced placement yields an empty move list instead of a
-  /// cosmetic reshuffle.
-  [[nodiscard]] TargetPlan plan(const std::vector<SectionDesc>& sections,
-                                const std::vector<int>& shards,
-                                const std::vector<double>& busy) const;
+  /// Placement: place() with pinned sections immobile — see core/planner.hpp
+  /// for the LPT and sticky-pass rules. An already balanced placement
+  /// yields an empty move list instead of a cosmetic reshuffle.
+  [[nodiscard]] static TargetPlan plan(
+      const std::vector<SectionDesc>& sections, const std::vector<int>& shards,
+      const std::vector<double>& busy);
 
   /// Convenience: describe `sr`'s sections and plan over `shards` with the
   /// snapshot's busy vector.
-  [[nodiscard]] TargetPlan plan(shard::ShardedRealization& sr,
-                                const LoadSnapshot& load,
-                                const std::vector<int>& shards) const;
+  [[nodiscard]] static TargetPlan plan(shard::ShardedRealization& sr,
+                                       const LoadSnapshot& load,
+                                       const std::vector<int>& shards);
 
   /// The section descriptors the convenience overload feeds the planner.
   [[nodiscard]] static std::vector<SectionDesc> describe(
       shard::ShardedRealization& sr);
-
- private:
-  Options opts_;
-};
-
-struct PlanSchedulerOptions {
-  /// No scheduled move may lift its destination's projected load above
-  /// this. 0.95 leaves headroom for the measurement noise between planning
-  /// and execution.
-  double hotspot_watermark = 0.95;
-  double eps = 1e-9;
 };
 
 /// One batch = moves with pairwise-disjoint {from, to} shard sets: executing
@@ -140,21 +117,14 @@ struct ScheduledPlan {
 
 class PlanScheduler {
  public:
-  using Options = PlanSchedulerOptions;
-
-  explicit PlanScheduler(Options opts = {}) : opts_(opts) {}
-
   /// Orders `moves` against the measured per-shard loads (`busy` indexed by
   /// absolute shard id). Projected loads start from the measurement and
   /// move by each scheduled move's `load`; a move is eligible only while
-  /// its destination stays at or under the watermark. Eligible moves are
-  /// taken hottest-source-first (tie: lowest section id) and packed into
-  /// disjoint-shard batches.
-  [[nodiscard]] ScheduledPlan schedule(const std::vector<PlannedMove>& moves,
-                                       const std::vector<double>& busy) const;
-
- private:
-  Options opts_;
+  /// its destination stays at or under kHotspotWatermark. Eligible moves
+  /// are taken hottest-source-first (tie: lowest section id) and packed
+  /// into disjoint-shard batches.
+  [[nodiscard]] static ScheduledPlan schedule(
+      const std::vector<PlannedMove>& moves, const std::vector<double>& busy);
 };
 
 }  // namespace infopipe::balance

@@ -12,8 +12,6 @@ Rebalancer::Rebalancer(shard::ShardedRealization& sr, Options opts)
     : sr_(&sr),
       opts_(opts),
       accountant_(sr, opts.accountant),
-      planner_(opts.planner),
-      scheduler_(opts.scheduler),
       protocol_(opts.protocol) {}
 
 Rebalancer::~Rebalancer() { stop(); }
@@ -38,30 +36,29 @@ std::optional<MigrationReport> Rebalancer::run_pending() {
   return std::nullopt;
 }
 
-void Rebalancer::replan(const LoadSnapshot& load) {
+double Rebalancer::live_spread(const LoadSnapshot& load) const {
   const std::vector<int> live = sr_->group().live_shards();
-  if (live.size() < 2) return;
-
-  // Hysteresis over the LIVE spread: retired shards keep a frozen EWMA
-  // that must not count as idle capacity.
+  if (live.empty()) return 0.0;
   double lo = 1.0, hi = 0.0;
   for (const int s : live) {
-    const double b = static_cast<std::size_t>(s) < load.busy.size()
-                         ? load.busy[static_cast<std::size_t>(s)]
-                         : 0.0;
-    lo = std::min(lo, b);
-    hi = std::max(hi, b);
+    lo = std::min(lo, busy_of(load.busy, s));
+    hi = std::max(hi, busy_of(load.busy, s));
   }
-  if (hi - lo < opts_.policy.min_imbalance) return;
+  return hi - lo;
+}
 
-  const TargetPlan plan = planner_.plan(*sr_, load, live);
+void Rebalancer::replan(const LoadSnapshot& load) {
+  const std::vector<int> live = sr_->group().live_shards();
+  if (live.size() < 2 || live_spread(load) < opts_.min_imbalance) return;
+
+  const TargetPlan plan = TargetPlanner::plan(*sr_, load, live);
   if (plan.moves.empty()) return;
-  if (plan.current_makespan - plan.makespan <= opts_.policy.migration_cost) {
+  if (plan.current_makespan - plan.makespan <= opts_.migration_cost) {
     return;  // the reshuffle would not pay for itself
   }
-  const ScheduledPlan sched = scheduler_.schedule(plan.moves, load.busy);
+  const ScheduledPlan sched = PlanScheduler::schedule(plan.moves, load.busy);
   for (const PlannedMove& m : sched.ordered) pending_.push_back(m);
-  cooldown_ = opts_.policy.cooldown_steps;
+  cooldown_ = opts_.cooldown_steps;
 }
 
 std::optional<MigrationReport> Rebalancer::step() {
@@ -84,7 +81,7 @@ std::optional<MigrationReport> Rebalancer::step() {
   {
     const std::lock_guard<std::mutex> lk(metrics_mu_);
     metrics_.counter("balance.steps").inc();
-    metrics_.gauge("balance.imbalance").set(load.imbalance());
+    metrics_.gauge("balance.imbalance").set(live_spread(load));
     metrics_.gauge("balance.pending_moves")
         .set(static_cast<double>(pending_.size()));
   }
@@ -116,11 +113,7 @@ void Rebalancer::maybe_scale(const LoadSnapshot& load) {
   if (live.empty()) return;
 
   double sum = 0.0;
-  for (const int s : live) {
-    sum += static_cast<std::size_t>(s) < load.busy.size()
-               ? load.busy[static_cast<std::size_t>(s)]
-               : 0.0;
-  }
+  for (const int s : live) sum += busy_of(load.busy, s);
   const double mean = sum / static_cast<double>(live.size());
   up_streak_ = mean >= opts_.elastic.scale_up_watermark ? up_streak_ + 1 : 0;
   down_streak_ =
@@ -171,9 +164,7 @@ int Rebalancer::pick_scale_down_victim(const LoadSnapshot& load) const {
       }
     }
     if (!drainable) continue;
-    const double b = static_cast<std::size_t>(s) < load.busy.size()
-                         ? load.busy[static_cast<std::size_t>(s)]
-                         : 0.0;
+    const double b = busy_of(load.busy, s);
     if (victim < 0 || b < victim_busy) {
       victim = s;
       victim_busy = b;
@@ -200,7 +191,7 @@ void Rebalancer::do_scale_up() {
 
 void Rebalancer::do_scale_down(int victim) {
   try {
-    // Full evacuation first (LPT over the surviving shards), then the
+    // Full evacuation first (place() over the surviving shards), then the
     // thread-lifecycle retirement. Any pending plan entries touching the
     // victim are stale by construction afterwards; drop them now so the
     // queue never targets a retired shard.

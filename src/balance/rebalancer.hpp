@@ -15,14 +15,15 @@
 //     the control plane off the data plane.
 //
 // Decisions come from the TargetPlanner/PlanScheduler pair (planner.hpp):
-// each replan computes a full target assignment by LPT over measured busy
-// shares and schedules the multi-move delta so no intermediate placement
-// breaches the hot-spot watermark. step() still executes AT MOST ONE move —
-// the scheduled plan drains one move per control period, each re-validated
-// against the live topology (section still where the plan left it, target
-// still live) and dropped when the world moved underneath it. Replanning is
-// gated by the same hysteresis (min_imbalance) and cooldown the old
-// one-move policy used, so a balanced flow is never churned.
+// each replan computes a full target assignment with place() over measured
+// busy shares and schedules the multi-move delta so no intermediate
+// placement breaches the hot-spot watermark. step() executes AT MOST ONE
+// move — the scheduled plan drains one move per control period, each
+// re-validated against the live topology (section still where the plan left
+// it, target still live) and dropped when the world moved underneath it.
+// Replanning is gated by hysteresis over the live shards' busy spread
+// (min_imbalance), by the plan's gain (migration_cost) and by a cooldown,
+// so a balanced flow is never churned.
 //
 // Elastic mode (opt-in via ElasticOptions::enabled):
 // hysteresis counters over the live shards' mean busy fraction drive
@@ -35,10 +36,10 @@
 // drains the post-scale plan without waiting out the sampling period.
 //
 // Observability: the rebalancer owns a private obs::MetricsRegistry
-// (balance.steps / balance.imbalance / balance.migration.* /
-// balance.scale.*). The registry class is not thread-safe, so every access
-// — step() updating it, metrics_snapshot() reading it — happens under one
-// internal mutex.
+// (balance.steps / balance.imbalance, the live spread the replan gate reads /
+// balance.migration.* / balance.scale.*). The registry class is not
+// thread-safe, so every access — step() updating it, metrics_snapshot()
+// reading it — happens under one internal mutex.
 #pragma once
 
 #include <atomic>
@@ -52,7 +53,6 @@
 #include "balance/accountant.hpp"
 #include "balance/migration.hpp"
 #include "balance/planner.hpp"
-#include "balance/policy.hpp"
 #include "feedback/toolkit.hpp"
 #include "obs/metrics.hpp"
 #include "rt/doorbell.hpp"
@@ -83,15 +83,14 @@ struct ElasticOptions {
 
 struct RebalancerOptions {
   rt::Time period = rt::milliseconds(200);  ///< autonomous sampling period
+  /// Replan only when the live shards' busy spread reaches this.
+  double min_imbalance = 0.2;
+  /// ...and only when the plan lowers the makespan by more than this.
+  double migration_cost = 0.05;
+  int cooldown_steps = 2;  ///< samples to skip after each replan
   AccountantOptions accountant;
-  /// min_imbalance / migration_cost / cooldown_steps gate replanning just
-  /// as they gated the old single-move policy.
-  PolicyOptions policy;
   ProtocolOptions protocol;
-  TargetPlannerOptions planner;
-  PlanSchedulerOptions scheduler;
   ElasticOptions elastic;
-  shard::Topology topology;  ///< defaults to flat; pass Topology::detect()
 };
 
 class Rebalancer {
@@ -158,13 +157,14 @@ class Rebalancer {
   void do_scale_down(int victim);
   /// -1 when no live shard can be drained (pinned sections, min_shards).
   int pick_scale_down_victim(const LoadSnapshot& load) const;
+  /// Max - min busy fraction over the live shards: retired shards keep a
+  /// frozen EWMA that must not count as idle capacity.
+  double live_spread(const LoadSnapshot& load) const;
   void record_report(const MigrationReport& r);
 
   shard::ShardedRealization* sr_;
   Options opts_;
   LoadAccountant accountant_;
-  TargetPlanner planner_;
-  PlanScheduler scheduler_;
   MigrationProtocol protocol_;
 
   /// Scheduled moves awaiting execution (one per step). Touched only from

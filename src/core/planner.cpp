@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <numeric>
 #include <optional>
 #include <set>
 
@@ -380,38 +381,21 @@ Partition partition(
     }
   }
 
-  // Clusters, balanced by thread count: deterministic LPT greedy (heaviest
-  // cluster first onto the least-loaded shard; ties by lowest index) — the
-  // classic 4/3-approximation, and stable run to run because every ordering
-  // is total.
-  struct Cluster {
-    std::size_t min_index;
-    int weight = 0;
-    std::vector<std::size_t> sections;
-  };
-  std::map<std::size_t, Cluster> by_root;
+  // Clusters in order of their lowest section index — a union-find root is
+  // always its set's lowest index — weighted by thread count.
+  std::vector<PlaceItem> clusters;
+  std::vector<std::size_t> cluster_of(ns);
   for (std::size_t i = 0; i < ns; ++i) {
-    Cluster& cl = by_root[find(i)];
-    if (cl.sections.empty()) cl.min_index = i;
-    cl.weight += plan.sections[i].thread_count();
-    cl.sections.push_back(i);
+    const std::size_t root = find(i);
+    if (root == i) clusters.emplace_back();
+    cluster_of[i] = root == i ? clusters.size() - 1 : cluster_of[root];
+    clusters[cluster_of[i]].weight += plan.sections[i].thread_count();
   }
-  std::vector<Cluster> clusters;
-  clusters.reserve(by_root.size());
-  for (auto& [root, cl] : by_root) clusters.push_back(std::move(cl));
-  std::sort(clusters.begin(), clusters.end(),
-            [](const Cluster& a, const Cluster& b) {
-              return a.weight != b.weight ? a.weight > b.weight
-                                          : a.min_index < b.min_index;
-            });
-  std::vector<int> load(static_cast<std::size_t>(part.n_shards), 0);
-  for (const Cluster& cl : clusters) {
-    const auto lightest = static_cast<std::size_t>(
-        std::min_element(load.begin(), load.end()) - load.begin());
-    load[lightest] += cl.weight;
-    for (std::size_t s : cl.sections) {
-      part.shard_of_section[s] = static_cast<int>(lightest);
-    }
+  std::vector<int> shards(static_cast<std::size_t>(part.n_shards));
+  std::iota(shards.begin(), shards.end(), 0);
+  const Placement placed = place(clusters, shards);
+  for (std::size_t i = 0; i < ns; ++i) {
+    part.shard_of_section[i] = placed.shard[cluster_of[i]];
   }
 
   part.cuts = cuts_for(plan, part.shard_of_section);
@@ -421,16 +405,78 @@ Partition partition(
   // section migration cannot do) and no hosted component is tied to an
   // external resource.
   part.migratable_section.assign(ns, 1);
-  std::vector<int> cluster_size(ns, 0);
-  for (std::size_t i = 0; i < ns; ++i) ++cluster_size[find(i)];
+  std::vector<int> cluster_size(clusters.size(), 0);
+  for (const std::size_t c : cluster_of) ++cluster_size[c];
   for (std::size_t i = 0; i < ns; ++i) {
-    if (cluster_size[find(i)] > 1) part.migratable_section[i] = 0;
+    if (cluster_size[cluster_of[i]] > 1) part.migratable_section[i] = 0;
     if (!plan.sections[i].driver->migratable()) part.migratable_section[i] = 0;
     for (const Plan::Hosted& h : plan.sections[i].members) {
       if (!h.comp->migratable()) part.migratable_section[i] = 0;
     }
   }
   return part;
+}
+
+Placement place(const std::vector<PlaceItem>& items,
+                const std::vector<int>& candidates) {
+  // Slack for load comparisons: placement stability is worth a rounding
+  // error, never a real hot spot.
+  constexpr double kEps = 1e-9;
+  Placement out;
+  out.shard.reserve(items.size());
+  for (const PlaceItem& it : items) out.shard.push_back(it.home);
+  out.load.assign(candidates.size(), 0.0);
+  if (candidates.empty()) return out;
+
+  // Every bin decision below speaks candidate positions, never shard ids.
+  auto pos_of = [&candidates](int shard) -> int {
+    const auto it = std::find(candidates.begin(), candidates.end(), shard);
+    return it == candidates.end() ? -1
+                                  : static_cast<int>(it - candidates.begin());
+  };
+  std::vector<double>& bin = out.load;
+
+  // Immobile items preload their homes; one homed outside the candidates
+  // cannot be placed at all.
+  std::vector<std::size_t> mobile;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (items[i].movable) {
+      mobile.push_back(i);
+    } else if (const int p = pos_of(items[i].home); p >= 0) {
+      bin[static_cast<std::size_t>(p)] += items[i].weight;
+    } else {
+      out.feasible = false;
+    }
+  }
+
+  // LPT: heaviest first onto the lightest bin; ties by position.
+  std::stable_sort(mobile.begin(), mobile.end(),
+                   [&items](std::size_t a, std::size_t b) {
+                     return items[a].weight > items[b].weight;
+                   });
+  for (const std::size_t i : mobile) {
+    std::size_t best = 0;
+    for (std::size_t k = 1; k < bin.size(); ++k) {
+      if (bin[k] < bin[best] - kEps) best = k;
+    }
+    bin[best] += items[i].weight;
+    out.shard[i] = candidates[best];
+  }
+  const double makespan = *std::max_element(bin.begin(), bin.end());
+
+  // Sticky pass: a displaced item returns home whenever home stays within
+  // the LPT makespan — the move would have bought nothing.
+  for (const std::size_t i : mobile) {
+    const int hp = pos_of(items[i].home);
+    if (out.shard[i] == items[i].home || hp < 0) continue;
+    const auto h = static_cast<std::size_t>(hp);
+    if (bin[h] + items[i].weight <= makespan + kEps) {
+      bin[static_cast<std::size_t>(pos_of(out.shard[i]))] -= items[i].weight;
+      bin[h] += items[i].weight;
+      out.shard[i] = items[i].home;
+    }
+  }
+  return out;
 }
 
 std::vector<Partition::Cut> cuts_for(

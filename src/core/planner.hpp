@@ -148,12 +148,47 @@ struct Partition {
 /// clustered together, as are the sections around each `colocate` pair of
 /// components (the sharded realization uses this to keep buffers whose
 /// policies a channel cannot reproduce, e.g. kDropOldest, on one shard).
-/// Clusters are balanced by thread count (deterministic longest-processing-
-/// time greedy). Shards may end up empty when there are fewer clusters.
+/// The clusters, in order of their lowest section index and weighted by
+/// thread count, are placed by place(). Shards may end up empty when there
+/// are fewer clusters.
 [[nodiscard]] Partition partition(
     const Plan& plan, int n_shards,
     const std::vector<std::pair<const Component*, const Component*>>&
         colocate = {});
+
+// ---- Placement --------------------------------------------------------------
+
+/// One unit of placement: a section, or a cluster of sections that must
+/// share a shard.
+struct PlaceItem {
+  double weight = 0.0;
+  int home = -1;         ///< shard hosting the item now; -1 for none
+  bool movable = true;   ///< false: the item stays on `home`
+};
+
+struct Placement {
+  std::vector<int> shard;    ///< parallel to the items
+  std::vector<double> load;  ///< parallel to the candidates
+  /// False when an immobile item's home is not a candidate (a retiring
+  /// shard hosts a pinned section): the item stays where it is, and the
+  /// caller must not retire that shard.
+  bool feasible = true;
+};
+
+/// The one placement procedure. partition() places colocation clusters by
+/// thread count at realize time, ShardedRealization::evacuate_shard() drains
+/// a retiring shard's sections by thread count, and the balance layer's
+/// TargetPlanner re-places every section by measured busy share.
+///
+/// Immobile items preload their home bins; movable items go longest-
+/// processing-time first — heaviest onto the lightest bin, every tie broken
+/// by item position or candidate position, so the result is deterministic
+/// and equivariant under shard relabeling (Graham's 4/3 bound). A final
+/// sticky pass returns an item home whenever that keeps home within the LPT
+/// makespan, so an already balanced placement does not move. With no
+/// candidates every item stays home.
+[[nodiscard]] Placement place(const std::vector<PlaceItem>& items,
+                              const std::vector<int>& candidates);
 
 /// The cut set induced by an arbitrary section→shard assignment: every
 /// boundary component (buffer) whose upstream and downstream sections sit on

@@ -514,13 +514,14 @@ void ShardedRealization::sync_topology() {
 
 std::vector<MigrationOutcome> ShardedRealization::evacuate_shard(
     int shard, std::chrono::milliseconds quiesce_timeout) {
-  // Snapshot what lives there, and check every section can leave before
-  // moving the first one — a half-evacuated shard cannot retire.
-  std::vector<std::size_t> leaving;
+  // Every section is an item weighted by thread count; only the retiring
+  // shard's sections may move, so the others preload their homes.
+  std::vector<PlaceItem> items;
   {
     const std::lock_guard<std::mutex> lk(ev_mu_);
     for (std::size_t s = 0; s < assign_.size(); ++s) {
-      if (assign_[s] == shard) leaving.push_back(s);
+      items.push_back(PlaceItem{static_cast<double>(section_threads(s)),
+                                assign_[s], assign_[s] == shard});
     }
   }
   std::vector<int> targets;
@@ -530,39 +531,21 @@ std::vector<MigrationOutcome> ShardedRealization::evacuate_shard(
   if (targets.empty()) {
     throw CompositionError("evacuate: no other live shard to move to");
   }
-  for (const std::size_t s : leaving) {
-    if (!part_.migratable(s)) {
+  // Check every section can leave before moving the first one — a
+  // half-evacuated shard cannot retire.
+  for (std::size_t s = 0; s < items.size(); ++s) {
+    if (items[s].movable && !part_.migratable(s)) {
       throw CompositionError("evacuate: section '" + section_name(s) +
                              "' on shard " + std::to_string(shard) +
                              " is pinned");
     }
   }
-  // Greedy LPT over the targets' existing per-thread load (heaviest section
-  // first onto the lightest shard) — good enough for a drain; the balance
-  // layer's TargetPlanner owns placement quality afterwards.
-  std::map<int, int> weight;
-  {
-    const std::lock_guard<std::mutex> lk(ev_mu_);
-    for (const int t : targets) weight[t] = 0;
-    for (std::size_t s = 0; s < assign_.size(); ++s) {
-      if (weight.count(assign_[s]) != 0) {
-        weight[assign_[s]] += section_threads(s);
-      }
-    }
-  }
-  std::stable_sort(leaving.begin(), leaving.end(),
-                   [this](std::size_t a, std::size_t b) {
-                     return section_threads(a) > section_threads(b);
-                   });
+  const Placement placed = place(items, targets);
   std::vector<MigrationOutcome> out;
-  out.reserve(leaving.size());
-  for (const std::size_t s : leaving) {
-    int best = targets.front();
-    for (const int t : targets) {
-      if (weight[t] < weight[best]) best = t;
+  for (std::size_t s = 0; s < items.size(); ++s) {
+    if (items[s].movable) {
+      out.push_back(migrate_section(s, placed.shard[s], quiesce_timeout));
     }
-    out.push_back(migrate_section(s, best, quiesce_timeout));
-    weight[best] += section_threads(s);
   }
   return out;
 }

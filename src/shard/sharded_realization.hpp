@@ -220,12 +220,12 @@ class ShardedRealization : public RealizationHandle {
   /// slots (and any final realization state) like retired channels do.
   void sync_topology();
 
-  /// Moves every section off `shard` (greedy LPT by section thread count
-  /// over the other live shards), leaving it empty so the group can retire
-  /// it. Throws CompositionError when a section on the shard is pinned, or
-  /// when no other live shard exists. Returns one outcome per move, in
-  /// order. The flow keeps running throughout, exactly as for single
-  /// migrations.
+  /// Moves every section off `shard` onto the other live shards, placed by
+  /// place() with thread counts as weights and every other section fixed,
+  /// leaving it empty so the group can retire it. Throws CompositionError
+  /// when a section on the shard is pinned, or when no other live shard
+  /// exists. Returns one outcome per move, in section order. The flow keeps
+  /// running throughout, exactly as for single migrations.
   std::vector<MigrationOutcome> evacuate_shard(
       int shard, std::chrono::milliseconds quiesce_timeout =
                      std::chrono::milliseconds(5000));
@@ -236,7 +236,7 @@ class ShardedRealization : public RealizationHandle {
     return migrations_.load(std::memory_order_acquire);
   }
 
-  // -- section metadata (for the rebalance policy) ----------------------------
+  // -- section metadata (for the balance layer's planner) ---------------------
 
   [[nodiscard]] std::size_t section_count() const noexcept {
     return plan_.sections.size();
@@ -249,7 +249,7 @@ class ShardedRealization : public RealizationHandle {
   [[nodiscard]] const std::string& section_name(std::size_t section) const {
     return plan_.sections.at(section).driver->name();
   }
-  /// Driver thread + coroutine count — the policy's load-share proxy.
+  /// Driver thread + coroutine count — the planner's load-share proxy.
   [[nodiscard]] int section_threads(std::size_t section) const {
     return plan_.sections.at(section).thread_count();
   }

@@ -3,12 +3,13 @@
 //
 // Both classes are pure functions over plain data, so this suite drives them
 // with synthetic topologies — the companion of shard_partition_test, which
-// covers the construction-time partitioner the TargetPlanner mirrors. The
-// two properties that matter are pinned here directly: plans are
-// deterministic and equivariant under shard relabeling (tie-breaks by
-// position, never by absolute id), and the scheduler NEVER emits a move
-// whose destination's projected load breaches the hot-spot watermark — a
-// property test over seeded random instances, replayed move by move.
+// covers the construction-time partitioner. The two properties that matter
+// are pinned here directly: place(), which the partitioner, the shard
+// evacuation and the TargetPlanner all call, is deterministic and
+// equivariant under shard relabeling (tie-breaks by position, never by
+// absolute id), and the scheduler NEVER emits a move whose destination's
+// projected load breaches the hot-spot watermark — a property test over
+// seeded random instances, replayed move by move.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "balance/planner.hpp"
+#include "core/planner.hpp"
 
 namespace infopipe::balance {
 namespace {
@@ -33,6 +35,46 @@ std::vector<SectionDesc> sections_of(
     out.push_back(s);
   }
   return out;
+}
+
+// ---- place(): every caller's placement procedure ---------------------------
+
+/// Ties in weight, a pinned item, an unhomed item and homes spread over all
+/// three candidates.
+const std::vector<PlaceItem> kItems{
+    {0.175, 0, true}, {0.25, 1, true}, {0.0625, 2, true}, {0.5, 0, true},
+    {0.125, 1, false}, {0.125, 2, true}, {0.25, -1, true}};
+
+TEST(Place, DeterministicAcrossCalls) {
+  const Placement a = place(kItems, {0, 1, 2});
+  const Placement b = place(kItems, {0, 1, 2});
+  EXPECT_EQ(a.shard, b.shard);
+  EXPECT_EQ(a.load, b.load);
+  EXPECT_EQ(a.feasible, b.feasible);
+}
+
+TEST(Place, EquivariantUnderShardRelabeling) {
+  // Relabel the shards by a permutation pi (homes and candidate ids
+  // relabeled consistently, positions kept): the placement must be the
+  // pi-relabel of the original — LPT ties break by candidate POSITION, so
+  // absolute ids never leak into the outcome.
+  // pi: 0 -> 5, 1 -> 3, 2 -> 9 (sparse ids on purpose).
+  const auto pi = [](int s) { return s == 0 ? 5 : s == 1 ? 3 : 9; };
+  auto relabeled = kItems;
+  for (PlaceItem& it : relabeled) {
+    if (it.home >= 0) it.home = pi(it.home);
+  }
+
+  const Placement base = place(kItems, {0, 1, 2});
+  const Placement perm = place(relabeled, {5, 3, 9});
+
+  ASSERT_EQ(base.shard.size(), perm.shard.size());
+  for (std::size_t i = 0; i < base.shard.size(); ++i) {
+    EXPECT_EQ(perm.shard[i], pi(base.shard[i])) << "item " << i;
+  }
+  EXPECT_EQ(perm.load, base.load);  // per candidate position, bit for bit
+  EXPECT_TRUE(base.feasible);
+  EXPECT_TRUE(perm.feasible);
 }
 
 // ---- TargetPlanner ---------------------------------------------------------
@@ -79,54 +121,6 @@ TEST(TargetPlanner, BalancedPlacementYieldsNoMoves) {
   ASSERT_TRUE(plan.feasible);
   EXPECT_TRUE(plan.moves.empty());
   EXPECT_EQ(plan.assignment, (std::vector<int>{0, 1}));
-}
-
-TEST(TargetPlanner, DeterministicAcrossCalls) {
-  const auto secs =
-      sections_of({{1, 0}, {2, 1}, {1, 2}, {3, 0}, {1, 1}, {2, 2}});
-  const std::vector<double> busy{0.7, 0.4, 0.2};
-  const TargetPlanner planner;
-  const TargetPlan a = planner.plan(secs, {0, 1, 2}, busy);
-  const TargetPlan b = planner.plan(secs, {0, 1, 2}, busy);
-  EXPECT_EQ(a.assignment, b.assignment);
-  EXPECT_EQ(a.moves.size(), b.moves.size());
-  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
-}
-
-TEST(TargetPlanner, EquivariantUnderShardRelabeling) {
-  // Relabel the shards by a permutation pi (homes, busy vector and
-  // candidate order all relabeled consistently): the plan must be the
-  // pi-relabel of the original — LPT ties break by candidate POSITION, so
-  // absolute ids never leak into the outcome.
-  const auto secs =
-      sections_of({{1, 0}, {2, 1}, {1, 2}, {3, 0}, {1, 1}, {2, 2}});
-  const std::vector<int> shards{0, 1, 2};
-  const std::vector<double> busy{0.7, 0.4, 0.2};
-
-  // pi: 0 -> 5, 1 -> 3, 2 -> 9 (sparse ids on purpose — busy is indexed by
-  // absolute shard id, candidates are an arbitrary id set).
-  const auto pi = [](int s) { return s == 0 ? 5 : s == 1 ? 3 : 9; };
-  auto relabeled = secs;
-  for (SectionDesc& s : relabeled) s.home = pi(s.home);
-  const std::vector<int> shards_p{5, 3, 9};  // same positions as {0,1,2}
-  std::vector<double> busy_p(10, 0.0);
-  for (int s = 0; s < 3; ++s) busy_p[static_cast<std::size_t>(pi(s))] = busy[static_cast<std::size_t>(s)];
-
-  const TargetPlanner planner;
-  const TargetPlan base = planner.plan(secs, shards, busy);
-  const TargetPlan perm = planner.plan(relabeled, shards_p, busy_p);
-
-  ASSERT_EQ(base.assignment.size(), perm.assignment.size());
-  for (std::size_t i = 0; i < base.assignment.size(); ++i) {
-    EXPECT_EQ(perm.assignment[i], pi(base.assignment[i])) << "section " << i;
-  }
-  EXPECT_DOUBLE_EQ(base.makespan, perm.makespan);
-  ASSERT_EQ(base.moves.size(), perm.moves.size());
-  for (std::size_t i = 0; i < base.moves.size(); ++i) {
-    EXPECT_EQ(perm.moves[i].section, base.moves[i].section);
-    EXPECT_EQ(perm.moves[i].from, pi(base.moves[i].from));
-    EXPECT_EQ(perm.moves[i].to, pi(base.moves[i].to));
-  }
 }
 
 TEST(TargetPlanner, PinnedSectionsPreloadTheirHomes) {
@@ -210,8 +204,7 @@ class Lcg {
 };
 
 TEST(PlanScheduler, NeverBreachesTheWatermarkOnRandomInstances) {
-  const PlanSchedulerOptions opts;  // watermark 0.95
-  const PlanScheduler sched(opts);
+  const PlanScheduler sched;
 
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
     Lcg rng(seed + 1);
@@ -240,7 +233,7 @@ TEST(PlanScheduler, NeverBreachesTheWatermarkOnRandomInstances) {
     for (const PlannedMove& m : plan.ordered) {
       const auto to = static_cast<std::size_t>(m.to);
       const auto from = static_cast<std::size_t>(m.from);
-      EXPECT_LE(proj[to] + m.load, opts.hotspot_watermark + 1e-9)
+      EXPECT_LE(proj[to] + m.load, kHotspotWatermark + 1e-9)
           << "seed " << seed << " section " << m.section;
       proj[from] -= m.load;
       proj[to] += m.load;

@@ -10,15 +10,16 @@
 // shake out the concurrency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "balance/accountant.hpp"
 #include "balance/migration.hpp"
-#include "balance/policy.hpp"
 #include "balance/rebalancer.hpp"
 #include "core/infopipes.hpp"
 #include "shard/sharded_realization.hpp"
@@ -308,7 +309,7 @@ TEST(Migration, NonMigratableComponentPinsOnlyItsSection) {
                CompositionError);
 }
 
-// --- accountant + policy -----------------------------------------------------
+// --- accountant + rebalancer -------------------------------------------------
 
 TEST(Rebalancer, SkewedLoadMigratesTowardTheIdleShard) {
   shard::ShardGroup group(2, manual_opts());
@@ -404,7 +405,7 @@ TEST(Rebalancer, ElasticScaleUpAndDownWithHysteresis) {
   sr.start();
 
   Rebalancer::Options o;
-  o.policy.min_imbalance = 2.0;  // unreachable: isolate the scaling triggers
+  o.min_imbalance = 2.0;  // unreachable: isolate the scaling triggers
   o.elastic.enabled = true;
   o.elastic.scale_up_steps = 3;
   o.elastic.scale_down_steps = 4;
@@ -465,26 +466,112 @@ TEST(Rebalancer, ElasticScaleUpAndDownWithHysteresis) {
   for (std::uint64_t i = 0; i < kN; ++i) ASSERT_EQ(seqs[i], i);
 }
 
-TEST(Policy, CooldownSuppressesBackToBackDecisions) {
+TEST(Rebalancer, CooldownSuppressesBackToBackReplans) {
+  // Three one-thread sections on two shards. Whichever shard hosts two of
+  // them reads hot on every step, so each replan finds exactly one move and
+  // runs it at once: the queue is empty after every replan, and only the
+  // cooldown holds the next one back.
   shard::ShardGroup group(2, manual_opts());
+  CountingSource src("src", 100000);
+  ClockedPump p1("p1", 200.0);
+  Buffer b1("b1", 32);
+  ClockedPump p2("p2", 200.0);
+  Buffer b2("b2", 32);
+  ClockedPump p3("p3", 200.0);
+  CountingSink sink("sink");
+  auto ch = src >> p1 >> b1 >> p2 >> b2 >> p3 >> sink;
+  shard::ShardedRealization sr(group, ch.pipeline());
+  sr.start();
+
+  Rebalancer::Options o;
+  o.cooldown_steps = 3;
+  Rebalancer rb(sr, o);
+  rt::Time t = 0;
+  const auto skewed_step = [&] {
+    int on0 = 0;
+    for (std::size_t s = 0; s < sr.section_count(); ++s) {
+      on0 += sr.shard_of_section(s) == 0 ? 1 : 0;
+    }
+    const int hot = on0 >= 2 ? 0 : 1;
+    for (int i = 0; i < 30; ++i) {  // converge the EWMA on the skew
+      rb.accountant().note_busy_sample(hot, 0.9);
+      rb.accountant().note_busy_sample(1 - hot, 0.1);
+    }
+    t += rt::milliseconds(100);
+    group.step_until(t);
+    return rb.step();
+  };
+
+  std::optional<MigrationReport> rep = skewed_step();
+  ASSERT_TRUE(rep.has_value());
+  EXPECT_TRUE(rep->ok()) << rep->error;
+  EXPECT_EQ(rb.pending_moves(), 0u);
+  for (int i = 0; i < o.cooldown_steps; ++i) {
+    EXPECT_FALSE(skewed_step().has_value()) << "cooldown step " << i;
+    EXPECT_EQ(rb.pending_moves(), 0u);
+  }
+  EXPECT_EQ(rb.migrations_attempted(), 1u);
+
+  // Cooldown over: the still-skewed load replans and moves again.
+  rep = skewed_step();
+  ASSERT_TRUE(rep.has_value());
+  EXPECT_TRUE(rep->ok()) << rep->error;
+  EXPECT_EQ(rb.migrations_attempted(), 2u);
+}
+
+TEST(Rebalancer, ImbalanceGaugeReadsTheLiveSpread) {
+  // A retired shard keeps its frozen EWMA (about 0 here). With both
+  // survivors busier than that, balance.imbalance must publish the spread
+  // the replan gate reads — max - min over the LIVE shards — not a spread
+  // measured against the retired slot.
+  shard::ShardGroup group(3, manual_opts());
   CountingSource src("src", 1000);
   ClockedPump p1("p1", 200.0);
   Buffer b1("b1", 32);
   ClockedPump p2("p2", 200.0);
+  Buffer b2("b2", 32);
+  ClockedPump p3("p3", 200.0);
   CountingSink sink("sink");
-  auto ch = src >> p1 >> b1 >> p2 >> sink;
+  auto ch = src >> p1 >> b1 >> p2 >> b2 >> p3 >> sink;
   shard::ShardedRealization sr(group, ch.pipeline());
+  sr.start();
 
-  const int hot = sr.shard_of_section(0);
-  LoadSnapshot load;
-  load.busy.assign(2, 0.1);
-  load.busy[static_cast<std::size_t>(hot)] = 0.9;
+  Rebalancer::Options o;
+  o.min_imbalance = 2.0;  // unreachable: no replans, only the gauge
+  o.elastic.enabled = true;
+  o.elastic.scale_down_steps = 2;
+  o.elastic.min_shards = 2;
+  Rebalancer rb(sr, o);
 
-  RebalancePolicy pol;  // cooldown_steps = 2
-  ASSERT_TRUE(pol.decide(load, sr).has_value());
-  EXPECT_FALSE(pol.decide(load, sr).has_value());
-  EXPECT_FALSE(pol.decide(load, sr).has_value());
-  EXPECT_TRUE(pol.decide(load, sr).has_value());
+  rt::Time t = 0;
+  const auto tick = [&] {
+    t += rt::milliseconds(100);
+    group.step_until(t);
+  };
+  for (int i = 0; i < 2; ++i) {
+    for (int s = 0; s < 3; ++s) rb.accountant().note_busy_sample(s, 0.0);
+    (void)rb.step();
+    tick();
+  }
+  ASSERT_EQ(rb.scale_downs(), 1u);
+  const std::vector<int> live = group.live_shards();
+  ASSERT_EQ(live.size(), 2u);
+
+  for (int i = 0; i < 10; ++i) {
+    rb.accountant().note_busy_sample(live[0], 0.7);
+    rb.accountant().note_busy_sample(live[1], 0.4);
+  }
+  (void)rb.step();
+  const LoadSnapshot load = rb.accountant().snapshot();
+  const double a = load.busy[static_cast<std::size_t>(live[0])];
+  const double b = load.busy[static_cast<std::size_t>(live[1])];
+  const obs::MetricsSnapshot ms = rb.metrics_snapshot();
+  const obs::MetricValue* imb = ms.find("balance.imbalance");
+  ASSERT_NE(imb, nullptr);
+  EXPECT_DOUBLE_EQ(imb->value, std::max(a, b) - std::min(a, b));
+
+  while (t < rt::seconds(8)) tick();
+  EXPECT_TRUE(sr.finished());
 }
 
 // --- topology ----------------------------------------------------------------
@@ -511,54 +598,6 @@ TEST(Topology, ParsesCpulistsAndMapsShards) {
   // Whatever this machine looks like, the probe must come back usable.
   const shard::Topology here = shard::Topology::detect();
   EXPECT_GE(here.nodes(), 1);
-}
-
-TEST(Policy, PrefersSameNodeTargetsWhenEquallyIdle) {
-  shard::ShardGroup group(4, manual_opts());
-  CountingSource src("src", 1000);
-  ClockedPump p1("p1", 200.0);
-  Buffer b1("b1", 16);
-  ClockedPump p2("p2", 200.0);
-  Buffer b2("b2", 16);
-  ClockedPump p3("p3", 200.0);
-  Buffer b3("b3", 16);
-  ClockedPump p4("p4", 200.0);
-  CountingSink sink("sink");
-  auto ch = src >> p1 >> b1 >> p2 >> b2 >> p3 >> b3 >> p4 >> sink;
-  shard::ShardedRealization sr(group, ch.pipeline());
-  ASSERT_EQ(sr.section_count(), 4u);
-
-  // Shards 0,1 on node 0; shards 2,3 on node 1. Load the shard hosting some
-  // migratable section; here every section is migratable, so pick shard 0's.
-  std::size_t sec0 = 0;
-  for (std::size_t s = 0; s < sr.section_count(); ++s) {
-    if (sr.shard_of_section(s) == 0) sec0 = s;
-  }
-  ASSERT_EQ(sr.shard_of_section(sec0), 0);
-
-  const shard::Topology topo({0, 0, 1, 1});
-
-  // An equally idle same-node shard (1) beats the cross-node global
-  // minimum (2).
-  {
-    RebalancePolicy pol(PolicyOptions{}, topo);
-    LoadSnapshot load;
-    load.busy = {0.9, 0.15, 0.1, 0.5};
-    const auto d = pol.decide(load, sr);
-    ASSERT_TRUE(d.has_value());
-    EXPECT_EQ(d->from, 0);
-    EXPECT_EQ(d->to, 1);
-  }
-  // With no idle shard on the source's node, the global minimum wins.
-  {
-    RebalancePolicy pol(PolicyOptions{}, topo);
-    LoadSnapshot load;
-    load.busy = {0.9, 0.5, 0.1, 0.12};
-    const auto d = pol.decide(load, sr);
-    ASSERT_TRUE(d.has_value());
-    EXPECT_EQ(d->from, 0);
-    EXPECT_EQ(d->to, 2);
-  }
 }
 
 // --- threaded stress ---------------------------------------------------------

@@ -10,10 +10,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <numeric>
+#include <string>
 
 #include "core/infopipes.hpp"
 #include "core/tee.hpp"
+#include "media/midi.hpp"
+#include "media/mpeg.hpp"
+#include "net/netpipe.hpp"
+#include "net/transport.hpp"
+#include "replay/digest.hpp"
+#include "shard/shard_group.hpp"
+#include "shard/sharded_realization.hpp"
 
 namespace infopipe {
 namespace {
@@ -334,6 +344,248 @@ TEST(ShardPartition, MoreShardsThanSectionsLeavesShardsEmpty) {
   check_invariants(p, part, 4);
   const std::vector<int> per = part.threads_per_shard(p);
   EXPECT_EQ(std::count(per.begin(), per.end(), 0), 3);
+}
+
+// --- Golden placements -------------------------------------------------------
+//
+// Exact placements recorded from the partitioner and the shard evacuation
+// while each still ran its own LPT loop; both now call place(). Any change
+// to weights, orderings or tie-breaks shows up here as a changed string.
+
+/// "shard_of_section / migratable_section", e.g. "0,1/1,1".
+std::string placement(const Partition& part) {
+  std::string out;
+  for (std::size_t i = 0; i < part.shard_of_section.size(); ++i) {
+    out += (i == 0 ? "" : ",") + std::to_string(part.shard_of_section[i]);
+  }
+  out += "/";
+  for (std::size_t i = 0; i < part.migratable_section.size(); ++i) {
+    out += (i == 0 ? "" : ",") + std::to_string(part.migratable(i) ? 1 : 0);
+  }
+  return out;
+}
+
+/// Six sections of 1, 3, 2, 1, 2 and 3 threads, each cut from the next by a
+/// buffer: the evacuation fixture, and a partition with real tie-breaks.
+struct MixedChain {
+  CountingSource src{"src", 400};
+  std::vector<std::unique_ptr<ClockedPump>> pumps;
+  std::vector<std::unique_ptr<Buffer>> bufs;
+  std::vector<std::unique_ptr<DefragmenterActive>> actives;
+  CollectorSink sink{"sink"};
+  Pipeline pipe;
+
+  MixedChain() {
+    const int coroutines[] = {0, 2, 1, 0, 1, 2};
+    Component* prev = &src;
+    for (int s = 0; s < 6; ++s) {
+      if (s > 0) {
+        bufs.push_back(
+            std::make_unique<Buffer>("b" + std::to_string(s), 16));
+        pipe.connect(*prev, 0, *bufs.back(), 0);
+        prev = bufs.back().get();
+      }
+      pumps.push_back(
+          std::make_unique<ClockedPump>("p" + std::to_string(s), 200.0));
+      pipe.connect(*prev, 0, *pumps.back(), 0);
+      prev = pumps.back().get();
+      for (int a = 0; a < coroutines[s]; ++a) {
+        actives.push_back(std::make_unique<DefragmenterActive>(
+            "a" + std::to_string(s) + std::to_string(a), combine2));
+        pipe.connect(*prev, 0, *actives.back(), 0);
+        prev = actives.back().get();
+      }
+    }
+    pipe.connect(*prev, 0, sink, 0);
+  }
+};
+
+TEST(PlacementGolden, PartitionOfFigure9AndExamplePipelines) {
+  std::map<std::string, std::vector<std::string>> got;  // name -> n = 1..4
+  auto record = [&got](const std::string& name, const Plan& p,
+                       const std::vector<std::pair<const Component*,
+                                                   const Component*>>&
+                           colocate = {}) {
+    for (int n = 1; n <= 4; ++n) {
+      got[name].push_back(placement(partition(p, n, colocate)));
+    }
+  };
+
+  for (int cfg = 0; cfg < 8; ++cfg) {
+    Fixture f;
+    Chain ch = [&]() -> Chain {
+      switch (cfg) {
+        case 0: return f.src >> f.producer >> f.pump >> f.consumer >> f.sink;
+        case 1: return f.src >> f.fn >> f.pump >> f.fn2 >> f.sink;
+        case 2: return f.src >> f.pump >> f.consumer >> f.consumer2 >> f.sink;
+        case 3: return f.src >> f.pump >> f.active >> f.fn >> f.sink;
+        case 4: return f.src >> f.consumer >> f.pump >> f.producer >> f.sink;
+        case 5: return f.src >> f.active >> f.pump >> f.active2 >> f.sink;
+        case 6: return f.src >> f.producer2 >> f.producer >> f.pump >> f.sink;
+        default: return f.src >> f.pump >> f.consumer >> f.fn >> f.sink;
+      }
+    }();
+    record(std::string("fig9") + static_cast<char>('a' + cfg),
+           plan(ch.pipeline()));
+  }
+
+  {  // sharded_player: the Figure 1 player, decode and presentation halves
+    media::StreamConfig cfg;
+    cfg.frames = 600;
+    cfg.fps = 30.0;
+    media::MpegFileSource movie("movie.mpg", cfg);
+    FreeRunningPump fill("fill");
+    media::MpegDecoder decoder("decoder");
+    Buffer frames("frames", 16);
+    FreeRunningPump play("play");
+    media::VideoDisplay display("display", cfg.fps);
+    Pipeline p;
+    p.connect(movie, 0, fill, 0);
+    p.connect(fill, 0, decoder, 0);
+    p.connect(decoder, 0, frames, 0);
+    p.connect(frames, 0, play, 0);
+    p.connect(play, 0, display, 0);
+    record("sharded_player", plan(p));
+  }
+
+  {  // distributed_player: both ends of the netpipe in one pipeline
+    net::LinkConfig lc;
+    net::SimLink link(lc);
+    media::StreamConfig cfg;
+    cfg.frames = 60;
+    media::MpegFileSource cam("cam0", cfg);
+    ClockedPump send_pump("send-pump", 200.0);
+    net::MarshalFilter marshal("marshal", media::encode_frame, "video");
+    net::NetSender tx("tx", link, "video-server");
+    net::NetReceiver rx("rx", link, "living-room");
+    replay::DigestProbe tap("digest");
+    net::UnmarshalFilter unmarshal("unmarshal", media::decode_frame, "video");
+    media::MpegDecoder decoder("decoder");
+    media::VideoDisplay screen("screen", 30.0);
+    Pipeline p;
+    p.connect(cam, 0, send_pump, 0);
+    p.connect(send_pump, 0, marshal, 0);
+    p.connect(marshal, 0, tx, 0);
+    p.connect(rx, 0, tap, 0);
+    p.connect(tap, 0, unmarshal, 0);
+    p.connect(unmarshal, 0, decoder, 0);
+    p.connect(decoder, 0, screen, 0);
+    record("distributed_player", plan(p));
+  }
+
+  // midi_mixer: four channels merged, fused (function transposes) and
+  // thread-per-stage (active transposes).
+  for (const bool threaded : {false, true}) {
+    std::vector<std::unique_ptr<Component>> owned;
+    media::MidiMixer mixer("mixer", 4);
+    CountingSink recorder("recorder");
+    Pipeline p;
+    for (int c = 0; c < 4; ++c) {
+      const std::string id = std::to_string(c);
+      auto* src = static_cast<Component*>(
+          owned
+              .emplace_back(std::make_unique<media::MidiSource>(
+                  "ch" + id, 100, static_cast<std::uint8_t>(c)))
+              .get());
+      auto* pump = owned.emplace_back(std::make_unique<FreeRunningPump>(
+                                          "pump" + id))
+                       .get();
+      Component* transpose =
+          threaded ? owned
+                         .emplace_back(std::make_unique<DefragmenterActive>(
+                             "transpose" + id, combine2))
+                         .get()
+                   : owned
+                         .emplace_back(std::make_unique<media::MidiTranspose>(
+                             "transpose" + id, c * 3))
+                         .get();
+      auto* gain = owned
+                       .emplace_back(std::make_unique<media::MidiGain>(
+                           "gain" + id, 0.9))
+                       .get();
+      p.connect(*src, 0, *pump, 0);
+      p.connect(*pump, 0, *transpose, 0);
+      p.connect(*transpose, 0, *gain, 0);
+      p.connect(*gain, 0, mixer, c);
+    }
+    p.connect(mixer, 0, recorder, 0);
+    record(threaded ? "midi_mixer_threaded" : "midi_mixer", plan(p));
+  }
+
+  {
+    MixedChain m;
+    const Plan p = plan(m.pipe);
+    record("mixed_chain", p);
+    record("mixed_chain_colocated", p, {{m.pumps[1].get(), m.pumps[4].get()}});
+  }
+
+  const std::map<std::string, std::vector<std::string>> want = {
+      {"fig9a", {"0/1", "0/1", "0/1", "0/1"}},
+      {"fig9b", {"0/1", "0/1", "0/1", "0/1"}},
+      {"fig9c", {"0/1", "0/1", "0/1", "0/1"}},
+      {"fig9d", {"0/1", "0/1", "0/1", "0/1"}},
+      {"fig9e", {"0/1", "0/1", "0/1", "0/1"}},
+      {"fig9f", {"0/1", "0/1", "0/1", "0/1"}},
+      {"fig9g", {"0/1", "0/1", "0/1", "0/1"}},
+      {"fig9h", {"0/1", "0/1", "0/1", "0/1"}},
+      {"sharded_player", {"0,0/1,1", "0,1/1,1", "0,1/1,1", "0,1/1,1"}},
+      {"distributed_player", {"0,0/1,0", "0,1/1,0", "0,1/1,0", "0,1/1,0"}},
+      {"midi_mixer",
+       {"0,0,0,0/0,0,0,0", "0,0,0,0/0,0,0,0", "0,0,0,0/0,0,0,0",
+        "0,0,0,0/0,0,0,0"}},
+      {"midi_mixer_threaded",
+       {"0,0,0,0/0,0,0,0", "0,0,0,0/0,0,0,0", "0,0,0,0/0,0,0,0",
+        "0,0,0,0/0,0,0,0"}},
+      {"mixed_chain",
+       {"0,0,0,0,0,0/1,1,1,1,1,1", "0,0,0,1,1,1/1,1,1,1,1,1",
+        "0,0,2,1,2,1/1,1,1,1,1,1", "2,0,2,3,3,1/1,1,1,1,1,1"}},
+      {"mixed_chain_colocated",
+       {"0,0,0,0,0,0/1,0,1,1,0,1", "0,0,1,1,0,1/1,0,1,1,0,1",
+        "2,0,2,1,0,1/1,0,1,1,0,1", "3,0,2,3,0,1/1,0,1,1,0,1"}},
+  };
+  EXPECT_EQ(got, want);
+}
+
+TEST(PlacementGolden, EvacuationTargets) {
+  shard::ShardGroup::GroupOptions opt;
+  opt.clock_factory = [] { return std::make_unique<rt::VirtualClock>(); };
+  opt.manual = true;
+  shard::ShardGroup group(4, opt);
+  MixedChain m;
+  shard::ShardedRealization sr(group, m.pipe);
+  ASSERT_EQ(sr.section_count(), 6u);
+  std::vector<int> threads;
+  std::vector<int> home;
+  for (std::size_t s = 0; s < sr.section_count(); ++s) {
+    threads.push_back(sr.section_threads(s));
+    home.push_back(sr.shard_of_section(s));
+  }
+  EXPECT_EQ(threads, (std::vector<int>{1, 3, 2, 1, 2, 3}));
+  EXPECT_EQ(home, (std::vector<int>{2, 0, 2, 3, 3, 1}));
+
+  // Drain shard 2, retire it, then drain shard 3 onto the two survivors.
+  std::map<std::size_t, int> target;  // section -> evacuation target
+  sr.start();
+  group.step_until(rt::milliseconds(100));
+  for (const shard::MigrationOutcome& o : sr.evacuate_shard(2)) {
+    EXPECT_EQ(o.from, 2);
+    target[o.section] = o.to;
+  }
+  group.retire_shard(2);
+  group.step_until(rt::milliseconds(200));
+  for (const shard::MigrationOutcome& o : sr.evacuate_shard(3)) {
+    EXPECT_EQ(o.from, 3);
+    target[o.section] = o.to;
+  }
+  group.retire_shard(3);
+  EXPECT_EQ(target,
+            (std::map<std::size_t, int>{{0, 1}, {2, 0}, {3, 0}, {4, 1}}));
+
+  for (rt::Time t = rt::milliseconds(300); t <= rt::seconds(10);
+       t += rt::milliseconds(100)) {
+    group.step_until(t);
+  }
+  EXPECT_TRUE(sr.finished());
 }
 
 }  // namespace
