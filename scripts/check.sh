@@ -49,6 +49,12 @@ elastic_trace="build/sharded_player_elastic_trace.bin"
 ./build/examples/sharded_player --record-elastic "$elastic_trace"
 ./build/examples/sharded_player --replay "$elastic_trace"
 
+echo "== end-to-end smoke: bench/e2e, all four workloads =="
+# About a second per workload on a Release build in build-e2e/: every
+# workload's correctness checks (delivered counts, digests, sessions) run
+# through the realized glue, and a failed check exits non-zero.
+bash bench/e2e/run.sh --smoke
+
 echo "== ASan+UBSan build + tests =="
 cmake -B build-sanitize -G Ninja -DCMAKE_BUILD_TYPE=Sanitize
 cmake --build build-sanitize

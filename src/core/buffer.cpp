@@ -56,17 +56,19 @@ void Buffer::put_span(ItemSpan xs, HostContext& host) {
   while (i < n) {
     if (xs[i].is_eos()) {
       // EOS is a sticky flag, not a queue entry: queued items drain first
-      // and every subsequent take observes end-of-stream. Pumps end bursts
-      // before EOS, so it normally arrives alone through put(); nothing
-      // follows an EOS in a well-formed flow.
+      // and every subsequent take observes end-of-stream. EOS travels as
+      // a one-item span of its own, so nothing follows it in a burst.
       eos_ = true;
       saw_eos = true;
       break;
     }
     if (q_.size() >= capacity_) {
       if (full_ == FullPolicy::kDropNewest) {
-        // One decision for the whole remainder of the burst.
+        // One decision for the whole remainder of the burst. The dropped
+        // items die here, as a dropped one-item put's item does, not in
+        // the caller's span.
         stats_.drops += n - i;
+        for (Item& x : xs.subspan(i)) x = Item();
         IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kDrop, name().c_str(),
                      0, static_cast<std::int64_t>(q_.size()));
         break;
@@ -88,6 +90,7 @@ void Buffer::put_span(ItemSpan xs, HostContext& host) {
           // would count it (puts == takes + fill + drops).
           stats_.puts += excess;
           stats_.drops += excess;
+          for (Item& x : xs.subspan(i, excess)) x = Item();
           i += excess;
         }
         IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kDrop, name().c_str(),

@@ -79,9 +79,11 @@ class Buffer : public Component {
   /// sequential-equivalent to one-item puts: kDropNewest drops the part
   /// that does not fit, kDropOldest keeps the newest `capacity` items of
   /// (queue ++ xs) — which may mean dropping a PREFIX of the span itself,
-  /// counted as puts and drops like any evicted item — and kBlock waits for space (burst-wise: one put_blocks tick per wait,
-  /// puts counted once), or accepts the burst past capacity when the flow
-  /// was stopped meanwhile.
+  /// counted as puts and drops like any evicted item — and kBlock waits for
+  /// space (burst-wise: one put_blocks tick per wait, puts counted once),
+  /// or accepts the burst past capacity when the flow was stopped
+  /// meanwhile. Items of `xs` that are dropped are reset to nil at the drop,
+  /// so their payloads die there and not with the caller's span.
   void put_span(ItemSpan xs, HostContext& host);
 
   /// Move up to out.size() queued items into `out` and return how many,

@@ -47,23 +47,24 @@ enum class Style {
 
 [[nodiscard]] std::string to_string(Style s);
 
-/// Installed by the middleware: moves an item downstream / fetches one from
-/// upstream. Pull links throw EndOfStream when the flow has ended.
-using PushFn = std::function<void(Item)>;
-using PullFn = std::function<Item()>;
-
-/// Batched twins of the links above (PR 6). A push span moves a burst of
-/// items downstream; the callee consumes (moves out of) every element. A
-/// pull span fills `out` and returns how many slots it used: either n >= 1
-/// data items, or exactly one nil at out[0] when the upstream is empty
-/// under the nil policy. End-of-stream is reported by throwing EndOfStream,
-/// exactly like PullFn — a span never mixes data with specials, so batch
-/// boundaries cannot hide an EOS mid-burst. The Wiring builds span links
-/// only for chains every member of which speaks spans natively (buffers,
-/// functions, passive endpoints); everywhere else the per-item links remain
-/// the only path and pumps fall back transparently.
+/// The links the middleware installs between components. A push span moves
+/// a burst of items downstream; the callee consumes (moves out of) every
+/// element. A burst carries data and, under the kForward nil policy, nils;
+/// end-of-stream travels as a one-item span of its own, so no burst ever
+/// hides an EOS. A pull span fills `out` and returns how many slots it
+/// used: either n >= 1 data items, or exactly one nil at out[0] when the
+/// upstream is empty under the nil policy; end-of-stream is reported by
+/// throwing EndOfStream. Every link is a span link: a per-item style adapts
+/// at its own edge (a Consumer is handed a burst one item at a time, a
+/// Producer or coroutine answers a pull with one item).
 using PushSpanFn = std::function<void(ItemSpan)>;
 using PullSpanFn = std::function<std::size_t(ItemSpan)>;
+
+/// The per-item links behind push_next() / pull_prev() in component code:
+/// one-item spans over the links above, or a coroutine's channel. Pull
+/// links throw EndOfStream when the flow has ended.
+using PushFn = std::function<void(Item)>;
+using PullFn = std::function<Item()>;
 
 /// Thrown when component code uses a link the planner has not wired (e.g.
 /// calling push_next() on the last component of a pipeline).
@@ -256,12 +257,12 @@ class FunctionComponent : public Component {
   friend class Wiring;
   [[nodiscard]] virtual Item convert(Item x) = 0;
 
-  /// Batched path: transform every data item of `xs` in place (1:1,
-  /// order-preserving); nils pass through untouched, exactly as the
-  /// per-item glue leaves them. The default is the automatic per-item
-  /// adapter — existing filters work unchanged under batching. Override
-  /// (or derive from BatchFilter) to amortize per-item overhead across the
-  /// burst.
+  /// What the glue calls: transform every data item of `xs` in place (1:1,
+  /// order-preserving); nils pass through untouched. `xs` never contains
+  /// EOS (the glue passes a lone EOS straight on). The default is the
+  /// automatic per-item adapter — existing filters work unchanged under
+  /// batching. Override (or derive from BatchFilter) to amortize per-item
+  /// overhead across the burst.
   virtual void convert_span(ItemSpan xs) {
     for (Item& x : xs) {
       if (x.is_data()) x = convert(std::move(x));
@@ -338,8 +339,8 @@ class PassiveSource : public Component {
 
  private:
   /// Special (nil/EOS) produced by generate() mid-burst, held for the next
-  /// generate_span call. Only the batched path touches it: the per-item
-  /// glue calls generate() directly.
+  /// generate_span call. A one-item span never sets it: the special fills
+  /// out[0] at once.
   Item pending_;
   bool has_pending_ = false;
 };

@@ -21,9 +21,9 @@
 //
 // Batching (PumpSpec::max_batch, ARCHITECTURE §15) is orthogonal to
 // everything decided here: spans ride the same sections, drivers and
-// coroutine assignments, and whether a given edge actually moves bursts is
-// resolved at wiring/run time (a span link is present and max_batch > 1),
-// never in the Plan. A batched pump plans identically to a per-item one.
+// coroutine assignments, every link the wiring builds is a span link, and
+// the burst size is the driver's max_batch at run time, never in the Plan.
+// A batched pump plans identically to a per-item one.
 #pragma once
 
 #include <map>

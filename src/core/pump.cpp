@@ -19,70 +19,41 @@ rt::Time period_from_rate(double rate_hz) {
 
 Item Driver::pull_prev() {
   if (!pull_link_) throw NotWired(name() + ": pull side not wired");
-  return pull_link_();
+  Item x;
+  (void)pull_link_(ItemSpan(&x, 1));
+  return x;
 }
 
-void Driver::push_next(Item x) {
-  if (!push_link_) throw NotWired(name() + ": push side not wired");
-  push_link_(std::move(x));
-}
-
-std::size_t Driver::pull_prev_span(ItemSpan out) {
-  if (!pull_span_link_) throw NotWired(name() + ": pull side has no span glue");
-  return pull_span_link_(out);
-}
+void Driver::push_next(Item x) { push_next_span(ItemSpan(&x, 1)); }
 
 void Driver::push_next_span(ItemSpan xs) {
-  if (!push_span_link_) throw NotWired(name() + ": push side has no span glue");
-  push_span_link_(xs);
+  if (!push_link_) throw NotWired(name() + ": push side not wired");
+  push_link_(xs);
 }
 
-std::size_t Driver::effective_batch(bool need_pull,
-                                    bool need_push) const noexcept {
-  if (max_batch_ <= 1) return 1;
-  if (need_pull && !pull_span_link_) return 1;
-  if (need_push && !push_span_link_) return 1;
-  return max_batch_;
-}
-
-ItemSpan Driver::batch_scratch() {
+ItemSpan Driver::pull_burst() {
+  if (!pull_link_) throw NotWired(name() + ": pull side not wired");
   if (batch_.size() < max_batch_) batch_.resize(max_batch_);
-  return ItemSpan(batch_.data(), max_batch_);
-}
-
-void Driver::note_batch(std::size_t n) {
-  if (Realization* r = realization()) {
-    r->obs_hooks().batch_items->record(static_cast<std::int64_t>(n));
-  }
-}
-
-void Pump::cycle() {
-  const std::size_t mb = effective_batch(true, true);
-  if (mb <= 1) {
-    Item x = pull_prev();
-    if (x.is_nil() && nil_policy() == NilPolicy::kSkipCycle) return;
-    observe(x);
-    ++items_pumped_;
-    push_next(std::move(x));
-    return;
-  }
-  // Batched fire: drain one burst upstream, apply the nil policy exactly as
-  // the per-item path would (a skipped nil is never pushed), push the rest
-  // downstream in one span. EndOfStream from the pull glue propagates to
-  // run_driver untouched — an EOS can end a burst but never hide inside one.
-  ItemSpan scratch = batch_scratch();
-  const std::size_t n = pull_prev_span(scratch.first(mb));
+  ItemSpan scratch(batch_.data(), max_batch_);
+  const std::size_t n = pull_link_(scratch);
   std::size_t kept = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (scratch[i].is_nil() && nil_policy() == NilPolicy::kSkipCycle) continue;
+    if (scratch[i].is_nil() && nil_policy_ == NilPolicy::kSkipCycle) continue;
     observe(scratch[i]);
     if (kept != i) scratch[kept] = std::move(scratch[i]);
     ++kept;
   }
-  if (kept == 0) return;
+  if (kept == 0) return {};
   items_pumped_ += kept;
-  note_batch(kept);
-  push_next_span(scratch.first(kept));
+  if (Realization* r = realization()) {
+    r->obs_hooks().batch_items->record(static_cast<std::int64_t>(kept));
+  }
+  return scratch.first(kept);
+}
+
+void Pump::cycle() {
+  const ItemSpan xs = pull_burst();
+  if (!xs.empty()) push_next_span(xs);
 }
 
 ClockedPump::ClockedPump(std::string name, double rate_hz,
@@ -175,28 +146,8 @@ rt::Time ClockedSourceBase::next_fire(rt::Time now) {
 }
 
 void ActiveSink::cycle() {
-  const std::size_t mb = effective_batch(true, false);
-  if (mb <= 1) {
-    Item x = pull_prev();
-    if (x.is_nil() && nil_policy() == NilPolicy::kSkipCycle) return;
-    observe(x);
-    ++items_pumped_;
-    consume(std::move(x));
-    return;
-  }
-  ItemSpan scratch = batch_scratch();
-  const std::size_t n = pull_prev_span(scratch.first(mb));
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (scratch[i].is_nil() && nil_policy() == NilPolicy::kSkipCycle) continue;
-    observe(scratch[i]);
-    if (kept != i) scratch[kept] = std::move(scratch[i]);
-    ++kept;
-  }
-  if (kept == 0) return;
-  items_pumped_ += kept;
-  note_batch(kept);
-  consume_span(scratch.first(kept));
+  const ItemSpan xs = pull_burst();
+  if (!xs.empty()) consume_span(xs);
 }
 
 ClockedSinkBase::ClockedSinkBase(std::string name, double rate_hz,

@@ -27,17 +27,19 @@
 
 namespace infopipe {
 
-/// Everything that parameterizes a pump in one value (PR 6). The named
+/// Everything that parameterizes a pump in one value. The named
 /// constructors still exist; the spec form is how batch-aware pumps are
 /// declared:
 ///
 ///     FreeRunningPump mover(PumpSpec{.name = "mover", .max_batch = 32});
 ///
-/// `max_batch` bounds how many items one fire may drain through the span
-/// path; 1 (the default) is the classic one-item-per-cycle pump, bit-
-/// identical to every pipeline built before batching existed. Clock-driven
-/// pumps default to 1 deliberately — bursting a clocked pump changes its
-/// rate semantics, so opting in is an explicit per-pump decision.
+/// `max_batch` bounds how many items one fire may move. Every fire goes
+/// through the same span links; 1 (the default) moves one-item spans, the
+/// per-item reference every batched flow is compared against. Per-item
+/// members (consumers, producers, coroutines, tees) take a burst one item
+/// at a time at their own edge. Clock-driven pumps default to 1
+/// deliberately — bursting a clocked pump changes its rate semantics, so
+/// opting in is an explicit per-pump decision.
 struct PumpSpec {
   std::string name;
   double rate_hz = 0.0;  ///< required by clocked/adaptive pumps, else unused
@@ -85,10 +87,8 @@ class Driver : public Component {
   void set_nil_policy(NilPolicy p) noexcept { nil_policy_ = p; }
   [[nodiscard]] NilPolicy nil_policy() const noexcept { return nil_policy_; }
 
-  /// Upper bound on items moved per fire through the batched span path
-  /// (PumpSpec::max_batch). 1 = classic per-item cycling. The effective
-  /// value falls back to 1 when the wiring found no span-capable chain on
-  /// either side.
+  /// Upper bound on items moved per fire (PumpSpec::max_batch); 1 moves
+  /// one item per fire.
   void set_max_batch(std::size_t n) noexcept { max_batch_ = n == 0 ? 1 : n; }
   [[nodiscard]] std::size_t max_batch() const noexcept { return max_batch_; }
 
@@ -110,34 +110,26 @@ class Driver : public Component {
   /// events.
   [[nodiscard]] virtual rt::Time next_fire(rt::Time now) = 0;
 
-  /// Move one item. Implemented by the driver kind (pump / source / sink);
-  /// throws EndOfStream to end the flow.
+  /// One fire: move up to max_batch() items. Implemented by the driver kind
+  /// (pump / source / sink); throws EndOfStream to end the flow.
   virtual void cycle() = 0;
 
   /// Observation hook: every item that passes through. Feedback pumps use
   /// this to measure.
   virtual void observe(const Item& x) { (void)x; }
 
+  /// One-item views of the driver's span links.
   [[nodiscard]] Item pull_prev();
   void push_next(Item x);
-  /// Batched twins: fill `out` from upstream / move a burst downstream.
-  /// Only callable when span_links_wired() — the driver cycle checks.
-  [[nodiscard]] std::size_t pull_prev_span(ItemSpan out);
+
+  /// One fire's upstream burst: pulls up to max_batch() items into the
+  /// driver's scratch, drops nils under kSkipCycle, observe()s and counts
+  /// the rest and records the burst size into core.batch_items. Returns the
+  /// kept items, empty when the fire moved nothing. EndOfStream from the
+  /// pull link propagates — an EOS ends a flow between bursts, never inside
+  /// one.
+  [[nodiscard]] ItemSpan pull_burst();
   void push_next_span(ItemSpan xs);
-  [[nodiscard]] bool has_push_link() const noexcept {
-    return static_cast<bool>(push_link_);
-  }
-
-  /// How many items the next fire may move: max_batch(), clamped to 1 when
-  /// the chain has no span glue.
-  [[nodiscard]] std::size_t effective_batch(bool need_pull,
-                                            bool need_push) const noexcept;
-
-  /// Scratch the batched cycle drains into; sized lazily to max_batch().
-  [[nodiscard]] ItemSpan batch_scratch();
-
-  /// Record one burst's size into the core.batch_items histogram.
-  void note_batch(std::size_t n);
 
   std::uint64_t items_pumped_ = 0;
   std::uint64_t deadline_misses_ = 0;
@@ -150,10 +142,8 @@ class Driver : public Component {
   NilPolicy nil_policy_ = NilPolicy::kSkipCycle;
   rt::Time cost_estimate_ = 0;
   std::size_t max_batch_ = 1;
-  PullFn pull_link_;
-  PushFn push_link_;
-  PullSpanFn pull_span_link_;
-  PushSpanFn push_span_link_;
+  PullSpanFn pull_link_;
+  PushSpanFn push_link_;
   std::vector<Item> batch_;
 };
 
@@ -278,8 +268,8 @@ class ActiveSink : public Driver {
   virtual void consume(Item x) = 0;
   /// Notified when end-of-stream reaches this sink.
   virtual void on_eos() {}
-  /// Batched path: consume a burst of data items (the cycle has already
-  /// applied the nil policy). Default: the per-item adapter.
+  /// Consume one fire's burst (the cycle has already applied the nil
+  /// policy). Default: the per-item adapter.
   virtual void consume_span(ItemSpan xs) {
     for (Item& x : xs) consume(std::move(x));
   }

@@ -267,7 +267,29 @@ void co_deliver(Realization& R, CoroutineRec& rec, Item y) {
 //
 // Translates the Plan into executable glue: direct function calls where the
 // Figure 9 rule allows them, coroutines elsewhere. The builders recurse over
-// the pipeline graph exactly like the planner's walks did.
+// the pipeline graph exactly like the planner's walks did. Every link they
+// build is a span link; a per-item style adapts at its own edge.
+
+namespace {
+
+/// End-of-stream travels as a one-item span of its own.
+bool lone_eos(ItemSpan xs) { return xs.size() == 1 && xs[0].is_eos(); }
+
+/// Turns a span link into the per-item form component code calls (a
+/// one-item span per call).
+PushFn one_item(PushSpanFn link) {
+  return [link = std::move(link)](Item x) { link(ItemSpan(&x, 1)); };
+}
+
+PullFn one_item(PullSpanFn link) {
+  return [link = std::move(link)]() {
+    Item x;
+    (void)link(ItemSpan(&x, 1));
+    return x;
+  };
+}
+
+}  // namespace
 
 class Wiring {
  public:
@@ -287,11 +309,9 @@ class Wiring {
       reg(*d, h, nullptr);
       if (d->out_port_count() > 0) {
         d->push_link_ = build_push(pipe.edge_from(*d, 0), h, nullptr);
-        d->push_span_link_ = build_push_span(pipe.edge_from(*d, 0));
       }
       if (d->in_port_count() > 0) {
         d->pull_link_ = build_pull(pipe.edge_into(*d, 0), h, nullptr);
-        d->pull_span_link_ = build_pull_span(pipe.edge_into(*d, 0));
       }
     }
   }
@@ -306,61 +326,64 @@ class Wiring {
     c.shared_lock_ = lock;
   }
 
+  /// The shared region behind a merge or balancing tee, created empty; the
+  /// caller builds its link.
+  Realization::SharedTail* new_tail(Component& tee, HostContext& h) {
+    R.tails_.push_back(std::make_unique<Realization::SharedTail>());
+    Realization::SharedTail* tail = R.tails_.back().get();
+    tails_by_tee_[&tee] = tail;
+    reg(tee, h, &tail->lock);
+    return tail;
+  }
+
   // ---- push side ------------------------------------------------------------
 
-  PushFn build_push(const Edge* e, HostContext& h, SectionLock* lock) {
+  PushSpanFn build_push(const Edge* e, HostContext& h, SectionLock* lock) {
     Component& c = *e->to;
     Realization* Rp = &R;
     switch (c.style()) {
       case Style::kPassiveSink: {
         auto* s = static_cast<PassiveSink*>(&c);
         reg(c, h, lock);
-        return [s](Item x) {
-          if (x.is_eos()) {
-            s->on_eos();
-            return;
-          }
-          if (x.is_nil()) return;
-          s->consume(std::move(x));
-        };
+        return [s](ItemSpan xs) { s->consume_span(xs); };
       }
       case Style::kBuffer: {
         auto* b = static_cast<Buffer*>(&c);
         reg(c, h, lock);
-        return [b, Rp](Item x) { b->put(std::move(x), Rp->current_host()); };
+        return [b, Rp](ItemSpan xs) { b->put_span(xs, Rp->current_host()); };
       }
       case Style::kFunction: {
         auto* f = static_cast<FunctionComponent*>(&c);
         reg(c, h, lock);
-        PushFn inner = build_push(pipe.edge_from(c, 0), h, lock);
+        PushSpanFn inner = build_push(pipe.edge_from(c, 0), h, lock);
         // The paper's trivial glue: void push(item x){next->push(fct(x));}
-        return [f, inner](Item x) {
-          if (!x.is_data()) {
-            inner(std::move(x));
-            return;
-          }
-          inner(f->convert(std::move(x)));
+        // A lone EOS passes straight on; no filter ever sees one.
+        return [f, inner](ItemSpan xs) {
+          if (!lone_eos(xs)) f->convert_span(xs);
+          inner(xs);
         };
       }
       case Style::kConsumer: {
-        // Push-mode consumer: called directly (Figure 9 a, c, g, h).
+        // Push-mode consumer: called directly (Figure 9 a, c, g, h), one
+        // item at a time; its outputs leave as one-item spans.
         auto* k = static_cast<Consumer*>(&c);
         reg(c, h, lock);
-        k->push_link_ = build_push(pipe.edge_from(c, 0), h, lock);
-        return [k](Item x) {
-          if (x.is_eos()) {
-            k->flush();  // may emit leftovers through push_link_
-            k->push_link_(std::move(x));
-            return;
+        k->push_link_ = one_item(build_push(pipe.edge_from(c, 0), h, lock));
+        return [k](ItemSpan xs) {
+          for (Item& x : xs) {
+            if (x.is_eos()) {
+              k->flush();  // may emit leftovers through push_link_
+              k->push_link_(std::move(x));
+            } else if (!x.is_nil()) {
+              k->push(std::move(x));
+            }
           }
-          if (x.is_nil()) return;
-          k->push(std::move(x));
         };
       }
       case Style::kProducer:
       case Style::kActive:
         // Producer used in push mode, or an active object: coroutine.
-        return make_push_coroutine(c, lock);
+        return make_push_coroutine(c);
       case Style::kTee:
         return build_push_tee(e, h, lock);
       default:
@@ -369,66 +392,59 @@ class Wiring {
     }
   }
 
-  PushFn build_push_tee(const Edge* e, HostContext& h, SectionLock* lock) {
+  PushSpanFn build_push_tee(const Edge* e, HostContext& h, SectionLock* lock) {
     Component& c = *e->to;
     Realization* Rp = &R;
-    if (auto* mc = dynamic_cast<MulticastTee*>(&c)) {
+    if (dynamic_cast<MulticastTee*>(&c) != nullptr ||
+        dynamic_cast<RoutingSwitch*>(&c) != nullptr) {
       reg(c, h, lock);
       std::vector<PushFn> outs;
-      outs.reserve(static_cast<std::size_t>(mc->out_port_count()));
-      for (int port = 0; port < mc->out_port_count(); ++port) {
-        outs.push_back(build_push(pipe.edge_from(c, port), h, lock));
+      outs.reserve(static_cast<std::size_t>(c.out_port_count()));
+      for (int port = 0; port < c.out_port_count(); ++port) {
+        outs.push_back(one_item(build_push(pipe.edge_from(c, port), h, lock)));
       }
-      return [outs](Item x) {
-        for (const PushFn& out : outs) out(x);  // copies share the payload
-      };
-    }
-    if (auto* sw = dynamic_cast<RoutingSwitch*>(&c)) {
-      reg(c, h, lock);
-      std::vector<PushFn> outs;
-      outs.reserve(static_cast<std::size_t>(sw->out_port_count()));
-      for (int port = 0; port < sw->out_port_count(); ++port) {
-        outs.push_back(build_push(pipe.edge_from(c, port), h, lock));
+      // Both fan out item by item, so the branches interleave per item.
+      if (auto* sw = dynamic_cast<RoutingSwitch*>(&c)) {
+        return [sw, outs](ItemSpan xs) {
+          for (Item& x : xs) {
+            if (!x.is_data()) {
+              for (const PushFn& out : outs) out(x);  // EOS/nil fan out
+              continue;
+            }
+            const int i = sw->select(x);
+            if (i < 0 || i >= static_cast<int>(outs.size())) {
+              ++sw->dropped_;
+              x = Item();  // a dropped item dies at its drop
+              continue;
+            }
+            outs[static_cast<std::size_t>(i)](std::move(x));
+          }
+        };
       }
-      return [sw, outs](Item x) {
-        if (!x.is_data()) {
-          for (const PushFn& out : outs) out(x);  // EOS/nil fan out
-          return;
+      return [outs](ItemSpan xs) {
+        for (Item& x : xs) {
+          // Copies share the payload; the last branch takes the original.
+          for (std::size_t i = 0; i < outs.size(); ++i) {
+            outs[i](i + 1 < outs.size() ? Item(x) : std::move(x));
+          }
         }
-        const int i = sw->select(x);
-        if (i < 0 || i >= static_cast<int>(outs.size())) {
-          ++sw->dropped_;
-          return;
-        }
-        outs[static_cast<std::size_t>(i)](std::move(x));
       };
     }
     if (auto* mt = dynamic_cast<MergeTee*>(&c)) {
       // The tail beyond the merge is shared between all pushing sections;
       // build it once and serialize entry.
-      Realization::SharedTail* tail;
-      auto it = tails_by_tee_.find(&c);
-      if (it == tails_by_tee_.end()) {
-        auto owned = std::make_unique<Realization::SharedTail>();
-        tail = owned.get();
-        R.tails_.push_back(std::move(owned));
-        tails_by_tee_[&c] = tail;
-        reg(c, h, &tail->lock);
+      Realization::SharedTail* tail = tails_by_tee_[&c];
+      if (tail == nullptr) {
+        tail = new_tail(c, h);
         tail->push = build_push(pipe.edge_from(c, 0), h, &tail->lock);
-      } else {
-        tail = it->second;
       }
       const int ins = mt->in_port_count();
-      return [mt, tail, Rp, ins](Item x) {
+      return [mt, tail, Rp, ins](ItemSpan xs) {
         HostContext& host = Rp->current_host();
         tail->lock.acquire(host);
         try {
-          if (x.is_eos()) {
-            // Forward EOS only once every input branch has ended.
-            if (++mt->eos_seen_ >= ins) tail->push(std::move(x));
-          } else {
-            tail->push(std::move(x));
-          }
+          // Forward EOS only once every input branch has ended.
+          if (!lone_eos(xs) || ++mt->eos_seen_ >= ins) tail->push(xs);
         } catch (...) {
           tail->lock.release(host);
           throw;
@@ -442,7 +458,7 @@ class Wiring {
 
   // ---- pull side -------------------------------------------------------------
 
-  PullFn build_pull(const Edge* e, HostContext& h, SectionLock* lock) {
+  PullSpanFn build_pull(const Edge* e, HostContext& h, SectionLock* lock) {
     Component& c = *e->from;
     Realization* Rp = &R;
     switch (c.style()) {
@@ -450,47 +466,51 @@ class Wiring {
         auto* s = static_cast<PassiveSource*>(&c);
         reg(c, h, lock);
         auto done = std::make_shared<bool>(false);
-        return [s, done]() -> Item {
+        return [s, done](ItemSpan out) -> std::size_t {
           if (*done) throw EndOfStream{};
-          Item x = s->generate();
-          if (x.is_eos()) {
+          const std::size_t n = s->generate_span(out);
+          if (n == 0 || lone_eos(out.first(n))) {
             *done = true;
             throw EndOfStream{};
           }
-          return x;
+          return n;
         };
       }
       case Style::kBuffer: {
         auto* b = static_cast<Buffer*>(&c);
         reg(c, h, lock);
-        return [b, Rp]() -> Item {
-          Item x = b->take(Rp->current_host());
-          if (x.is_eos()) throw EndOfStream{};
-          return x;  // data or nil (empty buffer, nil policy)
+        return [b, Rp](ItemSpan out) -> std::size_t {
+          const std::size_t n = b->take_span(out, Rp->current_host());
+          if (lone_eos(out.first(n))) throw EndOfStream{};
+          return n;  // data, or one nil (empty buffer, nil policy)
         };
       }
       case Style::kFunction: {
         auto* f = static_cast<FunctionComponent*>(&c);
         reg(c, h, lock);
-        PullFn inner = build_pull(pipe.edge_into(c, 0), h, lock);
+        PullSpanFn inner = build_pull(pipe.edge_into(c, 0), h, lock);
         // item pull() { return fct(prev->pull()); }
-        return [f, inner]() -> Item {
-          Item x = inner();
-          if (!x.is_data()) return x;  // nil passes through untouched
-          return f->convert(std::move(x));
+        return [f, inner](ItemSpan out) -> std::size_t {
+          const std::size_t n = inner(out);
+          f->convert_span(out.first(n));
+          return n;
         };
       }
       case Style::kProducer: {
-        // Pull-mode producer: called directly (Figure 9 a, e, h).
+        // Pull-mode producer: called directly (Figure 9 a, e, h); it
+        // answers a pull with one item.
         auto* p = static_cast<Producer*>(&c);
         reg(c, h, lock);
-        p->pull_link_ = build_pull(pipe.edge_into(c, 0), h, lock);
-        return [p]() -> Item { return p->pull(); };
+        p->pull_link_ = one_item(build_pull(pipe.edge_into(c, 0), h, lock));
+        return [p](ItemSpan out) -> std::size_t {
+          out[0] = p->pull();
+          return 1;
+        };
       }
       case Style::kConsumer:
       case Style::kActive:
         // Consumer used in pull mode, or an active object: coroutine.
-        return make_pull_coroutine(c, lock);
+        return make_pull_coroutine(c);
       case Style::kTee:
         return build_pull_tee(e, h, lock);
       default:
@@ -499,7 +519,7 @@ class Wiring {
     }
   }
 
-  PullFn build_pull_tee(const Edge* e, HostContext& h, SectionLock* lock) {
+  PullSpanFn build_pull_tee(const Edge* e, HostContext& h, SectionLock* lock) {
     Component& c = *e->from;
     Realization* Rp = &R;
     if (auto* ct = dynamic_cast<CombineTee*>(&c)) {
@@ -507,41 +527,39 @@ class Wiring {
       std::vector<PullFn> ins;
       ins.reserve(static_cast<std::size_t>(ct->in_port_count()));
       for (int port = 0; port < ct->in_port_count(); ++port) {
-        ins.push_back(build_pull(pipe.edge_into(c, port), h, lock));
+        ins.push_back(one_item(build_pull(pipe.edge_into(c, port), h, lock)));
       }
-      return [ct, ins]() -> Item {
+      // One pull combines one item from every input.
+      return [ct, ins](ItemSpan out) -> std::size_t {
         std::vector<Item> xs;
         xs.reserve(ins.size());
         for (const PullFn& in : ins) {
           Item x = in();  // EndOfStream from any input ends the combine
-          if (x.is_nil()) return Item::nil();
+          if (x.is_nil()) {
+            out[0] = Item::nil();
+            return 1;
+          }
           xs.push_back(std::move(x));
         }
-        return ct->combine(std::move(xs));
+        out[0] = ct->combine(std::move(xs));
+        return 1;
       };
     }
     if (dynamic_cast<BalancingSwitch*>(&c) != nullptr) {
       // The head upstream of the switch is shared between all pulling
       // sections; build it once and serialize entry.
-      Realization::SharedTail* tail;
-      auto it = tails_by_tee_.find(&c);
-      if (it == tails_by_tee_.end()) {
-        auto owned = std::make_unique<Realization::SharedTail>();
-        tail = owned.get();
-        R.tails_.push_back(std::move(owned));
-        tails_by_tee_[&c] = tail;
-        reg(c, h, &tail->lock);
+      Realization::SharedTail* tail = tails_by_tee_[&c];
+      if (tail == nullptr) {
+        tail = new_tail(c, h);
         tail->pull = build_pull(pipe.edge_into(c, 0), h, &tail->lock);
-      } else {
-        tail = it->second;
       }
-      return [tail, Rp]() -> Item {
+      return [tail, Rp](ItemSpan out) -> std::size_t {
         HostContext& host = Rp->current_host();
         tail->lock.acquire(host);
         try {
-          Item x = tail->pull();
+          const std::size_t n = tail->pull(out);
           tail->lock.release(host);
-          return x;
+          return n;
         } catch (...) {
           tail->lock.release(host);
           throw;
@@ -552,81 +570,6 @@ class Wiring {
     return {};
   }
 
-  // ---- span glue (PR 6) -------------------------------------------------------
-  //
-  // Built AFTER the per-item builders, which did all the registration and
-  // coroutine spawning; these walks are pure and return an empty function
-  // for any chain containing a member with no native span path (coroutines,
-  // tees, push-mode consumers, pull-mode producers). The driver then simply
-  // never uses the span path on that side — batching degrades to the
-  // per-item glue, it never partially applies.
-
-  PushSpanFn build_push_span(const Edge* e) {
-    Component& c = *e->to;
-    Realization* Rp = &R;
-    switch (c.style()) {
-      case Style::kPassiveSink: {
-        auto* s = static_cast<PassiveSink*>(&c);
-        return [s](ItemSpan xs) { s->consume_span(xs); };
-      }
-      case Style::kBuffer: {
-        auto* b = static_cast<Buffer*>(&c);
-        return [b, Rp](ItemSpan xs) { b->put_span(xs, Rp->current_host()); };
-      }
-      case Style::kFunction: {
-        auto* f = static_cast<FunctionComponent*>(&c);
-        PushSpanFn inner = build_push_span(pipe.edge_from(c, 0));
-        if (!inner) return {};
-        return [f, inner](ItemSpan xs) {
-          f->convert_span(xs);
-          inner(xs);
-        };
-      }
-      default:
-        return {};
-    }
-  }
-
-  PullSpanFn build_pull_span(const Edge* e) {
-    Component& c = *e->from;
-    Realization* Rp = &R;
-    switch (c.style()) {
-      case Style::kPassiveSource: {
-        auto* s = static_cast<PassiveSource*>(&c);
-        auto done = std::make_shared<bool>(false);
-        return [s, done](ItemSpan out) -> std::size_t {
-          if (*done) throw EndOfStream{};
-          const std::size_t n = s->generate_span(out);
-          if (n == 0 || (n == 1 && out[0].is_eos())) {
-            *done = true;
-            throw EndOfStream{};
-          }
-          return n;
-        };
-      }
-      case Style::kBuffer: {
-        auto* b = static_cast<Buffer*>(&c);
-        return [b, Rp](ItemSpan out) -> std::size_t {
-          const std::size_t n = b->take_span(out, Rp->current_host());
-          if (n == 1 && out[0].is_eos()) throw EndOfStream{};
-          return n;
-        };
-      }
-      case Style::kFunction: {
-        auto* f = static_cast<FunctionComponent*>(&c);
-        PullSpanFn inner = build_pull_span(pipe.edge_into(c, 0));
-        if (!inner) return {};
-        return [f, inner](ItemSpan out) -> std::size_t {
-          const std::size_t n = inner(out);
-          f->convert_span(out.first(n));
-          return n;
-        };
-      }
-      default:
-        return {};
-    }
-  }
-
   // ---- coroutine creation (the Figure 7 wrappers) ------------------------------
 
   struct SpawnedCoroutine {
@@ -634,7 +577,7 @@ class Wiring {
     HostContext* host;
   };
 
-  SpawnedCoroutine spawn_coroutine(Component& c, SectionLock* lock) {
+  SpawnedCoroutine spawn_coroutine(Component& c) {
     auto owned = std::make_unique<CoroutineRec>();
     CoroutineRec* rec = owned.get();
     rec->comp = &c;
@@ -652,17 +595,18 @@ class Wiring {
     // thread, serialized with its data processing by construction — no lock
     // needed even inside a shared region.
     reg(c, ch, nullptr);
-    (void)lock;
     return SpawnedCoroutine{rec, &ch};
   }
 
   /// Producer or active object used in push mode: inputs arrive over the
-  /// channel, outputs continue down the chain on the coroutine's thread.
-  PushFn make_push_coroutine(Component& c, SectionLock* lock) {
-    SpawnedCoroutine sc = spawn_coroutine(c, lock);
+  /// channel one item at a time, outputs continue down the chain on the
+  /// coroutine's thread as one-item spans.
+  PushSpanFn make_push_coroutine(Component& c) {
+    SpawnedCoroutine sc = spawn_coroutine(c);
     CoroutineRec* rec = sc.rec;
     Realization* Rp = &R;
-    PushFn inner = build_push(pipe.edge_from(c, 0), *sc.host, nullptr);
+    PushFn inner =
+        one_item(build_push(pipe.edge_from(c, 0), *sc.host, nullptr));
 
     if (auto* a = dynamic_cast<ActiveComponent*>(&c)) {
       a->pull_link_ = [Rp, rec]() { return co_get_input(*Rp, *rec); };
@@ -699,21 +643,25 @@ class Wiring {
 
     const rt::ThreadId tid = rec->tid;
     auto done = std::make_shared<bool>(false);
-    return [Rp, tid, done](Item x) {
-      if (*done) return;
-      const bool eos = x.is_eos();
-      channel_push(*Rp, tid, std::move(x));
-      if (eos) *done = true;
+    return [Rp, tid, done](ItemSpan xs) {
+      for (Item& x : xs) {
+        if (*done) return;
+        const bool eos = x.is_eos();
+        channel_push(*Rp, tid, std::move(x));
+        if (eos) *done = true;
+      }
     };
   }
 
   /// Consumer or active object used in pull mode: pulls propagate upstream
-  /// on the coroutine's thread, outputs are delivered over the channel.
-  PullFn make_pull_coroutine(Component& c, SectionLock* lock) {
-    SpawnedCoroutine sc = spawn_coroutine(c, lock);
+  /// on the coroutine's thread, outputs are delivered over the channel one
+  /// item per pull.
+  PullSpanFn make_pull_coroutine(Component& c) {
+    SpawnedCoroutine sc = spawn_coroutine(c);
     CoroutineRec* rec = sc.rec;
     Realization* Rp = &R;
-    PullFn upstream = build_pull(pipe.edge_into(c, 0), *sc.host, nullptr);
+    PullFn upstream =
+        one_item(build_pull(pipe.edge_into(c, 0), *sc.host, nullptr));
 
     if (auto* a = dynamic_cast<ActiveComponent*>(&c)) {
       a->pull_link_ = upstream;
@@ -761,14 +709,15 @@ class Wiring {
 
     const rt::ThreadId tid = rec->tid;
     auto done = std::make_shared<bool>(false);
-    return [Rp, tid, done]() -> Item {
+    return [Rp, tid, done](ItemSpan out) -> std::size_t {
       if (*done) throw EndOfStream{};
       Item x = channel_pull(*Rp, tid);
       if (x.is_eos()) {
         *done = true;
         throw EndOfStream{};
       }
-      return x;
+      out[0] = std::move(x);
+      return 1;
     };
   }
 
@@ -859,8 +808,6 @@ void Realization::unbind_components() {
     } else if (auto* d = dynamic_cast<Driver*>(c)) {
       d->pull_link_ = {};
       d->push_link_ = {};
-      d->pull_span_link_ = {};
-      d->push_span_link_ = {};
     }
   }
 }
@@ -1051,7 +998,7 @@ void Realization::run_driver(HostContext& h, Driver& d) {
       d.cycle();
     } catch (EndOfStream&) {
       try {
-        if (d.has_push_link()) d.push_link_(Item::eos());
+        if (d.push_link_) d.push_next(Item::eos());
       } catch (StopFlow&) {
       }
       if (auto* s = dynamic_cast<ActiveSink*>(&d)) s->on_eos();

@@ -271,7 +271,7 @@ class Realization : public RealizationHandle {
     obs::Counter* control_dispatched = nullptr;    ///< core.control_dispatched
     obs::Counter* control_while_blocked = nullptr; ///< core.control_while_blocked
     obs::Counter* driver_cycles = nullptr;     ///< core.driver_cycles
-    obs::Histogram* batch_items = nullptr;     ///< core.batch_items (span bursts)
+    obs::Histogram* batch_items = nullptr;     ///< core.batch_items (per fire)
   };
   [[nodiscard]] ObsHooks& obs_hooks() noexcept { return obs_; }
 
@@ -282,8 +282,8 @@ class Realization : public RealizationHandle {
   /// Shared downstream/upstream region behind a merge/balancing tee.
   struct SharedTail {
     SectionLock lock;
-    PushFn push;  ///< set for merge tails
-    PullFn pull;  ///< set for balancing heads
+    PushSpanFn push;  ///< set for merge tails
+    PullSpanFn pull;  ///< set for balancing heads
   };
 
   HostContext& new_host(rt::ThreadId tid);

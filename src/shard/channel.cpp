@@ -180,6 +180,8 @@ void ChannelSink::consume_span(ItemSpan xs) {
       // Ring full: ONE policy decision for the whole remainder of the run.
       if (ch.full_policy() == FullPolicy::kDropNewest) {
         ch.count_drops(run.size() - done);
+        // The dropped items die here, not in the caller's span.
+        for (Item& x : run.subspan(done)) x = Item();
         IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kDrop, name().c_str(),
                      0, static_cast<std::int64_t>(ch.depth()));
         break;

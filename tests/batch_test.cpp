@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <random>
 #include <vector>
@@ -73,30 +75,274 @@ struct FlowResult {
   bool eos = false;
 };
 
+/// Keeps the first of two items: the pairing rule of the defragmenters
+/// below, so a pair (a, b) arrives as a's seq.
+Item first_of_pair(Item a, Item b) {
+  (void)b;
+  return a;
+}
+
+/// Routes seq % 3 == 0 to port 0, 1 to port 1, and drops the rest (an
+/// out-of-range port).
+class Mod3Switch : public RoutingSwitch {
+ public:
+  Mod3Switch() : RoutingSwitch("mod3", 2) {}
+
+ protected:
+  int select(const Item& x) override { return static_cast<int>(x.seq % 3); }
+};
+
+/// Combines one item from each input into one whose seq is their sum.
+class SeqSum : public CombineTee {
+ public:
+  SeqSum() : CombineTee("sum", 2) {}
+
+ protected:
+  Item combine(std::vector<Item> xs) override {
+    xs[0].seq += xs[1].seq;
+    return std::move(xs[0]);
+  }
+};
+
+/// One chain shape of the differential test. `run` realizes the shape in
+/// `rtm` with its pumps batched or at max_batch = 1 and returns what the
+/// sinks saw, concatenated sink by sink; `want` is the same sequence
+/// computed from the source and the components' own rules.
+struct Shape {
+  const char* name;
+  std::function<FlowResult(rt::Runtime&, bool batched)> run;
+  std::vector<std::uint64_t> want;
+};
+
+std::vector<std::uint64_t> seqs_where(
+    std::uint64_t n, const std::function<bool(std::uint64_t)>& keep) {
+  std::vector<std::uint64_t> v;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    if (keep(i)) v.push_back(i);
+  }
+  return v;
+}
+
+std::vector<std::uint64_t> concat(std::vector<std::uint64_t> a,
+                                  const std::vector<std::uint64_t>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+FlowResult run_chain(rt::Runtime& rtm, const Pipeline& p,
+                     const std::vector<const CollectorSink*>& sinks) {
+  Realization real(rtm, p);
+  real.start();
+  rtm.run();
+  FlowResult r{{}, true};
+  for (const CollectorSink* s : sinks) {
+    r.seqs = concat(std::move(r.seqs), s->seqs());
+    r.eos = r.eos && s->eos_seen();
+  }
+  return r;
+}
+
+std::vector<Shape> shapes() {
+  constexpr std::uint64_t kN = 300;
+  const auto all = [](std::uint64_t) { return true; };
+  std::vector<Shape> v;
+  v.push_back({"buffered",
+               [](rt::Runtime& rtm, bool batched) {
+                 CountingSource src("src", 500);
+                 FreeRunningPump pump(PumpSpec{
+                     .name = "pump", .max_batch = batch_of(batched, 16)});
+                 Buffer buf("buf", 32);
+                 ClockedPump drain(PumpSpec{.name = "drain",
+                                            .rate_hz = 500.0,
+                                            .max_batch = batch_of(batched, 8)});
+                 CollectorSink sink("sink");
+                 auto ch = src >> pump >> buf >> drain >> sink;
+                 return run_chain(rtm, ch.pipeline(), {&sink});
+               },
+               seqs_where(500, all)});
+  // A push-mode Consumer emitting 0, 1 or 2 items per input.
+  v.push_back({"consumer",
+               [](rt::Runtime& rtm, bool batched) {
+                 CountingSource src("src", kN);
+                 FreeRunningPump pump(PumpSpec{
+                     .name = "pump", .max_batch = batch_of(batched, 16)});
+                 LambdaConsumer fan("fan", [](Item x, const auto& emit) {
+                   const std::uint64_t copies = x.seq % 3;
+                   for (std::uint64_t i = 0; i < copies; ++i) emit(x);
+                 });
+                 CollectorSink sink("sink");
+                 auto ch = src >> pump >> fan >> sink;
+                 return run_chain(rtm, ch.pipeline(), {&sink});
+               },
+               [] {
+                 std::vector<std::uint64_t> w;
+                 for (std::uint64_t i = 0; i < kN; ++i) {
+                   for (std::uint64_t c = 0; c < i % 3; ++c) w.push_back(i);
+                 }
+                 return w;
+               }()});
+  // Figure 9e: consumer | pump | producer, both coroutines. A coroutine
+  // answers a pull with one item, so the bursts come from the feeder.
+  v.push_back({"figure9e",
+               [](rt::Runtime& rtm, bool batched) {
+                 CountingSource src("src", 4 * kN);
+                 FreeRunningPump feed(PumpSpec{
+                     .name = "feed", .max_batch = batch_of(batched, 16)});
+                 Buffer buf("buf", 64);
+                 DefragmenterConsumer consumer("consumer", first_of_pair);
+                 FreeRunningPump pump(PumpSpec{
+                     .name = "pump", .max_batch = batch_of(batched, 8)});
+                 DefragmenterProducer producer("producer", first_of_pair);
+                 CollectorSink sink("sink");
+                 auto ch =
+                     src >> feed >> buf >> consumer >> pump >> producer >> sink;
+                 return run_chain(rtm, ch.pipeline(), {&sink});
+               },
+               seqs_where(4 * kN, [](std::uint64_t i) { return i % 4 == 0; })});
+  // An active object in push mode: a coroutine fed one item at a time.
+  v.push_back({"active",
+               [](rt::Runtime& rtm, bool batched) {
+                 CountingSource src("src", kN);
+                 FreeRunningPump pump(PumpSpec{
+                     .name = "pump", .max_batch = batch_of(batched, 16)});
+                 DefragmenterActive active("active", first_of_pair);
+                 CollectorSink sink("sink");
+                 auto ch = src >> pump >> active >> sink;
+                 return run_chain(rtm, ch.pipeline(), {&sink});
+               },
+               seqs_where(kN, [](std::uint64_t i) { return i % 2 == 0; })});
+  v.push_back({"multicast",
+               [](rt::Runtime& rtm, bool batched) {
+                 CountingSource src("src", kN);
+                 FreeRunningPump pump(PumpSpec{
+                     .name = "pump", .max_batch = batch_of(batched, 16)});
+                 MulticastTee tee("tee", 2);
+                 CollectorSink a("a");
+                 CollectorSink b("b");
+                 Pipeline p;
+                 p.connect(src, 0, pump, 0);
+                 p.connect(pump, 0, tee, 0);
+                 p.connect(tee, 0, a, 0);
+                 p.connect(tee, 1, b, 0);
+                 return run_chain(rtm, p, {&a, &b});
+               },
+               concat(seqs_where(kN, all), seqs_where(kN, all))});
+  v.push_back({"routing",
+               [](rt::Runtime& rtm, bool batched) {
+                 CountingSource src("src", kN);
+                 FreeRunningPump pump(PumpSpec{
+                     .name = "pump", .max_batch = batch_of(batched, 16)});
+                 Mod3Switch sw;
+                 CollectorSink a("a");
+                 CollectorSink b("b");
+                 Pipeline p;
+                 p.connect(src, 0, pump, 0);
+                 p.connect(pump, 0, sw, 0);
+                 p.connect(sw, 0, a, 0);
+                 p.connect(sw, 1, b, 0);
+                 return run_chain(rtm, p, {&a, &b});
+               },
+               concat(seqs_where(kN, [](auto i) { return i % 3 == 0; }),
+                      seqs_where(kN, [](auto i) { return i % 3 == 1; }))});
+  std::vector<std::uint64_t> shifted;
+  for (std::uint64_t i = 0; i < kN; ++i) shifted.push_back(1000 + i);
+  // Two pumps into one merge: the arrival interleaving follows the burst
+  // size, the order within each input does not. The second input is
+  // shifted by 1000 and the result split back per input.
+  v.push_back({"merge",
+               [](rt::Runtime& rtm, bool batched) {
+                 CountingSource s1("s1", kN);
+                 CountingSource s2("s2", kN);
+                 FreeRunningPump p1(PumpSpec{
+                     .name = "p1", .max_batch = batch_of(batched, 16)});
+                 FreeRunningPump p2(PumpSpec{
+                     .name = "p2", .max_batch = batch_of(batched, 16)});
+                 LambdaFunction shift("shift", [](Item x) {
+                   x.seq += 1000;
+                   return x;
+                 });
+                 MergeTee merge("merge", 2);
+                 CollectorSink sink("sink");
+                 Pipeline p;
+                 p.connect(s1, 0, p1, 0);
+                 p.connect(s2, 0, p2, 0);
+                 p.connect(p1, 0, merge, 0);
+                 p.connect(p2, 0, shift, 0);
+                 p.connect(shift, 0, merge, 1);
+                 p.connect(merge, 0, sink, 0);
+                 FlowResult r = run_chain(rtm, p, {&sink});
+                 std::stable_sort(r.seqs.begin(), r.seqs.end(),
+                                  [](std::uint64_t x, std::uint64_t y) {
+                                    return x < 1000 && y >= 1000;
+                                  });
+                 return r;
+               },
+               concat(seqs_where(kN, all), shifted)});
+  // A combine answers a pull with one item, so the bursts come from the
+  // drain behind the buffer.
+  v.push_back({"combine",
+               [](rt::Runtime& rtm, bool batched) {
+                 CountingSource s1("s1", kN);
+                 CountingSource s2("s2", kN);
+                 SeqSum sum;
+                 FreeRunningPump pump(PumpSpec{
+                     .name = "pump", .max_batch = batch_of(batched, 16)});
+                 Buffer buf("buf", 64);
+                 FreeRunningPump drain(PumpSpec{
+                     .name = "drain", .max_batch = batch_of(batched, 8)});
+                 CollectorSink sink("sink");
+                 Pipeline p;
+                 p.connect(s1, 0, sum, 0);
+                 p.connect(s2, 0, sum, 1);
+                 p.connect(sum, 0, pump, 0);
+                 p.connect(pump, 0, buf, 0);
+                 p.connect(buf, 0, drain, 0);
+                 p.connect(drain, 0, sink, 0);
+                 return run_chain(rtm, p, {&sink});
+               },
+               seqs_where(2 * kN, [](auto i) { return i % 2 == 0; })});
+  // Two pullers share one source: who gets which item follows the burst
+  // size, so the union of what they received is compared.
+  v.push_back({"balancing",
+               [](rt::Runtime& rtm, bool batched) {
+                 CountingSource src("src", kN);
+                 BalancingSwitch sw("sw", 2);
+                 FreeRunningPump p1(PumpSpec{
+                     .name = "p1", .max_batch = batch_of(batched, 16)});
+                 FreeRunningPump p2(PumpSpec{
+                     .name = "p2", .max_batch = batch_of(batched, 16)});
+                 CollectorSink a("a");
+                 CollectorSink b("b");
+                 Pipeline p;
+                 p.connect(src, 0, sw, 0);
+                 p.connect(sw, 0, p1, 0);
+                 p.connect(sw, 1, p2, 0);
+                 p.connect(p1, 0, a, 0);
+                 p.connect(p2, 0, b, 0);
+                 FlowResult r = run_chain(rtm, p, {&a, &b});
+                 std::sort(r.seqs.begin(), r.seqs.end());
+                 return r;
+               },
+               seqs_where(kN, all)});
+  return v;
+}
+
 TEST(Batch, BatchedAndPerItemFlowsAreBitIdentical) {
-  auto run = [](bool batched) {
-    rt::Runtime rtm;
-    CountingSource src("src", 500);
-    FreeRunningPump pump(
-        PumpSpec{.name = "pump", .max_batch = batch_of(batched, 16)});
-    Buffer buf("buf", 32);
-    ClockedPump drain(PumpSpec{
-        .name = "drain", .rate_hz = 500.0, .max_batch = batch_of(batched, 8)});
-    CollectorSink sink("sink");
-    auto ch = src >> pump >> buf >> drain >> sink;
-    Realization real(rtm, ch.pipeline());
-    real.start();
-    rtm.run();
-    return FlowResult{sink.seqs(), sink.eos_seen()};
-  };
-  const FlowResult on = run(true);
-  const FlowResult off = run(false);
-  ASSERT_EQ(on.seqs.size(), 500u);
-  for (std::uint64_t i = 0; i < 500; ++i) ASSERT_EQ(on.seqs[i], i);
-  // max_batch = 1 is the whole per-item path, not a tuned-down batch.
-  EXPECT_EQ(on.seqs, off.seqs);
-  EXPECT_TRUE(on.eos);
-  EXPECT_TRUE(off.eos);
+  for (const Shape& shape : shapes()) {
+    SCOPED_TRACE(shape.name);
+    rt::Runtime on_rt;
+    const FlowResult on = shape.run(on_rt, true);
+    rt::Runtime off_rt;
+    const FlowResult off = shape.run(off_rt, false);
+    EXPECT_EQ(on.seqs, shape.want);
+    // max_batch = 1 is the whole per-item path, not a tuned-down batch.
+    EXPECT_EQ(on.seqs, off.seqs);
+    EXPECT_TRUE(on.eos);
+    EXPECT_TRUE(off.eos);
+    // The batched run really moved bursts of more than one item, whatever
+    // the styles of the chain's members.
+    EXPECT_GT(on_rt.metrics().histogram("core.batch_items").max(), 1);
+  }
 }
 
 TEST(Batch, DropOldestEvictsSpanPrefixBurstWise) {
@@ -121,6 +367,84 @@ TEST(Batch, DropOldestEvictsSpanPrefixBurstWise) {
   EXPECT_EQ(buf.stats().drops, 56u);
 }
 
+/// A pooled payload (too large to live inline) that counts its live
+/// instances.
+struct Tracked {
+  static inline int live = 0;
+  std::array<char, 200> pad{};
+  Tracked() { ++live; }
+  Tracked(const Tracked& o) : pad(o.pad) { ++live; }
+  Tracked(Tracked&& o) noexcept : pad(o.pad) { ++live; }
+  Tracked& operator=(const Tracked&) = default;
+  ~Tracked() { --live; }
+};
+
+/// Passive source of `count` Tracked payloads, then end-of-stream.
+class TrackedSource : public PassiveSource {
+ public:
+  TrackedSource(std::string name, std::uint64_t count)
+      : PassiveSource(std::move(name)), count_(count) {}
+
+ protected:
+  Item generate() override {
+    if (next_ == count_) return Item::eos();
+    Item x = Item::of(Tracked{});
+    x.seq = next_++;
+    return x;
+  }
+
+ private:
+  std::uint64_t count_;
+  std::uint64_t next_ = 0;
+};
+
+/// Payloads still alive once a 64-item burst has met a full Buffer(8) under
+/// `full` and the flow has been torn down. Only the 8 queued items survive
+/// the drop, and the drain delivers them.
+int live_after_buffer_drop(FullPolicy full) {
+  rt::Runtime rtm;
+  TrackedSource src("src", 64);
+  ClockedPump fill(PumpSpec{.name = "fill", .rate_hz = 1.0, .max_batch = 64});
+  Buffer buf("buf", 8, full, EmptyPolicy::kNil);
+  ClockedPump drain("drain", 1000.0);
+  CountingSink sink("sink");
+  auto ch = src >> fill >> buf >> drain >> sink;
+  {
+    Realization real(rtm, ch.pipeline());
+    real.start();
+    rtm.run_until(rt::milliseconds(500));
+    real.shutdown();
+    rtm.run();
+  }
+  EXPECT_EQ(sink.count(), 8u);
+  EXPECT_EQ(buf.stats().drops, 56u);
+  return Tracked::live;
+}
+
+TEST(Batch, DroppedItemsDieAtTheirDrop) {
+  // A dropped item is released at the drop decision, as a dropped one-item
+  // put releases it, not kept alive by the pump's burst scratch.
+  EXPECT_EQ(live_after_buffer_drop(FullPolicy::kDropNewest), 0);
+  EXPECT_EQ(live_after_buffer_drop(FullPolicy::kDropOldest), 0);
+
+  // The same for a full shard channel under kDropNewest: only the 8 items
+  // in its ring stay alive.
+  rt::Runtime rtm;
+  shard::ShardChannel chan("cut", 8, FullPolicy::kDropNewest);
+  TrackedSource src("src", 64);
+  FreeRunningPump fill(PumpSpec{.name = "fill", .max_batch = 64});
+  shard::ChannelSink tx(chan);
+  auto ch = src >> fill >> tx;
+  {
+    Realization real(rtm, ch.pipeline());
+    real.start();
+    rtm.run();
+  }
+  EXPECT_EQ(chan.depth(), 8u);
+  EXPECT_EQ(chan.stats().flow.drops, 56u);
+  EXPECT_EQ(Tracked::live, 8);
+}
+
 TEST(Batch, EosArrivesOnlyAtBurstBoundaries) {
   rt::Runtime rtm;
   CountingSource src("src", 10);  // deliberately not a multiple of max_batch
@@ -130,8 +454,9 @@ TEST(Batch, EosArrivesOnlyAtBurstBoundaries) {
   Realization real(rtm, ch.pipeline());
   real.start();
   rtm.run();
-  // The final short burst carries data only; EOS follows as its own
-  // per-item push on the next fire (a span never mixes data and specials).
+  // The final short burst carries data only; EOS follows as a one-item
+  // span of its own on the next fire (a span never mixes data and
+  // specials).
   ASSERT_EQ(sink.count(), 10u);
   for (std::uint64_t i = 0; i < 10; ++i) EXPECT_EQ(sink.seqs()[i], i);
   EXPECT_TRUE(sink.eos_seen());
@@ -335,6 +660,9 @@ TEST(Batch, BatchFilterAndPerItemFilterComposeIdentically) {
     for (const CollectorSink::Arrival& a : sink.arrivals()) {
       EXPECT_EQ(a.item.kind, 7);
     }
+    // One burst per data fire (300 items in bursts of 32, or one by one):
+    // the lone EOS passes the filter without a convert_span call.
+    EXPECT_EQ(tag.bursts(), batched ? 10u : 300u);
     return r;
   };
   const FlowResult on = run(true);
