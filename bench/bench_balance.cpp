@@ -3,12 +3,19 @@
 // Two questions a deployer asks before turning the rebalancer on:
 //
 //  1. What does the accounting cost while nothing is wrong?
-//     BM_SteadyStateBaseline vs BM_SteadyStateWithAccountant run the same
-//     2-shard spin-work flow; the second also runs an autonomous
+//     BM_SteadyStateAccountantPair runs the same 2-shard spin-work flow
+//     twice per iteration: once plain, and once beside an autonomous
 //     Rebalancer whose replan threshold (min_imbalance) is set high enough
-//     that it only ever samples (no migrations). The delta is the
-//     steady-state tax of LoadAccountant::sample() firing at the default
-//     period, and the acceptance bar is < 3% of baseline throughput.
+//     that it only ever samples (no migrations). The two alternate which
+//     goes first, within one process, so drift on a shared host hits both
+//     alike. Each flow runs kSteadyItems items, long enough (about 2.5 s)
+//     for at least kMinSamples samples at the default 200 ms period; a
+//     pair whose accountant sampled fewer times is rejected, since its
+//     delta would be launch/stop cost, not sampling. overhead_pct is the
+//     pair's accountant-vs-baseline delta, the steady-state tax of
+//     LoadAccountant::sample() firing at the default period; the
+//     acceptance bar is < 3% of baseline time. Read it over repetitions
+//     (scripts/bench_balance.py reports the median and spread).
 //
 //  2. How quickly does a skewed placement recover?
 //     BM_SkewRecovery builds a deterministic manual-mode group, piles
@@ -49,6 +56,10 @@ using namespace infopipe;
 
 constexpr std::uint64_t kItems = 2000;
 constexpr int kSpins = 2000;
+/// Steady-state flow length: about 2.5 s on a 4-vCPU host, so the default
+/// 200 ms accountant period samples more than kMinSamples times.
+constexpr std::uint64_t kSteadyItems = 350'000;
+constexpr double kMinSamples = 10;
 
 /// CPU-bound stage, heavy enough that compute (not scheduling or
 /// accounting bookkeeping) dominates a section's cost.
@@ -70,19 +81,7 @@ class SpinWork : public FunctionComponent {
 /// Three sections separated by two passive buffers — enough sections that
 /// a 2-shard group has something to move.
 struct ThreeStageChain {
-  CountingSource src{"src", kItems};
-  FreeRunningPump p1{"p1"};
-  SpinWork w1{"w1"};
-  Buffer b1{"b1", 64};
-  FreeRunningPump p2{"p2"};
-  SpinWork w2{"w2"};
-  Buffer b2{"b2", 64};
-  FreeRunningPump p3{"p3"};
-  SpinWork w3{"w3"};
-  CountingSink sink{"sink"};
-  Pipeline pipe;
-
-  ThreeStageChain() {
+  explicit ThreeStageChain(std::uint64_t items = kItems) : src{"src", items} {
     pipe.connect(src, 0, p1, 0);
     pipe.connect(p1, 0, w1, 0);
     pipe.connect(w1, 0, b1, 0);
@@ -93,57 +92,89 @@ struct ThreeStageChain {
     pipe.connect(p3, 0, w3, 0);
     pipe.connect(w3, 0, sink, 0);
   }
+
+  CountingSource src;
+  FreeRunningPump p1{"p1"};
+  SpinWork w1{"w1"};
+  Buffer b1{"b1", 64};
+  FreeRunningPump p2{"p2"};
+  SpinWork w2{"w2"};
+  Buffer b2{"b2", 64};
+  FreeRunningPump p3{"p3"};
+  SpinWork w3{"w3"};
+  CountingSink sink{"sink"};
+  Pipeline pipe;
 };
 
-void run_steady_state(benchmark::State& state, bool with_accountant) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    ThreeStageChain c;
-    shard::ShardGroup group(2);
-    shard::ShardedRealization real(group, c.pipe);
-    std::unique_ptr<balance::Rebalancer> rb;
-    if (with_accountant) {
-      balance::Rebalancer::Options opt;
-      // Sample at the default cadence but never act: a threshold above
-      // 1.0 is unreachable, so this measures pure accounting cost.
-      opt.min_imbalance = 2.0;
-      rb = std::make_unique<balance::Rebalancer>(real, opt);
+/// One steady-state flow of kSteadyItems items; returns its wall time in ms
+/// (start to finish), or a negative value if it lost items. With an
+/// accountant, `samples` receives how many times it sampled.
+double steady_flow_ms(bool with_accountant, double& samples) {
+  ThreeStageChain c(kSteadyItems);
+  shard::ShardGroup group(2);
+  shard::ShardedRealization real(group, c.pipe);
+  std::unique_ptr<balance::Rebalancer> rb;
+  if (with_accountant) {
+    balance::Rebalancer::Options opt;
+    // Sample at the default cadence but never act: a threshold above 1.0
+    // is unreachable, so this measures pure accounting cost.
+    opt.min_imbalance = 2.0;
+    rb = std::make_unique<balance::Rebalancer>(real, opt);
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  real.start();
+  if (rb) rb->launch();
+  real.wait_finished(std::chrono::seconds(120));
+  const auto t1 = std::chrono::steady_clock::now();
+  if (rb) rb->stop();
+  if (c.sink.count() != kSteadyItems) return -1.0;
+  const std::string label = with_accountant
+                                ? "BM_SteadyStateAccountantPair/accountant"
+                                : "BM_SteadyStateAccountantPair/baseline";
+  if (obsbench::enabled()) {
+    obsbench::captured()[label] = real.metrics_snapshot().to_json();
+  }
+  if (rb) {
+    const obs::MetricsSnapshot ms = rb->metrics_snapshot();
+    const obs::MetricValue* steps = ms.find("balance.steps");
+    samples = steps == nullptr ? 0.0 : static_cast<double>(steps->count);
+    if (obsbench::enabled()) {
+      obsbench::captured()["BM_SteadyStateAccountantPair/rebalancer"] =
+          ms.to_json();
     }
-    real.start();
-    if (rb) rb->launch();
-    state.ResumeTiming();
-    real.wait_finished(std::chrono::seconds(120));
-    state.PauseTiming();
-    if (rb) rb->stop();
-    if (c.sink.count() != kItems) {
+  }
+  return std::chrono::duration<double, std::milli>(t1 - t0).count();
+}
+
+void BM_SteadyStateAccountantPair(benchmark::State& state) {
+  static int pair = 0;  // alternates the order across repetitions
+  for (auto _ : state) {
+    const bool accountant_first = (pair++ % 2) == 1;
+    double samples = 0.0;
+    double base_ms = 0.0;
+    double acct_ms = 0.0;
+    for (const bool acct : {accountant_first, !accountant_first}) {
+      (acct ? acct_ms : base_ms) = steady_flow_ms(acct, samples);
+    }
+    if (base_ms < 0.0 || acct_ms < 0.0) {
       state.SkipWithError("steady-state run lost items");
       return;
     }
-    if (obsbench::enabled()) {
-      const std::string label = with_accountant ? "BM_SteadyStateWithAccountant"
-                                                : "BM_SteadyStateBaseline";
-      obsbench::captured()[label] = real.metrics_snapshot().to_json();
-      if (rb) {
-        obsbench::captured()[label + "/rebalancer"] =
-            rb->metrics_snapshot().to_json();
-      }
+    if (samples < kMinSamples) {
+      state.SkipWithError("accountant sampled fewer than 10 times");
+      return;
     }
-    state.SetItemsProcessed(state.items_processed() +
-                            static_cast<std::int64_t>(kItems));
-    state.ResumeTiming();
+    state.counters["baseline_ms"] = base_ms;
+    state.counters["accountant_ms"] = acct_ms;
+    state.counters["overhead_pct"] = 100.0 * (acct_ms - base_ms) / base_ms;
+    state.counters["samples"] = samples;
+    state.SetIterationTime((base_ms + acct_ms) / 1e3);
+    state.SetItemsProcessed(static_cast<std::int64_t>(2 * kSteadyItems));
   }
 }
-
-void BM_SteadyStateBaseline(benchmark::State& state) {
-  run_steady_state(state, false);
-}
-BENCHMARK(BM_SteadyStateBaseline)->UseRealTime()->Unit(benchmark::kMillisecond);
-
-void BM_SteadyStateWithAccountant(benchmark::State& state) {
-  run_steady_state(state, true);
-}
-BENCHMARK(BM_SteadyStateWithAccountant)
-    ->UseRealTime()
+BENCHMARK(BM_SteadyStateAccountantPair)
+    ->Iterations(1)
+    ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
 /// Clock-paced variant for the deterministic manual-mode scenario: with

@@ -28,14 +28,33 @@ obs::Histogram* Buffer::block_hist(HostContext& host) {
   return obs_block_ns_;
 }
 
-void Buffer::notify_one(std::vector<rt::ThreadId>& waiters,
-                        HostContext& host) {
+void Buffer::Ring::grow() {
+  std::vector<Item> bigger(slots_.empty() ? 4 : 2 * slots_.size());
+  for (std::size_t i = 0; i < n_; ++i) {
+    bigger[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+  }
+  slots_.swap(bigger);
+  head_ = 0;
+}
+
+void Buffer::notify_one(std::vector<rt::ThreadId>& waiters, rt::Runtime& rt) {
   if (waiters.empty()) return;
   const rt::ThreadId tid = waiters.front();
   waiters.erase(waiters.begin());
-  rt::Message m{detail::kMsgBufNotify, rt::MsgClass::kData};
-  m.payload = static_cast<Buffer*>(this);
-  host.runtime().send(tid, std::move(m));
+  rt.unpark(tid);
+}
+
+void Buffer::await_notify(std::vector<rt::ThreadId>& waiters,
+                          HostContext& host) {
+  const rt::ThreadId me = host.tid();
+  waiters.push_back(me);
+  host.await(
+      [&] { return std::find(waiters.begin(), waiters.end(), me) ==
+                   waiters.end(); },
+      /*interruptible=*/true);
+  // A control event may have woken us instead of a notification (e.g. STOP
+  // or FLUSH); deregister and let the caller re-evaluate its condition.
+  erase_tid(waiters, me);
 }
 
 void Buffer::put(Item x, HostContext& host) {
@@ -80,7 +99,7 @@ void Buffer::put_span(ItemSpan xs, HostContext& host) {
         const std::size_t remainder = n - i;
         std::size_t excess = q_.size() + remainder - capacity_;
         while (excess > 0 && !q_.empty()) {
-          q_.pop_front();
+          (void)q_.pop_front();
           ++stats_.drops;
           --excess;
         }
@@ -112,15 +131,7 @@ void Buffer::put_span(ItemSpan xs, HostContext& host) {
       IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kBufferBlock,
                    name().c_str(), 0, static_cast<std::int64_t>(q_.size()));
       const rt::Time t0 = host.runtime().now();
-      waiting_writers_.push_back(host.tid());
-      Buffer* self = this;
-      (void)host.wait_interruptible([self](const rt::Message& m) {
-        const auto* b = m.get<Buffer*>();
-        return m.type == detail::kMsgBufNotify && b != nullptr && *b == self;
-      });
-      // A control event may have woken us instead of a notification (e.g.
-      // STOP or FLUSH); deregister and re-evaluate the condition.
-      erase_tid(waiting_writers_, host.tid());
+      await_notify(waiting_writers_, host);
       block_hist(host)->record(host.runtime().now() - t0);
       IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kBufferUnblock,
                    name().c_str(), 0, static_cast<std::int64_t>(q_.size()));
@@ -133,7 +144,7 @@ void Buffer::put_span(ItemSpan xs, HostContext& host) {
   if (queued > 0 || saw_eos) {
     stats_.puts += queued;
     stats_.max_fill = std::max(stats_.max_fill, q_.size());
-    notify_one(waiting_readers_, host);
+    notify_one(waiting_readers_, host.runtime());
   }
 }
 
@@ -141,12 +152,9 @@ std::size_t Buffer::take_span(ItemSpan out, HostContext& host) {
   for (;;) {
     if (!q_.empty()) {
       const std::size_t n = std::min(out.size(), q_.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        out[i] = std::move(q_.front());
-        q_.pop_front();
-      }
+      for (std::size_t i = 0; i < n; ++i) out[i] = q_.pop_front();
       stats_.takes += n;
-      notify_one(waiting_writers_, host);
+      notify_one(waiting_writers_, host.runtime());
       return n;
     }
     if (eos_) {
@@ -163,13 +171,7 @@ std::size_t Buffer::take_span(ItemSpan out, HostContext& host) {
     IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kBufferBlock,
                  name().c_str(), 1, 0);
     const rt::Time t0 = host.runtime().now();
-    waiting_readers_.push_back(host.tid());
-    Buffer* self = this;
-    (void)host.wait_interruptible([self](const rt::Message& m) {
-      const auto* b = m.get<Buffer*>();
-      return m.type == detail::kMsgBufNotify && b != nullptr && *b == self;
-    });
-    erase_tid(waiting_readers_, host.tid());
+    await_notify(waiting_readers_, host);
     block_hist(host)->record(host.runtime().now() - t0);
     IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kBufferUnblock,
                  name().c_str(), 1, static_cast<std::int64_t>(q_.size()));
@@ -177,8 +179,8 @@ std::size_t Buffer::take_span(ItemSpan out, HostContext& host) {
 }
 
 std::deque<Item> Buffer::drain_for_migration() {
-  std::deque<Item> out = std::move(q_);
-  q_.clear();
+  std::deque<Item> out;
+  while (!q_.empty()) out.push_back(q_.pop_front());
   stats_.takes += out.size();
   return out;
 }
@@ -194,12 +196,8 @@ void Buffer::handle_event(const Event& e) {
     stats_.drops += q_.size();
     q_.clear();
     // Space became available: wake one blocked writer, if any.
-    if (!waiting_writers_.empty() && realization() != nullptr) {
-      const rt::ThreadId tid = waiting_writers_.front();
-      waiting_writers_.erase(waiting_writers_.begin());
-      rt::Message m{detail::kMsgBufNotify, rt::MsgClass::kData};
-      m.payload = static_cast<Buffer*>(this);
-      realization()->runtime().send(tid, std::move(m));
+    if (realization() != nullptr) {
+      notify_one(waiting_writers_, realization()->runtime());
     }
   }
 }

@@ -6,9 +6,10 @@
 // full, the push operation can either be blocked or can drop the pushed
 // item. Likewise, if a buffer is empty, a pull operation can either be
 // blocked or return a nil item." Blocking is implemented with the
-// middleware's high-level communication: the blocked thread stays responsive
-// to control events (§3.2) — no locks or condition variables appear here or
-// anywhere in component code.
+// middleware's rendezvous (HostContext::await): a waiter is listed, parked
+// and unparked when it is taken off the list, and stays responsive to
+// control events meanwhile (§3.2) — no locks or condition variables appear
+// here or anywhere in component code.
 #pragma once
 
 #include <cstddef>
@@ -23,6 +24,9 @@ namespace infopipe {
 namespace obs {
 class Histogram;
 }  // namespace obs
+namespace rt {
+class Runtime;
+}  // namespace rt
 
 class HostContext;
 
@@ -111,7 +115,40 @@ class Buffer : public Component {
   void mark_eos() noexcept { eos_ = true; }
 
  private:
-  void notify_one(std::vector<rt::ThreadId>& waiters, HostContext& host);
+  /// Queued items: a power-of-two ring that grows only when full, so the
+  /// stopped-flow overflow and preload() may exceed capacity while a steady
+  /// flow allocates nothing.
+  class Ring {
+   public:
+    [[nodiscard]] std::size_t size() const noexcept { return n_; }
+    [[nodiscard]] bool empty() const noexcept { return n_ == 0; }
+    void push_back(Item x) {
+      if (n_ == slots_.size()) grow();
+      slots_[(head_ + n_++) & (slots_.size() - 1)] = std::move(x);
+    }
+    Item pop_front() noexcept {
+      Item x = std::move(slots_[head_]);
+      head_ = (head_ + 1) & (slots_.size() - 1);
+      --n_;
+      return x;
+    }
+    void clear() noexcept {
+      while (n_ > 0) (void)pop_front();
+    }
+
+   private:
+    void grow();
+    std::vector<Item> slots_;
+    std::size_t head_ = 0;
+    std::size_t n_ = 0;
+  };
+
+  /// Takes the first waiter off `waiters` and unparks it.
+  static void notify_one(std::vector<rt::ThreadId>& waiters, rt::Runtime& rt);
+
+  /// Lists this thread in `waiters` and parks it until a notify_one() takes
+  /// it off, or a control event arrives (then it is taken off here).
+  void await_notify(std::vector<rt::ThreadId>& waiters, HostContext& host);
 
   /// Block-time histogram handle, resolved lazily on the (already slow)
   /// block path and re-resolved when the buffer is realized under a
@@ -121,7 +158,7 @@ class Buffer : public Component {
   std::size_t capacity_;
   FullPolicy full_;
   EmptyPolicy empty_;
-  std::deque<Item> q_;
+  Ring q_;
   bool eos_ = false;
   std::vector<rt::ThreadId> waiting_readers_;
   std::vector<rt::ThreadId> waiting_writers_;

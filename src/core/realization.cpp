@@ -17,36 +17,27 @@ using detail::StopFlow;
 rt::Runtime& HostContext::runtime() noexcept { return real_->runtime(); }
 
 rt::Message HostContext::wait(const MsgPred& pred) {
-  rt::Runtime& rt = runtime();
   for (;;) {
-    rt::Message m = rt.receive_matching([&](const rt::Message& x) {
-      return x.cls == rt::MsgClass::kControl || pred(x);
-    });
-    if (m.cls == rt::MsgClass::kControl) {
-      // §3.2 in action: a control event delivered to a logically blocked
-      // thread.
-      real_->obs_hooks().control_while_blocked->inc();
-      dispatch(std::move(m));
-      if (terminate_) throw ShutdownSignal{};
-      continue;
-    }
-    return m;
+    if (auto m = wait_interruptible(pred)) return std::move(*m);
   }
 }
 
 std::optional<rt::Message> HostContext::wait_interruptible(
     const MsgPred& pred) {
-  rt::Runtime& rt = runtime();
-  rt::Message m = rt.receive_matching([&](const rt::Message& x) {
+  rt::Message m = runtime().receive_matching([&](const rt::Message& x) {
     return x.cls == rt::MsgClass::kControl || pred(x);
   });
-  if (m.cls == rt::MsgClass::kControl) {
-    real_->obs_hooks().control_while_blocked->inc();
-    dispatch(std::move(m));
-    if (terminate_) throw ShutdownSignal{};
-    return std::nullopt;
-  }
-  return m;
+  if (m.cls != rt::MsgClass::kControl) return m;
+  // §3.2 in action: a control event delivered to a logically blocked thread.
+  real_->obs_hooks().control_while_blocked->inc();
+  dispatch(std::move(m));
+  if (terminate_) throw ShutdownSignal{};
+  return std::nullopt;
+}
+
+void HostContext::dispatch_while_blocked() {
+  // A control message is queued, so this returns without blocking.
+  (void)wait_interruptible([](const rt::Message&) { return false; });
 }
 
 void HostContext::poll_control() {
@@ -123,14 +114,7 @@ void SectionLock::acquire(HostContext& h) {
     return;
   }
   waiters_.push_back(me);
-  SectionLock* self = this;
-  (void)h.wait([self](const rt::Message& x) {
-    const auto* l = x.get<SectionLock*>();
-    return x.type == detail::kMsgLockGrant && l != nullptr && *l == self;
-  });
-  // release() already transferred ownership to us.
-  assert(owner_ == me);
-  depth_ = 1;
+  h.await([this, me] { return owner_ == me; });  // release() hands it over
 }
 
 void SectionLock::release(HostContext& h) {
@@ -138,12 +122,10 @@ void SectionLock::release(HostContext& h) {
   if (--depth_ > 0) return;
   owner_ = rt::kNoThread;
   if (!waiters_.empty()) {
-    const rt::ThreadId w = waiters_.front();
+    owner_ = waiters_.front();
     waiters_.erase(waiters_.begin());
-    owner_ = w;  // depth is set by the waiter when it resumes
-    rt::Message g{detail::kMsgLockGrant, rt::MsgClass::kData};
-    g.payload = this;
-    h.runtime().send(w, std::move(g));
+    depth_ = 1;  // the new owner may re-enter before it resumes (control)
+    h.runtime().unpark(owner_);
   }
 }
 
@@ -152,64 +134,75 @@ void SectionLock::release(HostContext& h) {
 // Requester side: a thread that treats the coroutine like a passive
 // component. push() hands an item over and returns when the coroutine next
 // asks for input ("the activity travels with the data"); pull() asks for one
-// item and blocks until it is delivered. Both stay responsive to control
-// events via HostContext::wait.
+// item and blocks until it is delivered. Both write the coroutine's slot and
+// unpark it; an idle coroutine (main not on its stack) is started by an
+// activation message instead. Both stay responsive to control events via
+// HostContext::await.
 
 namespace {
 
-void channel_push(Realization& R, rt::ThreadId co, Item x) {
+/// Hands the slot to the coroutine: unparks a running main, or starts an
+/// idle one (the activation inherits the requester's constraint).
+void co_wake(rt::Runtime& rtm, CoroutineRec& rec, int activation) {
+  rec.constraint = rtm.active_constraint();
+  if (rec.running) {
+    rtm.unpark(rec.tid);
+  } else {
+    rtm.send(rec.tid, rt::Message{activation, rt::MsgClass::kData});
+  }
+}
+
+void channel_push(Realization& R, CoroutineRec& rec, Item x) {
   HostContext& h = R.current_host();
   rt::Runtime& rtm = h.runtime();
   const rt::Time t0 = rtm.now();
-  rt::Message m{detail::kMsgCoItem, rt::MsgClass::kData};
-  m.payload = std::move(x);
-  rtm.send(co, std::move(m));
-  (void)h.wait([co](const rt::Message& mm) {
-    return mm.type == detail::kMsgCoDone && mm.sender == co;
-  });
+  rec.item = std::move(x);
+  rec.full = true;
+  rec.done = false;
+  rec.requester = h.tid();
+  co_wake(rtm, rec, detail::kMsgCoItem);
+  h.await([&rec] { return rec.done; });
   Realization::ObsHooks& ob = R.obs_hooks();
   ob.handoffs->inc();
   ob.handoff_ns->record(rtm.now() - t0);
   IP_OBS_TRACE(rtm.tracer(), obs::Hop::kHandOff, "co.push",
-               static_cast<std::int64_t>(co));
+               static_cast<std::int64_t>(rec.tid));
 }
 
-Item channel_pull(Realization& R, rt::ThreadId co) {
+Item channel_pull(Realization& R, CoroutineRec& rec) {
   HostContext& h = R.current_host();
   rt::Runtime& rtm = h.runtime();
   const rt::Time t0 = rtm.now();
-  rtm.send(co, rt::Message{detail::kMsgCoPull, rt::MsgClass::kData});
-  rt::Message m = h.wait([co](const rt::Message& mm) {
-    return mm.type == detail::kMsgCoItem && mm.sender == co;
-  });
+  rec.want = true;
+  rec.requester = h.tid();
+  co_wake(rtm, rec, detail::kMsgCoPull);
+  h.await([&rec] { return rec.full; });
+  rec.full = false;
   Realization::ObsHooks& ob = R.obs_hooks();
   ob.handoffs->inc();
   ob.handoff_ns->record(rtm.now() - t0);
   IP_OBS_TRACE(rtm.tracer(), obs::Hop::kHandOff, "co.pull",
-               static_cast<std::int64_t>(co));
-  return m.take<Item>();
+               static_cast<std::int64_t>(rec.tid));
+  return std::move(rec.item);
 }
 
-// Coroutine side, push direction: fetch the next input item. Sends kMsgCoDone
-// to the previous requester first — that is the moment its push() returns.
+// Coroutine side, push direction: release the pusher of the item taken
+// last — that is the moment its push() returns.
+void co_release_pusher(rt::Runtime& rtm, CoroutineRec& rec) {
+  if (rec.done || rec.full) return;
+  rec.done = true;
+  rtm.unpark(rec.requester);
+}
+
+// Coroutine side, push direction: fetch the next input item. The coroutine
+// runs the item under the constraint its pusher handed over (§4).
 Item co_get_input(Realization& R, CoroutineRec& rec) {
   HostContext& h = R.current_host();
-  rt::Message m;
-  if (rec.initial) {
-    m = std::move(*rec.initial);
-    rec.initial.reset();
-  } else {
-    if (rec.owes_done && rec.last_requester != rt::kNoThread) {
-      h.runtime().send(rec.last_requester,
-                       rt::Message{detail::kMsgCoDone, rt::MsgClass::kData});
-      rec.owes_done = false;
-    }
-    m = h.wait(
-        [](const rt::Message& x) { return x.type == detail::kMsgCoItem; });
-  }
-  rec.last_requester = m.sender;
-  rec.owes_done = true;
-  Item x = m.take<Item>();
+  co_release_pusher(h.runtime(), rec);
+  h.await([&rec] { return rec.full; });
+  rec.full = false;
+  h.runtime().set_active_constraint(rec.constraint);
+  Item x = std::move(rec.item);
   if (x.is_eos()) {
     rec.finished = true;
     throw EndOfStream{};
@@ -217,48 +210,38 @@ Item co_get_input(Realization& R, CoroutineRec& rec) {
   return x;
 }
 
-// Coroutine side: release the requester blocked in push() (loop end / EOS).
-// Also covers a main function that returned without ever consuming its
-// initial input — the requester must not be left waiting.
+// Coroutine side: main is returning (loop end / EOS); release the pusher.
+// An input main never took is dropped, so the pusher is not left waiting.
+// A push arriving from here on starts main again (or, once finished, is
+// answered by coroutine_code).
 void co_final_done(Realization& R, CoroutineRec& rec) {
-  if (rec.initial) {
-    rec.last_requester = rec.initial->sender;
-    rec.owes_done = true;
-    rec.initial.reset();
+  rec.running = false;
+  if (rec.full) {
+    rec.full = false;
+    rec.item = Item();
   }
-  if (rec.owes_done && rec.last_requester != rt::kNoThread) {
-    R.current_host().runtime().send(
-        rec.last_requester,
-        rt::Message{detail::kMsgCoDone, rt::MsgClass::kData});
-    rec.owes_done = false;
-  }
+  co_release_pusher(R.current_host().runtime(), rec);
 }
 
-// Coroutine side, pull direction: block until somebody wants an item.
+// Coroutine side, pull direction: block until somebody wants an item, and
+// run on behalf of that requester's constraint.
 void co_need_pull(Realization& R, CoroutineRec& rec) {
-  if (rec.pending_pulls > 0) return;
   HostContext& h = R.current_host();
-  rt::Message m;
-  if (rec.initial) {
-    m = std::move(*rec.initial);
-    rec.initial.reset();
-  } else {
-    m = h.wait(
-        [](const rt::Message& x) { return x.type == detail::kMsgCoPull; });
-  }
-  rec.last_requester = m.sender;
-  rec.pending_pulls = 1;
+  h.await([&rec] { return rec.want; });
+  h.runtime().set_active_constraint(rec.constraint);
 }
 
 // Coroutine side, pull direction: deliver one output item. If nobody asked
 // yet, wait for the next pull — activity travels with the data, no implicit
-// buffering (§3.3).
-void co_deliver(Realization& R, CoroutineRec& rec, Item y) {
+// buffering (§3.3). The last delivery of a main marks it stopped first, so
+// a pull arriving from then on starts main again.
+void co_deliver(Realization& R, CoroutineRec& rec, Item y, bool last = false) {
   co_need_pull(R, rec);
-  rt::Message m{detail::kMsgCoItem, rt::MsgClass::kData};
-  m.payload = std::move(y);
-  R.current_host().runtime().send(rec.last_requester, std::move(m));
-  --rec.pending_pulls;
+  if (last) rec.running = false;
+  rec.item = std::move(y);
+  rec.full = true;
+  rec.want = false;
+  R.current_host().runtime().unpark(rec.requester);
 }
 
 }  // namespace
@@ -641,13 +624,12 @@ class Wiring {
       };
     }
 
-    const rt::ThreadId tid = rec->tid;
     auto done = std::make_shared<bool>(false);
-    return [Rp, tid, done](ItemSpan xs) {
+    return [Rp, rec, done](ItemSpan xs) {
       for (Item& x : xs) {
         if (*done) return;
         const bool eos = x.is_eos();
-        channel_push(*Rp, tid, std::move(x));
+        channel_push(*Rp, *rec, std::move(x));
         if (eos) *done = true;
       }
     };
@@ -669,17 +651,14 @@ class Wiring {
       rec->main = [Rp, rec, a]() {
         try {
           a->run();
-          // run() returned (STOP): release a requester stuck in pull. An
-          // unconsumed initial kMsgCoPull counts as a pending request.
-          if (rec->initial) co_need_pull(*Rp, *rec);
-          if (rec->pending_pulls > 0) co_deliver(*Rp, *rec, Item::nil());
+          // run() returned (STOP): release a requester stuck in pull.
+          if (rec->want) co_deliver(*Rp, *rec, Item::nil(), true);
         } catch (EndOfStream&) {
           a->flush();
-          co_deliver(*Rp, *rec, Item::eos());
           rec->finished = true;
+          co_deliver(*Rp, *rec, Item::eos(), true);
         } catch (StopFlow&) {
-          if (rec->initial) co_need_pull(*Rp, *rec);
-          if (rec->pending_pulls > 0) co_deliver(*Rp, *rec, Item::nil());
+          if (rec->want) co_deliver(*Rp, *rec, Item::nil(), true);
         }
       };
     } else {
@@ -699,19 +678,18 @@ class Wiring {
           }
         } catch (EndOfStream&) {
           k->flush();  // may deliver leftovers first
-          co_deliver(*Rp, *rec, Item::eos());
           rec->finished = true;
+          co_deliver(*Rp, *rec, Item::eos(), true);
         } catch (StopFlow&) {
-          if (rec->pending_pulls > 0) co_deliver(*Rp, *rec, Item::nil());
+          if (rec->want) co_deliver(*Rp, *rec, Item::nil(), true);
         }
       };
     }
 
-    const rt::ThreadId tid = rec->tid;
     auto done = std::make_shared<bool>(false);
-    return [Rp, tid, done](ItemSpan out) -> std::size_t {
+    return [Rp, rec, done](ItemSpan out) -> std::size_t {
       if (*done) throw EndOfStream{};
-      Item x = channel_pull(*Rp, tid);
+      Item x = channel_pull(*Rp, *rec);
       if (x.is_eos()) {
         *done = true;
         throw EndOfStream{};
@@ -1027,28 +1005,28 @@ rt::CodeResult Realization::coroutine_code(HostContext& h, CoroutineRec& rec,
     return h.terminate_requested() ? rt::CodeResult::kTerminate
                                    : rt::CodeResult::kContinue;
   }
-  if (m.type == detail::kMsgCoItem || m.type == detail::kMsgCoPull) {
-    if (rec.finished) {
-      // Post-EOS service: answer instead of re-running the main function.
-      if (m.type == detail::kMsgCoPull) {
-        rt::Message r{detail::kMsgCoItem, rt::MsgClass::kData};
-        r.payload = Item::eos();
-        rt_->send(m.sender, std::move(r));
-      } else {
-        rt_->send(m.sender,
-                  rt::Message{detail::kMsgCoDone, rt::MsgClass::kData});
-      }
-      return rt::CodeResult::kContinue;
-    }
-    rec.initial = std::move(m);
-    try {
-      rec.main();
-    } catch (ShutdownSignal&) {
-      return rt::CodeResult::kTerminate;
-    }
-    return rt::CodeResult::kContinue;
+  if (m.type != detail::kMsgCoItem && m.type != detail::kMsgCoPull) {
+    return rt::CodeResult::kContinue;  // not an activation
   }
-  return rt::CodeResult::kContinue;  // stale notifications
+  try {
+    // After end of stream, answer instead of re-running the main function:
+    // a pull gets EOS, a push is released.
+    if (!rec.finished) {
+      rec.running = true;
+      rec.main();
+    } else if (rec.want) {
+      co_deliver(*this, rec, Item::eos(), true);
+    } else {
+      co_final_done(*this, rec);
+    }
+  } catch (ShutdownSignal&) {
+    return rt::CodeResult::kTerminate;
+  } catch (...) {
+    rec.running = false;  // a later request starts main again
+    throw;
+  }
+  rec.running = false;
+  return rt::CodeResult::kContinue;
 }
 
 }  // namespace infopipe

@@ -5,10 +5,12 @@
 // components upstream, then push with the returned item downstream, and
 // returns to the pump. Where the plan requires coroutines, each one is
 // implemented by an additional thread of the underlying package, and their
-// synchronous interaction ("the activity travels with the data") is built on
-// asynchronous messages: a thread blocked in a push or pull is actually
-// blocked waiting for either the data reply message OR a control message —
-// control events are dispatched even while a component is logically blocked
+// synchronous interaction ("the activity travels with the data") is a typed
+// rendezvous: the item, the requester and its scheduling constraint are
+// written into the coroutine's slot and the peer is unparked, with no
+// message and no envelope. A thread blocked in a push or pull is parked
+// until either its slot is served OR a control message arrives — control
+// events are dispatched even while a component is logically blocked
 // (§3.2/§4). Threads that host several directly-called components dispatch
 // data and control internally to the respective components.
 #pragma once
@@ -40,13 +42,10 @@ namespace detail {
 /// rt message types used by the middleware glue (values allotted in
 /// rt/msg_registry.hpp, the one place new subsystems claim ranges).
 enum CoreMsgType : int {
-  kMsgControl = rt::msg::kCoreControl,      ///< control event dispatch
-  kMsgCoPull = rt::msg::kCoreCoPull,        ///< request item from a coroutine
-  kMsgCoItem = rt::msg::kCoreCoItem,        ///< item hand-off (either way)
-  kMsgCoDone = rt::msg::kCoreCoDone,        ///< coroutine ready for next input
-  kMsgBufNotify = rt::msg::kCoreBufNotify,  ///< buffer space/data available
-  kMsgTick = rt::msg::kCoreTick,            ///< pump timer tick
-  kMsgLockGrant = rt::msg::kCoreLockGrant,  ///< section lock transferred
+  kMsgControl = rt::msg::kCoreControl,  ///< control event dispatch
+  kMsgCoPull = rt::msg::kCoreCoPull,    ///< start an idle coroutine (pull)
+  kMsgCoItem = rt::msg::kCoreCoItem,    ///< start an idle coroutine (push)
+  kMsgTick = rt::msg::kCoreTick,        ///< pump timer tick
 };
 
 struct ControlDispatch {
@@ -62,19 +61,23 @@ struct ShutdownSignal {};
 /// thread was blocked; the driver loop treats it as a clean stop.
 struct StopFlow {};
 
-/// Per-coroutine state: the component's main function and the bookkeeping of
-/// its synchronous hand-off channel (§4: "Infopipe push and pull calls
-/// between coroutines ... are mapped to asynchronous inter-thread
-/// messages").
+/// Per-coroutine state: the component's main function and the slot of its
+/// synchronous hand-off channel (§4 maps push and pull between coroutines
+/// onto inter-thread communication; here it is a rendezvous, not a
+/// message). A coroutine is used in one direction only, so one item field
+/// serves both: a pushed input, or an output answering a pull.
 struct CoroutineRec {
   Component* comp = nullptr;
   rt::ThreadId tid = rt::kNoThread;
   std::function<void()> main;
-  std::optional<rt::Message> initial;  ///< the message that started main
-  rt::ThreadId last_requester = rt::kNoThread;
-  int pending_pulls = 0;   ///< outstanding kMsgCoPull (pull direction)
-  bool owes_done = false;  ///< must send kMsgCoDone (push direction)
-  bool finished = false;   ///< saw end-of-stream
+  Item item;                    ///< the item in the slot
+  bool full = false;            ///< `item` awaits its taker
+  bool want = false;            ///< a requester awaits an item (pull)
+  bool done = true;             ///< the pusher may return (push)
+  rt::ThreadId requester = rt::kNoThread;
+  std::optional<rt::Constraint> constraint;  ///< the requester's, adopted
+  bool running = false;         ///< main is on the coroutine's stack
+  bool finished = false;        ///< saw end-of-stream
 };
 
 }  // namespace detail
@@ -101,8 +104,26 @@ class HostContext {
 
   /// Like wait(), but also returns (with nullopt) after dispatching any
   /// control event, so the caller can re-check state that the event may have
-  /// changed (buffers use this to notice STOP/FLUSH).
+  /// changed (ShardChannel endpoints use this to notice STOP/FLUSH).
   std::optional<rt::Message> wait_interruptible(const MsgPred& pred);
+
+  /// Returns once `ready()` holds, parking in between; wakes come from
+  /// rt::Runtime::unpark() or any message. A queued control event is
+  /// dispatched before ready() is checked (§3.2). The interruptible form
+  /// returns false after dispatching one, so the caller can re-check state
+  /// the event may have changed (buffers use this to notice STOP/FLUSH).
+  template <typename Ready>
+  bool await(Ready ready, bool interruptible = false) {
+    for (;;) {
+      if (runtime().control_queued()) {
+        dispatch_while_blocked();
+        if (interruptible) return false;
+        continue;
+      }
+      if (ready()) return true;
+      runtime().park();
+    }
+  }
 
   /// Dispatches all queued control events without blocking.
   void poll_control();
@@ -134,6 +155,10 @@ class HostContext {
   /// Handles one control message: runs middleware lifecycle side effects
   /// (START/STOP/SHUTDOWN flags) and the targeted components' handlers.
   void dispatch(rt::Message&& m);
+
+  /// Dispatches the first queued control message to a thread that is
+  /// logically blocked; throws detail::ShutdownSignal on shutdown.
+  void dispatch_while_blocked();
 
   Realization* real_;
   rt::ThreadId tid_;

@@ -27,13 +27,13 @@
 namespace infopipe::rt::msg {
 
 // ---- ipcore realization glue (1..99) --------------------------------------
-inline constexpr int kCoreControl = 1;    ///< control event dispatch
-inline constexpr int kCoreCoPull = 2;     ///< request one item from a coroutine
-inline constexpr int kCoreCoItem = 3;     ///< item hand-off (either direction)
-inline constexpr int kCoreCoDone = 4;     ///< coroutine ready for next input
-inline constexpr int kCoreBufNotify = 5;  ///< buffer space/data available
-inline constexpr int kCoreTick = 6;       ///< pump timer tick
-inline constexpr int kCoreLockGrant = 7;  ///< section lock transferred
+inline constexpr int kCoreControl = 1;  ///< control event dispatch
+inline constexpr int kCoreCoPull = 2;   ///< start an idle coroutine (pull)
+inline constexpr int kCoreCoItem = 3;   ///< start an idle coroutine (push)
+inline constexpr int kCoreTick = 6;     ///< pump timer tick
+// Retired, never to be reused: 4 (coroutine done), 5 (buffer notify) and
+// 7 (section lock grant). Those waits are rendezvous on a typed slot now
+// (HostContext::await + Runtime::unpark), not messages.
 
 // ---- ip_net (100..199) ----------------------------------------------------
 inline constexpr int kNetDeliver = 100;          ///< packet to a NetReceiver

@@ -77,15 +77,13 @@ bool Runtime::alive(ThreadId id) const noexcept {
   return it != threads_.end() && it->second->state_ != ThreadState::kDone;
 }
 
-ThreadId Runtime::current() const noexcept { return current_; }
+ThreadId Runtime::current() const noexcept {
+  return current_ != nullptr ? current_->id() : kNoThread;
+}
 
 UThread* Runtime::thread(ThreadId id) noexcept {
   auto it = threads_.find(id);
   return it == threads_.end() ? nullptr : it->second.get();
-}
-
-UThread* Runtime::current_thread() noexcept {
-  return current_ == kNoThread ? nullptr : thread(current_);
 }
 
 UThread& Runtime::require_current(const char* op) {
@@ -103,7 +101,7 @@ void Runtime::kill(ThreadId id) {
   t->state_ = ThreadState::kDone;
   t->mailbox_.clear();
   t->queued_control_ = 0;
-  if (id == current_) suspend_current();  // never returns to the killed thread
+  if (t == current_) suspend_current();  // never returns to the killed thread
 }
 
 std::size_t Runtime::live_threads() const noexcept {
@@ -281,6 +279,18 @@ void Runtime::sleep_until(Time t) {
   suspend_current();
 }
 
+void Runtime::park() {
+  require_current("park").state_ = ThreadState::kWaitingMsg;
+  suspend_current();
+}
+
+void Runtime::unpark(ThreadId id) {
+  UThread* target = thread(id);
+  if (target == nullptr) return;
+  make_ready(*target);
+  maybe_preempt(*target);
+}
+
 void Runtime::set_active_constraint(std::optional<Constraint> c) {
   UThread& me = require_current("set_active_constraint");
   me.active_constraint_ = std::move(c);
@@ -334,9 +344,9 @@ void Runtime::thread_main(UThread& t) {
 }
 
 void Runtime::suspend_current() {
-  UThread* me = current_thread();
+  UThread* me = current_;
   assert(me != nullptr);
-  current_ = kNoThread;
+  current_ = nullptr;
   // Direct transfer: when a scheduler pass would do nothing but pick_next(),
   // make the same pick here and switch straight to it.
   UThread* next = nullptr;
@@ -365,7 +375,7 @@ void Runtime::enter(UThread& t) {
     t.started_ = true;
   }
   t.state_ = ThreadState::kRunning;
-  current_ = t.id();
+  current_ = &t;
 }
 
 void Runtime::make_ready(UThread& t) {

@@ -170,6 +170,25 @@ class Runtime {
   void sleep_until(Time t);
   void sleep_for(Time d) { sleep_until(now() + d); }
 
+  /// Suspends the current thread until unpark() or any message wakes it.
+  /// The wake may be spurious: callers re-check their own condition.
+  void park();
+
+  /// Wakes a thread suspended in park() or between messages, as send()
+  /// wakes its target (including the preemption check) but without a
+  /// message. A thread that is running, ready or sleeping is left alone.
+  void unpark(ThreadId id);
+
+  /// True when a control-class message is queued for the current thread.
+  [[nodiscard]] bool control_queued() const noexcept {
+    return current_ != nullptr && current_->queued_control_ > 0;
+  }
+
+  /// The constraint governing the current thread (what its sends inherit).
+  [[nodiscard]] std::optional<Constraint> active_constraint() const noexcept {
+    return current_ != nullptr ? current_->active_constraint_ : std::nullopt;
+  }
+
   /// Replaces the constraint governing the current thread's effective
   /// priority (normally the constraint of the message being processed).
   /// Pumps use this to refresh their deadline each cycle; because sends
@@ -320,7 +339,7 @@ class Runtime {
   /// Runs one scheduling step; returns false when quiescent.
   bool step(Time horizon);
 
-  UThread* current_thread() noexcept;
+  UThread* current_thread() noexcept { return current_; }
   UThread& require_current(const char* op);
 
   std::unique_ptr<Clock> clock_;
@@ -339,7 +358,7 @@ class Runtime {
   std::unordered_map<ThreadId, std::unique_ptr<UThread>> threads_;
   std::vector<TimerEntry> timers_;  // min-heap via TimerLater
   Context sched_ctx_;
-  ThreadId current_ = kNoThread;
+  UThread* current_ = nullptr;  ///< set by enter(), cleared on suspension
   ThreadId next_id_ = 1;
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_request_id_ = 1;

@@ -100,6 +100,48 @@ TEST(Events, DeliveredWhileBlockedInPush) {
   EXPECT_GT(buf.stats().drops, 0u) << "flush did not run while blocked";
 }
 
+TEST(Events, DeliveredWhileBlockedInHandOff) {
+  // The pump is blocked in a coroutine hand-off while that coroutine is
+  // itself blocked pushing into a full buffer downstream. A targeted event
+  // must still reach the pump (§3.2), on the pump's own blocked thread.
+  rt::Runtime rtm;
+
+  class ProbedPump : public FreeRunningPump {
+   public:
+    ProbedPump() : FreeRunningPump("pump") {}
+    int probes = 0;
+
+   protected:
+    void handle_event(const Event& e) override {
+      if (e.type == kEvProbe) ++probes;
+      FreeRunningPump::handle_event(e);
+    }
+  };
+
+  CountingSource src("src", 100);
+  ProbedPump pump;
+  LambdaActive active("active", [](const auto& pull, const auto& push) {
+    for (;;) push(pull());
+  });
+  Buffer buf("buf", 2, FullPolicy::kBlock, EmptyPolicy::kBlock);
+  ClockedPump drain("drain", 10.0);  // very slow: the buffer fills at once
+  CountingSink sink("sink");
+  auto ch = src >> pump >> active >> buf >> drain >> sink;
+  Realization real(rtm, ch.pipeline());
+  real.start();
+  rtm.run_until(rt::milliseconds(150));
+  ASSERT_GT(buf.stats().put_blocks, 0u) << "the coroutine never blocked";
+  obs::Counter& blocked =
+      rtm.metrics().counter("core.control_while_blocked");
+  const std::uint64_t before = blocked.value();
+  real.post_event_to(pump, Event{kEvProbe});
+  rtm.run_until(rt::milliseconds(160));
+  EXPECT_EQ(pump.probes, 1) << "the blocked pump missed its event";
+  EXPECT_GT(blocked.value(), before);
+  rtm.run();  // the flow still completes after the event
+  EXPECT_EQ(sink.count(), 100u);
+}
+
 TEST(Events, QueuedDuringDataProcessingDeliveredAfter) {
   // A component posts an event to ITSELF while processing data; the handler
   // must run after the data function returns, never reentrantly.

@@ -4,12 +4,35 @@
 // buffering and end-of-stream semantics.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "core/infopipes.hpp"
+
+// Counting global allocator for the HandoffCost allocation cases: counts
+// operator new calls on this OS thread while a test opens its window. Every
+// user-level thread of a Runtime runs on the thread that called run(), so the
+// count covers the whole pipeline.
+namespace {
+thread_local bool t_count_allocs = false;
+thread_local std::uint64_t t_allocs = 0;
+}  // namespace
+
+// GCC cannot see that the replaced new and delete pair malloc with free.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  if (t_count_allocs) ++t_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace infopipe {
 namespace {
@@ -314,9 +337,142 @@ TEST(Exec, DeepFunctionChainSingleThread) {
 
 // ---------- coroutine hand-off cost (§4) --------------------------------------------
 
-// Each hand-off message switches straight from its sender to its receiver,
-// so one message costs one context switch. These are counts, not times, so
+// Each hand-off wake switches straight from the waker to the woken thread,
+// so one wake costs one context switch. These are counts, not times, so
 // they hold on any host.
+
+// Opens the allocation-counting window once `warm` items have arrived and
+// closes it `measured` items later, so start-up allocations (first thread
+// entries, pool slabs, buffer rings growing to their working size) stay out.
+class AllocWindowSink : public PassiveSink {
+ public:
+  AllocWindowSink(std::uint64_t warm, std::uint64_t measured)
+      : PassiveSink("sink"), warm_(warm), end_(warm + measured) {}
+  ~AllocWindowSink() override { t_count_allocs = false; }
+
+  [[nodiscard]] std::uint64_t count() const noexcept { return n_; }
+  [[nodiscard]] double allocs_per_item() const {
+    return static_cast<double>(allocs_) / static_cast<double>(end_ - warm_);
+  }
+
+ protected:
+  void consume(Item) override {
+    if (++n_ == warm_) {
+      t_allocs = 0;
+      t_count_allocs = true;
+    } else if (n_ == end_) {
+      t_count_allocs = false;
+      allocs_ = t_allocs;
+    }
+  }
+
+ private:
+  std::uint64_t warm_;
+  std::uint64_t end_;
+  std::uint64_t n_ = 0;
+  std::uint64_t allocs_ = 0;
+};
+
+/// The Figure 9e consumer (push style): forwards every item.
+class Forward final : public Consumer {
+ public:
+  using Consumer::Consumer;
+
+ protected:
+  void push(Item x) override { push_next(std::move(x)); }
+};
+
+/// The Figure 9e producer (pull style): returns every item.
+class PassThrough final : public Producer {
+ public:
+  using Producer::Producer;
+
+ protected:
+  Item pull() override { return pull_prev(); }
+};
+
+/// An active stage running the paper's `while (running)` pull/push loop.
+class Relay final : public ActiveComponent {
+ public:
+  using ActiveComponent::ActiveComponent;
+
+ protected:
+  void run() override {
+    for (;;) push_next(pull_prev());
+  }
+};
+
+TEST(HandoffCost, SteadyStateHandOffAllocatesNothing) {
+  constexpr std::uint64_t kWarm = 1000;
+  constexpr std::uint64_t kMeasured = 4000;
+  // The source outlasts the window by more than the buffers hold, so the
+  // end-of-stream broadcast (an event, which may allocate) falls outside.
+  constexpr std::uint64_t kItems = kWarm + kMeasured + 1000;
+  {
+    // The hand-off pipeline of BM_CoroutineHandoffPerItem: one coroutine.
+    rt::Runtime rtm;
+    CountingSource src("src", kItems);
+    FreeRunningPump pump("pump");
+    Relay active("active");
+    AllocWindowSink sink(kWarm, kMeasured);
+    auto ch = src >> pump >> active >> sink;
+    Realization real(rtm, ch.pipeline());
+    real.start();
+    rtm.run();
+    ASSERT_EQ(sink.count(), kItems);
+    EXPECT_EQ(sink.allocs_per_item(), 0.0) << "hand-off pipeline";
+  }
+  {
+    // The coroutine_chain shape: a batched pump fills a buffer, the Figure
+    // 9e section (three coroutines) moves it into a second buffer, and a
+    // pump drains that into an active stage (two more).
+    rt::Runtime rtm;
+    CountingSource src("src", kItems);
+    FreeRunningPump gen(PumpSpec{.name = "gen", .max_batch = 64});
+    Buffer ingress("ingress", 256);
+    Forward consumer("consumer");
+    FreeRunningPump pump("pump");
+    PassThrough producer("producer");
+    Buffer mid("mid", 64);
+    FreeRunningPump pump2("pump2");
+    Relay active("active");
+    AllocWindowSink sink(kWarm, kMeasured);
+    auto ch = src >> gen >> ingress >> consumer >> pump >> producer >> mid >>
+              pump2 >> active >> sink;
+    Realization real(rtm, ch.pipeline());
+    ASSERT_EQ(real.thread_count(), 6u);
+    real.start();
+    rtm.run();
+    ASSERT_EQ(sink.count(), kItems);
+    EXPECT_EQ(sink.allocs_per_item(), 0.0) << "coroutine_chain shape";
+  }
+}
+
+TEST(HandoffCost, CoroutineCarriesEachCyclesDeadline) {
+  // §4: the pump's constraint governs its whole coroutine set, cycle by
+  // cycle — the coroutine runs each item under the deadline of the fire
+  // that pushed it, not the one that first started its main.
+  rt::Runtime rtm;  // VirtualClock
+  CountingSource src("src", 5);
+  ClockedPump pump("pump", 1000.0);  // fires at t = 0, 1, 2, 3, 4 ms
+  std::vector<rt::Time> deadlines;
+  LambdaActive active("active", [&](const auto& pull, const auto& push) {
+    for (;;) {
+      Item x = pull();
+      deadlines.push_back(rtm.thread(rtm.current())->effective_deadline());
+      push(std::move(x));
+    }
+  });
+  CountingSink sink("sink");
+  auto ch = src >> pump >> active >> sink;
+  Realization real(rtm, ch.pipeline());
+  real.start();
+  rtm.run();
+  ASSERT_EQ(sink.count(), 5u);
+  EXPECT_EQ(deadlines,
+            (std::vector<rt::Time>{0, rt::milliseconds(1), rt::milliseconds(2),
+                                   rt::milliseconds(3), rt::milliseconds(4)}));
+}
 
 TEST(HandoffCost, ActiveStageCostsTwoSwitchesPerItem) {
   constexpr std::uint64_t kItems = 2000;
@@ -333,8 +489,9 @@ TEST(HandoffCost, ActiveStageCostsTwoSwitchesPerItem) {
   real.start();
   rtm.run();
   ASSERT_EQ(sink.count(), kItems);
-  // One hand-off per item: kMsgCoItem and kMsgCoDone, one switch each
-  // (through the scheduler context they cost four).
+  // One hand-off per item: the item wakes the coroutine and its next
+  // request for input wakes the pump, one switch each (through the
+  // scheduler context they cost four).
   EXPECT_LE(rtm.stats().context_switches, 2 * kItems + 16);
 }
 
@@ -353,8 +510,8 @@ TEST(HandoffCost, Figure9eChainCostsOneSwitchPerMessage) {
   rtm.run();
   ASSERT_EQ(sink.count(), kItems);
   // Per sink item the pump runs two cycles, and each cycle is two pull
-  // messages (kMsgCoPull, kMsgCoItem) plus two push messages (kMsgCoItem,
-  // kMsgCoDone): 8 messages, one switch each (16 through the scheduler).
+  // wakes (request, item) plus two push wakes (item, next request): 8
+  // wakes, one switch each (16 through the scheduler).
   EXPECT_LE(rtm.stats().context_switches, 8 * kItems + 16);
 }
 

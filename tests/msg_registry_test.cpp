@@ -32,10 +32,7 @@ constexpr bool in_band(int v, int first, int last) {
 static_assert(in_band(kCoreControl, kCoreBandFirst, kCoreBandLast));
 static_assert(in_band(kCoreCoPull, kCoreBandFirst, kCoreBandLast));
 static_assert(in_band(kCoreCoItem, kCoreBandFirst, kCoreBandLast));
-static_assert(in_band(kCoreCoDone, kCoreBandFirst, kCoreBandLast));
-static_assert(in_band(kCoreBufNotify, kCoreBandFirst, kCoreBandLast));
 static_assert(in_band(kCoreTick, kCoreBandFirst, kCoreBandLast));
-static_assert(in_band(kCoreLockGrant, kCoreBandFirst, kCoreBandLast));
 
 static_assert(in_band(kNetDeliver, kNetBandFirst, kNetBandLast));
 static_assert(in_band(kNetTypespecQuery, kNetBandFirst, kNetBandLast));
@@ -70,8 +67,7 @@ static_assert(in_band(kBalanceApplyPlan, kBalanceBandFirst, kBalanceBandLast));
 TEST(MsgRegistry, AllConstantsAreDistinct) {
   const int all[] = {
       kCoreControl,     kCoreCoPull,       kCoreCoItem,
-      kCoreCoDone,      kCoreBufNotify,    kCoreTick,
-      kCoreLockGrant,   kNetDeliver,       kNetTypespecQuery,
+      kCoreTick,        kNetDeliver,       kNetTypespecQuery,
       kNetCreateComponent, kNetArqSubmit,  kNetArqTimer,
       kNetSocketRetry,  kNetControlReply,  kNetControlTimeout,
       kNetSocketFlush,

@@ -650,6 +650,111 @@ TEST(DirectTransfer, TerminatedThreadIsReapedBeforeNextDispatch) {
   EXPECT_TRUE(reaped);
 }
 
+// --- park / unpark: the message-free wake behind the middleware's waits -----
+
+TEST(Park, UnparkWakesWithoutMessageOrDispatch) {
+  Runtime rt;
+  bool ready = false;
+  int parks = 0;
+  bool resumed = false;
+  const ThreadId a = rt.spawn("a", kPriorityData, [&](Runtime& r, Message) {
+    while (!ready) {
+      ++parks;
+      r.park();
+    }
+    resumed = true;
+    return CodeResult::kContinue;
+  });
+  const ThreadId b = rt.spawn("b", kPriorityData, [&](Runtime& r, Message) {
+    ready = true;
+    r.unpark(a);
+    return CodeResult::kContinue;
+  });
+  rt.send(a, Message{});
+  rt.send(b, Message{});
+  rt.run();
+  EXPECT_TRUE(resumed);
+  EXPECT_EQ(parks, 1);
+  // The two starting messages are the only messages and the only dispatches:
+  // `a` resumed inside its first code-function call.
+  EXPECT_EQ(rt.stats().messages_sent, 2u);
+  EXPECT_EQ(rt.stats().dispatches, 2u);
+}
+
+TEST(Park, ControlMessageWakesParkedThread) {
+  Runtime rt;
+  bool saw_control = false;
+  const ThreadId a = rt.spawn("a", kPriorityData, [&](Runtime& r, Message) {
+    r.park();
+    saw_control = r.control_queued();
+    (void)r.try_receive(
+        [](const Message& m) { return m.cls == MsgClass::kControl; });
+    return CodeResult::kContinue;
+  });
+  const ThreadId b = rt.spawn("b", kPriorityData, [&](Runtime& r, Message) {
+    r.send(a, Message{7, MsgClass::kControl});
+    return CodeResult::kTerminate;
+  });
+  rt.send(a, Message{});
+  rt.run();  // a parks; nothing else is ready
+  EXPECT_EQ(rt.thread(a)->state(), ThreadState::kWaitingMsg);
+  rt.send(b, Message{});
+  rt.run();
+  EXPECT_TRUE(saw_control);
+  EXPECT_EQ(rt.stats().dispatches, 2u);  // a's start and b's; not the control
+}
+
+TEST(Park, UnparkPreemptsLikeSend) {
+  Runtime rt;
+  std::vector<std::string> order;
+  bool woken = false;
+  const ThreadId hi = rt.spawn("hi", kPriorityControl, [&](Runtime& r, Message) {
+    while (!woken) r.park();
+    order.push_back("hi");
+    return CodeResult::kTerminate;
+  });
+  const ThreadId lo = rt.spawn("lo", kPriorityData, [&](Runtime& r, Message) {
+    order.push_back("lo-before");
+    woken = true;
+    r.unpark(hi);  // wakes a higher-priority thread: preemption point
+    order.push_back("lo-after");
+    return CodeResult::kTerminate;
+  });
+  rt.send(hi, Message{});  // hi runs first and parks
+  rt.send(lo, Message{});
+  rt.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"lo-before", "hi", "lo-after"}));
+  EXPECT_EQ(rt.stats().preemptions, 1u);
+}
+
+TEST(Park, UnparkLeavesThreadsThatAreNotParkedAlone) {
+  Runtime rt;
+  ThreadState sleeper_after = ThreadState::kDone;
+  ThreadState self_after = ThreadState::kDone;
+  Time woke_at = 0;
+  const ThreadId sleeper =
+      rt.spawn("sleeper", kPriorityData, [&](Runtime& r, Message) {
+        r.sleep_until(1000);
+        woke_at = r.now();
+        return CodeResult::kTerminate;
+      });
+  const ThreadId waker = rt.spawn("waker", kPriorityData, [&](Runtime& r,
+                                                              Message) {
+    r.unpark(sleeper);
+    sleeper_after = r.thread(sleeper)->state();
+    r.unpark(r.current());
+    self_after = r.thread(r.current())->state();
+    r.unpark(9999);  // no such thread
+    return CodeResult::kTerminate;
+  });
+  rt.send(sleeper, Message{});
+  rt.send(waker, Message{});
+  rt.run();
+  EXPECT_EQ(sleeper_after, ThreadState::kSleeping);
+  EXPECT_EQ(self_after, ThreadState::kRunning);
+  EXPECT_EQ(woke_at, 1000);  // its timer, not the unpark, woke it
+}
+
 // --- dedicated-host-thread primitives (ip_shard substrate) ------------------
 
 TEST(Runtime, DoorbellIsStickyAcrossRings) {
