@@ -270,7 +270,13 @@ void BM_SkewRecovery(benchmark::State& state) {
         static_cast<double>(total_steps) / static_cast<double>(recoveries);
   }
 }
-BENCHMARK(BM_SkewRecovery)->UseRealTime()->Unit(benchmark::kMillisecond);
+// A fixed iteration count: the timed region is ~0.4 ms, so gbench would
+// otherwise run ~2,000 iterations, each paying an untimed set-up and drain
+// of ~30 ms — a minute per run for a count that repeats exactly.
+BENCHMARK(BM_SkewRecovery)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(20);
 
 void BM_ElasticScaleCycle(benchmark::State& state) {
   std::int64_t cycles = 0;

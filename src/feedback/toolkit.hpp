@@ -131,23 +131,32 @@ class LatencySensor : public FunctionComponent {
 
  protected:
   Item convert(Item x) override {
+    sample(x, pipeline_now());
+    return x;
+  }
+  /// Reads the clock once per span.
+  void convert_span(ItemSpan xs) override {
+    const rt::Time now = pipeline_now();
+    for (const Item& x : xs) {
+      if (x.is_data()) sample(x, now);
+    }
+  }
+
+ private:
+  void sample(const Item& x, rt::Time now) {
     // Item::timestamp defaults to 0 = "never stamped"; such an item would
     // read as the whole pipeline-clock epoch (multi-second bogus latency)
     // and poison the filter, so it contributes no sample.
     if (x.timestamp != 0) {
-      const double lat_ms =
-          static_cast<double>(pipeline_now() - x.timestamp) / 1e6;
-      filter_.update(lat_ms);
+      filter_.update(static_cast<double>(now - x.timestamp) / 1e6);
     }
     ++seen_;
     if (report_every_ > 0 && seen_ % report_every_ == 0) {
       broadcast(Event{kEventSensorReport,
                       SensorReport{name(), filter_.value()}});
     }
-    return x;
   }
 
- private:
   LowPassFilter filter_;
   std::uint64_t report_every_;
   std::uint64_t seen_ = 0;

@@ -98,7 +98,15 @@ SessionAcceptor::OpenResult SessionAcceptor::open(const SessionParams& p) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return r;
   }
-  r.id = table_->open_on(d.shard, p);
+  try {
+    r.id = table_->open_on(d.shard, p);
+  } catch (const std::length_error& e) {
+    // The shard's engine has no slot left to issue: refused like any other
+    // admission, the reason travelling in the reply.
+    r.reason = e.what();
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    return r;
+  }
   r.ok = true;
   const double cost = std::max(p.rate_hz, 0.0) * policy_.cost_per_item;
   {

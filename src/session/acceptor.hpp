@@ -45,8 +45,9 @@ struct AdmissionPolicy {
   /// Admission ceilings per class (effective load + session cost must stay
   /// below). Indexed by QosClass; gold highest, bronze lowest.
   std::array<double, kNumClasses> watermark{0.95, 0.85, 0.70};
-  /// Hard cap on sessions per shard regardless of load.
-  std::size_t max_per_shard = std::size_t{1} << 20;
+  /// Hard cap on sessions per shard regardless of load; by default what
+  /// one shard's engine can hold.
+  std::size_t max_per_shard = kSessionSlots;
 };
 
 /// Outcome of one admission check. `reason` is human-readable and travels

@@ -9,10 +9,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <mutex>
-#include <queue>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/component.hpp"
@@ -49,7 +48,7 @@ inline void fill_payload(std::uint8_t* b, std::size_t n, SessionId id,
 }
 
 /// The session item: payload = fill_payload(id, seq), kind = id (fits — see
-/// make_session_id), timestamp = scheduled due time (so a downstream
+/// SessionId), timestamp = scheduled due time (so a downstream
 /// LatencySensor measures lag against the cadence, not arrival-to-arrival).
 /// `scratch` avoids a per-item allocation for payloads beyond the inline
 /// capacity.
@@ -74,32 +73,52 @@ inline void digest_item(StreamDigest& d, const Item& x) {
 
 // ---- the engine components --------------------------------------------------
 
-/// The shard engine's one driver: a timing wheel of live sessions over ONE
-/// thread. Each session is a wheel entry (due time, id) plus a Sess record;
-/// opening a session is a queue push + heap insert — no planning, no
-/// realization, no thread creation. That is the whole point of ip_session.
+/// The shard engine's one driver: a hashed timing wheel of live sessions
+/// over ONE thread. Each session owns a dense slot on the engine — its id
+/// names the slot (session.hpp) — holding its record and its one wheel
+/// link. Opening a session is a slot issue plus a queue push under one
+/// mutex; no planning, no realization, no thread creation. That is the
+/// whole point of ip_session.
+///
+/// The wheel (Varghese & Lauck's hashed wheel): time is cut into ticks of
+/// 2^kTickShift ns, each tick hashed to one of kBuckets intrusive lists
+/// threaded through the slots; an entry more than one revolution out stays
+/// in its bucket until its own tick comes round. Entries of the ticks up to
+/// the current one sit in a small (due, id) heap, so emission is in exact
+/// (due, id) order and fires at the exact earliest due instant, as a single
+/// (due, id) priority queue would.
 ///
 /// Timing: next_fire() returns min(earliest due, now + idle_poll). The
 /// driver protocol sleeps until exactly the returned instant and does not
 /// re-evaluate on control traffic, so the idle-poll bound is what puts a
 /// ceiling on admission latency when the wheel is empty or far in the
-/// future. One cycle() emits every session due at the fire time (bounded by
-/// kMaxEmitPerCycle to stay responsive to control events).
+/// future. One cycle() emits every session due at the fire time, in spans
+/// of up to kSpan items (bounded by kMaxEmitPerCycle to stay responsive to
+/// control events).
 ///
 /// Cadence under pressure: the effective period of a session is
 /// nominal_period / mult[class], with mult written by the ClassGovernor
 /// below (gold stays at 1.0; silver and bronze shrink when the shard's lag
-/// grows). Emission order between sessions due at the same instant is heap
-/// order on (due, id) — deterministic, so manual-mode runs replay exactly.
+/// grows). Emission order between sessions due at the same instant is
+/// (due, id) — deterministic, so manual-mode runs replay exactly.
+///
+/// Close marks the session's record; its slot is freed when its wheel
+/// entry next surfaces, and handed back to open() only then.
 class SessionSource : public ActiveSource {
  public:
   SessionSource(std::string name, ShardState* st, double idle_poll_hz,
                 double min_mult);
 
-  // External (any thread): admission/close ops enqueue under a mutex and
-  // are drained onto the wheel at the next prepare()/next_fire() on the
-  // driver thread — wheel and Sess records themselves are driver-only.
-  void enqueue_open(SessionId id, SessionParams p);
+  // External (any thread): open() issues the session's slot and enqueues
+  // it under a mutex; the queue is drained onto the wheel at the next
+  // prepare()/next_fire() on the driver thread — wheel and session records
+  // themselves are driver-only.
+
+  /// Issues a fresh id on this engine (homed on `shard`) and enqueues the
+  /// session's open. Throws std::length_error when the engine has no slot
+  /// left to issue: kSessionSlots sessions live, or every other slot's
+  /// generations used up.
+  [[nodiscard]] SessionId open(int shard, SessionParams p);
   void enqueue_close(SessionId id);
 
   /// Live sessions on this shard (maintained by the table at open/close,
@@ -118,17 +137,28 @@ class SessionSource : public ActiveSource {
 
  private:
   static constexpr std::size_t kMaxEmitPerCycle = 1024;
+  /// Items handed downstream per push_next_span.
+  static constexpr std::size_t kSpan = 64;
+  /// Tick width 2^16 ns (65.5 us); 8192 buckets make one revolution 537 ms,
+  /// longer than the period of any session at 2 Hz and up.
+  static constexpr int kTickShift = 16;
+  static constexpr std::uint32_t kBuckets = 8192;
+  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
   struct Sess {
-    SessionParams params;
-    rt::Time period = 0;  ///< nominal, from params.rate_hz
+    SessionId id = 0;     ///< occupant; 0 while the slot is free
+    rt::Time period = 0;  ///< nominal, from the open's rate_hz
     rt::Time due = 0;
     std::uint64_t seq = 0;
+    std::size_t bytes = 0;
+    std::uint32_t next = kNil;  ///< bucket list link
+    QosClass qos = QosClass::kBronze;
+    bool closed = false;
   };
-  struct WheelEntry {
+  struct Due {
     rt::Time due = 0;
     SessionId id = 0;
-    bool operator>(const WheelEntry& o) const {
+    bool operator>(const Due& o) const {
       return due != o.due ? due > o.due : id > o.id;
     }
   };
@@ -138,19 +168,37 @@ class SessionSource : public ActiveSource {
     SessionParams params;
   };
 
+  [[nodiscard]] static std::int64_t tick_of(rt::Time t) {
+    return t >> kTickShift;
+  }
   void drain_pending(rt::Time now);
+  /// Files a session's due on the wheel: into the heap when its tick is
+  /// already current, into its tick's bucket otherwise.
+  void schedule(std::uint32_t slot);
+  /// The earliest live session due at or before `limit` (at the heap's
+  /// front), or nullptr. Frees the slots of closed sessions it passes.
+  [[nodiscard]] const Due* front(rt::Time limit);
+  void push_span(std::size_t n);
 
   ShardState* st_;
   rt::Time idle_poll_;
   double min_mult_;
-  std::priority_queue<WheelEntry, std::vector<WheelEntry>,
-                      std::greater<WheelEntry>>
-      wheel_;
-  std::unordered_map<SessionId, Sess> sessions_;
+
+  // Driver-only.
+  std::vector<Sess> sess_;             ///< by slot
+  std::vector<std::uint32_t> bucket_;  ///< list heads, by tick % kBuckets
+  std::int64_t tick_ = 0;              ///< ticks up to here are in heap_
+  std::size_t in_buckets_ = 0;
+  std::vector<Due> heap_;                ///< min-heap on (due, id)
+  std::vector<std::uint32_t> freed_;     ///< slots to hand back to open()
+  std::vector<PendingOp> ops_;           ///< the drained queue
+  std::vector<Item> span_;
   std::vector<std::uint8_t> scratch_;
 
   std::mutex pending_mu_;
   std::vector<PendingOp> pending_;
+  std::vector<std::uint8_t> generation_;  ///< last issued, by slot
+  std::deque<std::uint32_t> free_;        ///< slots to reissue, oldest first
 };
 
 /// Identity pass-through holding the per-class cadence multipliers. The
@@ -173,6 +221,7 @@ class ClassGovernor : public FunctionComponent {
 
  protected:
   Item convert(Item x) override { return x; }
+  void convert_span(ItemSpan /*xs*/) override {}
 
  private:
   ShardState* st_;
@@ -183,31 +232,51 @@ class ClassGovernor : public FunctionComponent {
 /// Terminal sink: per-session stream digest plus inter-item jitter — the
 /// absolute difference between the actual arrival gap and the scheduled
 /// gap, |(now - prev_arrival) - (due - prev_due)| — recorded into the
-/// shard's lock-free histogram. The record map is driver-thread-only (the
-/// sink shares the source's section); the table routes external digest
-/// queries through the shard thread.
+/// shard's lock-free histogram. Records are indexed by the id's slot; when
+/// a slot's next occupant delivers its first item, the previous occupant's
+/// item count and digest move into a ring of the last kClosed such
+/// sessions, where digest_of()/items_of() still find them. The records are
+/// driver-thread-only (the sink shares the source's section); the table
+/// routes external digest queries through the shard thread.
 class SessionSink : public PassiveSink {
  public:
   SessionSink(std::string name, ShardState* st)
       : PassiveSink(std::move(name)), st_(st) {}
 
   void consume(Item x) override;
+  /// Reads the clock once per span.
+  void consume_span(ItemSpan xs) override;
 
-  /// Per-session digest so far; 0 for an unknown session. Driver-thread
-  /// (or stopped-engine) access only.
+  /// Per-session digest so far; 0 for an unknown session, and for one
+  /// whose slot changed occupant more than kClosed slot changes ago.
+  /// Driver-thread (or stopped-engine) access only.
   [[nodiscard]] std::uint64_t digest_of(SessionId id) const;
   [[nodiscard]] std::uint64_t items_of(SessionId id) const;
 
  private:
+  static constexpr std::size_t kClosed = 1024;
+
   struct Rec {
+    SessionId id = 0;
     StreamDigest digest;
     std::uint64_t seen = 0;
     rt::Time prev_due = 0;
     rt::Time prev_arrival = 0;
   };
+  struct Closed {
+    SessionId id = 0;
+    std::uint64_t items = 0;
+    std::uint64_t digest = 0;
+  };
+
+  void record(const Item& x, rt::Time now);
+  /// The live record or the ring entry of `id`, as (items, digest).
+  [[nodiscard]] Closed find(SessionId id) const;
 
   ShardState* st_;
-  std::unordered_map<SessionId, Rec> recs_;
+  std::vector<Rec> recs_;      ///< by slot
+  std::vector<Closed> ring_;   ///< kClosed entries once the first one lands
+  std::size_t ring_next_ = 0;
 };
 
 }  // namespace infopipe::session

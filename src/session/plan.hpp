@@ -9,9 +9,10 @@
 // prototype, runs the planner over it, and caches the resulting PlanInfo as
 // one immutable value. SessionTable then realizes one engine per shard from
 // this spec (n_shards planner runs total, at construction), and every
-// open() after that is a constant-time stamp: a wheel entry plus a session
-// record, sharing the one PlanInfo. plan_info() is what every session's
-// introspection reports — there is exactly one plan, by construction.
+// open() after that is a constant-time stamp: a slot issued on the home
+// shard's engine plus a queue push, sharing the one PlanInfo. plan_info()
+// is what every session's introspection reports — there is exactly one
+// plan, by construction.
 #pragma once
 
 #include <functional>

@@ -8,8 +8,10 @@
 // (acceptor.hpp) and their tests; nothing here touches threads.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -37,19 +39,41 @@ struct SessionParams {
   std::size_t payload_bytes = 64; ///< deterministic payload size per item
 };
 
-/// Session identity. The home shard is folded into the low byte so routing
-/// a close (or a data item, whose kind carries the id) never needs a
-/// table lookup: shard_of_session(id) is a mask. The counter part is kept
-/// below 2^23 so the whole id also fits the int32 `kind` field of an Item.
+/// Session identity: the home shard in the low byte, then the session's
+/// slot on that shard's engine, then the slot's generation — 32 bits in
+/// all, so the whole id fits the `kind` field of an Item (the engine's
+/// items carry it there). Routing a close, or a data item, to its shard is
+/// a mask; finding its record on the engine is a shift and a mask. A slot
+/// is reissued with the next generation once its previous occupant is gone
+/// from the engine, and a slot whose generations are used up is never
+/// reissued, so no id repeats while the table lives. Generation 0 is never
+/// issued, so no id is 0.
 using SessionId = std::uint64_t;
 
+inline constexpr int kSessionSlotBits = 17;
+inline constexpr int kSessionGenerationBits = 7;
+/// Live sessions one shard's engine can hold.
+inline constexpr std::uint32_t kSessionSlots =
+    std::uint32_t{1} << kSessionSlotBits;
+/// Occupants one slot hosts over the table's lifetime (generations 1..127).
+inline constexpr std::uint32_t kSessionGenerations =
+    (std::uint32_t{1} << kSessionGenerationBits) - 1;
+
 [[nodiscard]] inline constexpr SessionId make_session_id(
-    std::uint64_t counter, int shard) {
-  return (counter << 8) | static_cast<std::uint64_t>(shard & 0xFF);
+    int shard, std::uint32_t slot, std::uint32_t generation) {
+  return (static_cast<SessionId>(generation) << (8 + kSessionSlotBits)) |
+         (static_cast<SessionId>(slot) << 8) |
+         static_cast<SessionId>(shard & 0xFF);
 }
 [[nodiscard]] inline constexpr int shard_of_session(SessionId id) {
   return static_cast<int>(id & 0xFF);
 }
+[[nodiscard]] inline constexpr std::uint32_t slot_of_session(SessionId id) {
+  return static_cast<std::uint32_t>(id >> 8) & (kSessionSlots - 1);
+}
+static_assert(make_session_id(255, kSessionSlots - 1, kSessionGenerations) ==
+                  0xFFFFFFFFu,
+              "a session id must fit the 32-bit Item::kind");
 
 // ---- jitter accounting ------------------------------------------------------
 
@@ -61,9 +85,11 @@ class JitterHistogram {
  public:
   static constexpr int kBuckets = 64;
 
+  /// Bucket b holds [2^(b-1), 2^b): 0 in bucket 0, everything from 2^62
+  /// up in the last.
   void record(std::uint64_t ns) noexcept {
-    int b = 0;
-    while (b < kBuckets - 1 && ns >= (std::uint64_t{1} << b)) ++b;
+    const int b =
+        std::min(kBuckets - 1, static_cast<int>(std::bit_width(ns)));
     buckets_[static_cast<std::size_t>(b)].fetch_add(
         1, std::memory_order_relaxed);
   }

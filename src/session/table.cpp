@@ -156,12 +156,9 @@ SessionId SessionTable::open_on(int shard, SessionParams p) {
     throw std::out_of_range("session: shard " + std::to_string(shard) +
                             " is retired");
   }
-  const std::uint64_t c = next_counter_.fetch_add(1, std::memory_order_relaxed);
-  const SessionId id = make_session_id(c, shard);
-
-  // The stamp: one queue push. The wheel picks it up at the engine's next
-  // fire (bounded by idle_poll_hz).
-  e.src->enqueue_open(id, p);
+  // The stamp: a slot issue and one queue push. The wheel picks it up at
+  // the engine's next fire (bounded by idle_poll_hz).
+  const SessionId id = e.src->open(shard, p);
 
   live_.fetch_add(1, std::memory_order_relaxed);
   e.state.live.fetch_add(1, std::memory_order_relaxed);

@@ -3,13 +3,13 @@
 // The table owns one *engine* per shard — SessionSource (a timing wheel
 // over ONE driver thread) >> ClassGovernor >> application stages >>
 // LatencySensor >> SessionSink — realized exactly once, at construction,
-// from the SharedPlan's spec. Opening a session is then a *stamp*: a
-// counter increment, a queue push onto the home shard's wheel, a session
-// record. No planning, no realization, no thread creation — which is why
-// open_on() is orders of magnitude cheaper than a per-flow Pipeline
-// realize, and why tens of thousands of concurrent sessions fit where the
-// classic path holds dozens (bench/bench_sessions.cpp measures both
-// claims).
+// from the SharedPlan's spec. Opening a session is then a *stamp*: a slot
+// issued on the home shard's engine (the id names it) and a queue push
+// onto that engine's wheel. No planning, no realization, no thread
+// creation — which is why open_on() is orders of magnitude cheaper than a
+// per-flow Pipeline realize, and why tens of thousands of concurrent
+// sessions fit where the classic path holds dozens
+// (bench/bench_sessions.cpp measures both claims).
 //
 // Per-class QoS: start_loops() binds one feedback loop per shard over the
 // existing endpoint layer — probe_value("sess.lag") → PI →
@@ -97,7 +97,8 @@ class SessionTable {
 
   /// Opens a session on `shard`: thread-safe, constant-time, callable from
   /// any thread while the engines run. Admission policy lives in
-  /// SessionAcceptor — the table itself never refuses.
+  /// SessionAcceptor — the table refuses only when the shard's engine has
+  /// no slot left to issue (std::length_error; see SessionSource::open).
   [[nodiscard]] SessionId open_on(int shard, SessionParams p);
 
   /// Closes an open session. Each id must be closed at most once.
@@ -113,7 +114,11 @@ class SessionTable {
   [[nodiscard]] std::uint64_t items_total() const;
   /// Items delivered / stream digest of one session (sampled on the home
   /// shard's thread while running). Digest covers payload+seq+kind per the
-  /// distributed_player convention.
+  /// distributed_player convention. A closed session still answers until
+  /// its slot's next occupant delivers an item, and then from a ring of the
+  /// engine's last 1024 such sessions; one evicted from that ring reads 0.
+  /// Per-engine state is the slots plus that ring, however many sessions
+  /// come and go.
   [[nodiscard]] std::uint64_t items_of(SessionId id);
   [[nodiscard]] std::uint64_t digest(SessionId id);
   /// Current cadence multiplier of a class on a shard (1.0 untouched).
@@ -155,7 +160,6 @@ class SessionTable {
   /// themselves are reached through stable unique_ptrs.
   mutable std::mutex engines_mu_;
   std::vector<std::unique_ptr<Engine>> engines_;
-  std::atomic<std::uint64_t> next_counter_{1};
   std::atomic<std::uint64_t> realizations_{0};
   std::atomic<std::uint64_t> live_{0};
   bool stopped_ = false;

@@ -11,11 +11,17 @@
 // front door runs real loopback TCP: N concurrent peers, each with its own
 // adopted transport, opening and closing sessions through control frames.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <exception>
+#include <limits>
+#include <map>
 #include <memory>
+#include <new>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,6 +40,35 @@
 #include "session/table.hpp"
 #include "shard/shard_group.hpp"
 #include "shard/sharded_realization.hpp"
+
+// Counting global allocator for the engine-state bound: live heap bytes
+// on this OS thread while a test opens its window. A manual ShardGroup runs
+// every shard's user-level threads on the thread that steps it, so the
+// count covers the engines.
+namespace {
+thread_local bool t_count_bytes = false;
+thread_local std::int64_t t_live_bytes = 0;
+}  // namespace
+
+// GCC cannot see that the replaced new and delete pair malloc with free.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  if (t_count_bytes) {
+    t_live_bytes += static_cast<std::int64_t>(malloc_usable_size(p));
+  }
+  return p;
+}
+void operator delete(void* p) noexcept {
+  if (p != nullptr && t_count_bytes) {
+    t_live_bytes -= static_cast<std::int64_t>(malloc_usable_size(p));
+  }
+  std::free(p);
+}
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+#pragma GCC diagnostic pop
 
 namespace infopipe::session {
 namespace {
@@ -223,10 +258,10 @@ TEST(SessionReference, SharedTableMatchesPerFlowRealizations) {
   };
 
   FlowResult shared;
+  std::vector<SessionId> ids;  // as the table issued them
   {
     shard::ShardGroup group(2, manual_opts());
     SessionTable table(group, plan);
-    std::vector<SessionId> ids;
     for (const auto& [shard, p] : sessions) {
       ids.push_back(table.open_on(shard, p));
     }
@@ -245,11 +280,9 @@ TEST(SessionReference, SharedTableMatchesPerFlowRealizations) {
   {
     shard::ShardGroup group(2, manual_opts());
     std::vector<std::unique_ptr<PerFlow>> flows;
-    std::vector<SessionId> ids;
-    std::uint64_t counter = 1;  // the table's first id counter
-    for (const auto& [shard, p] : sessions) {
-      ids.push_back(make_session_id(counter++, shard));
-      flows.push_back(std::make_unique<PerFlow>(group, *plan, ids.back(), p));
+    for (std::size_t i = 0; i < sessions.size(); ++i) {
+      flows.push_back(
+          std::make_unique<PerFlow>(group, *plan, ids[i], sessions[i].second));
     }
     group.step_until(rt::seconds(2));
     for (std::size_t i = 0; i < flows.size(); ++i) {
@@ -265,6 +298,48 @@ TEST(SessionReference, SharedTableMatchesPerFlowRealizations) {
   EXPECT_EQ(shared.digests, ref.digests);
   for (std::uint64_t d : shared.digests) EXPECT_NE(d, 0u);
   for (std::uint64_t n : shared.items) EXPECT_GT(n, 0u);
+}
+
+TEST(SessionReference, CadencesBeyondOneWheelRevolutionMatchPerFlow) {
+  // Periods of 2 s and 3.3 s outlast the wheel's 537 ms revolution, so
+  // their entries wait in a bucket through several passes of their tick.
+  const auto plan = SharedPlan::analyze(EngineSpec{});
+  const std::vector<SessionParams> params{
+      SessionParams{QosClass::kBronze, 0.5, 8},
+      SessionParams{QosClass::kSilver, 0.3, 8},
+      SessionParams{QosClass::kGold, 200.0, 8},
+  };
+  FlowResult shared;
+  std::vector<SessionId> ids;
+  {
+    shard::ShardGroup group(1, manual_opts());
+    SessionTable table(group, plan);
+    for (const SessionParams& p : params) ids.push_back(table.open_on(0, p));
+    group.step_until(rt::seconds(10));
+    for (const SessionId id : ids) {
+      shared.items.push_back(table.items_of(id));
+      shared.digests.push_back(table.digest(id));
+    }
+  }
+  FlowResult ref;
+  {
+    shard::ShardGroup group(1, manual_opts());
+    std::vector<std::unique_ptr<PerFlow>> flows;
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      flows.push_back(std::make_unique<PerFlow>(group, *plan, ids[i],
+                                                params[i]));
+    }
+    group.step_until(rt::seconds(10));
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      ref.items.push_back(flows[i]->sink.items_of(ids[i]));
+      ref.digests.push_back(flows[i]->sink.digest_of(ids[i]));
+    }
+    for (auto& f : flows) f->real->post_event(Event{kEventShutdown});
+  }
+  EXPECT_EQ(shared.items, ref.items);
+  EXPECT_EQ(shared.digests, ref.digests);
+  EXPECT_GE(shared.items[0], 5u);
+  EXPECT_GE(shared.items[1], 3u);
 }
 
 TEST(SessionTableManual, CloseStopsEmissionExactly) {
@@ -283,6 +358,170 @@ TEST(SessionTableManual, CloseStopsEmissionExactly) {
   group.step_until(rt::seconds(2));
   // The close drains before the next cycle: not one more item.
   EXPECT_EQ(table.items_of(id), before);
+}
+
+TEST(SessionTableManual, ChurnKeepsEngineStateBounded) {
+  shard::ShardGroup group(1, manual_opts());
+  const auto plan = SharedPlan::analyze(EngineSpec{});
+  SessionTable table(group, plan);
+  const SessionParams p{QosClass::kBronze, 1000.0, 8};
+
+  // 1000 rounds of 100 sessions: each round opens its sessions, lets each
+  // emit (the first fire is at the drain, at most one idle poll away),
+  // closes them, and lets the engine take the closes in.
+  constexpr int kBatch = 100;
+  constexpr int kRounds = 1000;
+  std::vector<SessionId> ids(kBatch);
+  SessionId first = 0;
+  rt::Time t = 0;
+  std::int64_t after_first = 0;
+  t_live_bytes = 0;
+  t_count_bytes = true;
+  for (int r = 0; r < kRounds; ++r) {
+    for (SessionId& id : ids) id = table.open_on(0, p);
+    if (r == 0) first = ids[0];
+    group.step_until(t += rt::milliseconds(10));
+    for (const SessionId id : ids) {
+      EXPECT_GT(table.items_of(id), 0u);
+      table.close(id);
+    }
+    group.step_until(t += rt::milliseconds(10));
+    if (r == kRounds / 10 - 1) after_first = t_live_bytes;
+  }
+  t_count_bytes = false;
+  EXPECT_EQ(table.live(), 0u);
+  // The last round's sessions still answer; the first one's slot changed
+  // occupant far more often than the closed-session ring holds.
+  EXPECT_GT(table.items_of(ids[0]), 0u);
+  EXPECT_EQ(table.items_of(first), 0u);
+
+  // Per-engine state is the slots plus the closed-session ring. A slot
+  // retires after kSessionGenerations occupants, so 9 * 10^4 further
+  // sessions add ~700 slots of records (about 0.1 MB, with the vectors'
+  // growth); one record per session ever opened would add megabytes.
+  constexpr std::int64_t kBoundBytes = 256 * 1024;
+  EXPECT_LT(t_live_bytes - after_first, kBoundBytes)
+      << "engine state grew by " << (t_live_bytes - after_first)
+      << " bytes over 9 * 10^4 sessions";
+}
+
+// ---------- session identity -------------------------------------------------------
+
+/// Records the first seq each session delivers.
+class FirstSeq : public FunctionComponent {
+ public:
+  explicit FirstSeq(std::map<SessionId, std::uint64_t>* first)
+      : FunctionComponent("first-seq"), first_(first) {}
+
+ protected:
+  Item convert(Item x) override {
+    first_->emplace(static_cast<SessionId>(static_cast<std::uint32_t>(x.kind)),
+                    x.seq);
+    return x;
+  }
+
+ private:
+  std::map<SessionId, std::uint64_t>* first_;
+};
+
+TEST(SessionIds, UniqueAcrossSlotReuse) {
+  std::map<SessionId, std::uint64_t> first_seq;
+  EngineSpec spec;
+  spec.stages = [&first_seq](int) {
+    std::vector<std::unique_ptr<Component>> v;
+    v.push_back(std::make_unique<FirstSeq>(&first_seq));
+    return v;
+  };
+  const auto plan = SharedPlan::analyze(std::move(spec));
+  shard::ShardGroup group(1, manual_opts());
+  SessionTable table(group, plan);
+  const SessionParams p{QosClass::kGold, 1000.0, 16};
+
+  // One session at a time, each closed and taken in before the next opens,
+  // so every open lands on the one free slot until its generations run out.
+  const int n = static_cast<int>(kSessionGenerations) + 3;
+  std::vector<SessionId> ids;
+  std::vector<std::uint64_t> items;
+  rt::Time t = 0;
+  for (int i = 0; i < n; ++i) {
+    ids.push_back(table.open_on(0, p));
+    group.step_until(t += rt::milliseconds(10));
+    table.close(ids.back());
+    group.step_until(t += rt::milliseconds(10));
+    items.push_back(table.items_of(ids.back()));
+    ASSERT_GT(items.back(), 0u);
+  }
+
+  EXPECT_EQ(std::set<SessionId>(ids.begin(), ids.end()).size(), ids.size());
+  for (int i = 0; i < static_cast<int>(kSessionGenerations); ++i) {
+    EXPECT_EQ(slot_of_session(ids[static_cast<std::size_t>(i)]),
+              slot_of_session(ids[0]));
+  }
+  // The slot's generations are used up: it is never issued again.
+  for (std::size_t i = kSessionGenerations; i < ids.size(); ++i) {
+    EXPECT_NE(slot_of_session(ids[i]), slot_of_session(ids[0]));
+  }
+  for (const SessionId id : ids) EXPECT_EQ(first_seq.at(id), 0u);
+
+  // The previous occupant of a reused slot answers from the ring.
+  EXPECT_EQ(table.items_of(ids[0]), items[0]);
+  EXPECT_EQ(table.items_of(ids[1]), items[1]);
+
+  // A reused slot's stream is exactly the per-flow reference's.
+  const SessionId reused = ids[1];
+  shard::ShardGroup ref_group(1, manual_opts());
+  PerFlow flow(ref_group, *plan, reused, p);
+  rt::Time rt_t = 0;
+  while (flow.sink.items_of(reused) < items[1]) {
+    ref_group.step_until(rt_t += rt::milliseconds(1));
+  }
+  EXPECT_EQ(flow.sink.items_of(reused), items[1]);
+  EXPECT_EQ(flow.sink.digest_of(reused), table.digest(reused));
+  flow.real->post_event(Event{kEventShutdown});
+}
+
+TEST(SessionIds, OpenThrowsWhenTheShardHasNoSlotLeft) {
+  shard::ShardGroup group(2, manual_opts());
+  const auto plan = SharedPlan::analyze(EngineSpec{});
+  SessionTable table(group, plan);
+  for (std::uint32_t i = 0; i < kSessionSlots; ++i) {
+    (void)table.open_on(0, SessionParams{});
+  }
+  EXPECT_THROW((void)table.open_on(0, SessionParams{}), std::length_error);
+  EXPECT_EQ(table.live_on(0), kSessionSlots);
+  const SessionId other = table.open_on(1, SessionParams{});
+  EXPECT_EQ(shard_of_session(other), 1);
+}
+
+// ---------- jitter accounting ------------------------------------------------------
+
+TEST(SessionJitter, RecordBucketsMatchTheLinearScan) {
+  const auto scan = [](std::uint64_t ns) {
+    int b = 0;
+    while (b < JitterHistogram::kBuckets - 1 && ns >= (std::uint64_t{1} << b)) {
+      ++b;
+    }
+    return b;
+  };
+  const auto recorded = [](std::uint64_t ns) {
+    JitterHistogram h;
+    h.record(ns);
+    std::array<std::uint64_t, JitterHistogram::kBuckets> counts{};
+    h.merge_into(counts);
+    for (int b = 0; b < JitterHistogram::kBuckets; ++b) {
+      if (counts[static_cast<std::size_t>(b)] != 0) return b;
+    }
+    return -1;
+  };
+  std::vector<std::uint64_t> values{0, 1,
+                                    std::numeric_limits<std::uint64_t>::max()};
+  for (int k = 1; k < 64; ++k) {
+    values.push_back((std::uint64_t{1} << k) - 1);
+    values.push_back(std::uint64_t{1} << k);
+  }
+  for (const std::uint64_t ns : values) {
+    EXPECT_EQ(recorded(ns), scan(ns)) << "ns = " << ns;
+  }
 }
 
 // ---------- elastic topology -------------------------------------------------------
@@ -436,6 +675,26 @@ TEST(SessionAcceptorTest, SeesShardsAddedAfterConstruction) {
   group.retire_shard(added);
   EXPECT_EQ(acc.decide(p).shard, 1);
   EXPECT_EQ(table.live(), 0u);  // the force-close took the session with it
+}
+
+TEST(SessionAcceptorTest, RefusesWhenTheEngineHasNoSlotLeft) {
+  shard::ShardGroup group(1, manual_opts());
+  const auto plan = SharedPlan::analyze(EngineSpec{});
+  SessionTable table(group, plan);
+  balance::LoadAccountant acct(group);
+  AdmissionPolicy pol;
+  pol.max_per_shard = kSessionSlots + 1;  // let the engine be the limit
+  SessionAcceptor acc(table, acct, pol);
+
+  const SessionParams idle{QosClass::kGold, 0.0, 8};  // plans no load
+  for (std::uint32_t i = 0; i < kSessionSlots; ++i) {
+    ASSERT_TRUE(acc.open(idle).ok);
+  }
+  const SessionAcceptor::OpenResult r = acc.open(idle);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.reason.find("no session slot"), std::string::npos) << r.reason;
+  EXPECT_EQ(acc.rejected(), 1u);
+  EXPECT_EQ(table.live(), kSessionSlots);
 }
 
 // ---------- the unified control surface --------------------------------------------
