@@ -41,17 +41,21 @@ Item payload_item(std::uint64_t seq) {
   return x;
 }
 
-/// Counts kMsgNetDeliver arrivals on a plain ULT.
+/// Counts kMsgNetDeliver bursts and the items in them on a plain ULT.
 struct Collector {
   std::uint64_t items = 0;
+  std::uint64_t deliveries = 0;
   bool eos = false;
   rt::ThreadId tid = rt::kNoThread;
 
   void spawn(rt::Runtime& rtm) {
     tid = rtm.spawn("collect", rt::kPriorityData,
                     [this](rt::Runtime&, rt::Message m) {
-                      if (m.type == kMsgNetDeliver) {
-                        Item x = m.take<Item>();
+                      if (m.type != kMsgNetDeliver) {
+                        return rt::CodeResult::kContinue;
+                      }
+                      ++deliveries;
+                      for (const Item& x : m.get<Burst>()->items()) {
                         if (x.is_eos()) {
                           eos = true;
                         } else {
@@ -91,6 +95,8 @@ struct TcpRig {
 };
 
 void BM_TcpLoopbackBurst(benchmark::State& state) {
+  std::uint64_t frames = 0;
+  std::uint64_t deliveries = 0;
   for (auto _ : state) {
     state.PauseTiming();
     TcpRig rig;
@@ -114,11 +120,18 @@ void BM_TcpLoopbackBurst(benchmark::State& state) {
       state.SkipWithError("loopback burst did not complete");
       return;
     }
+    frames += got.items;
+    deliveries += got.deliveries;
     state.SetItemsProcessed(state.items_processed() + kBurstItems);
     state.SetBytesProcessed(state.bytes_processed() +
                             kBurstItems * static_cast<std::int64_t>(
                                               kPayloadBytes));
     state.ResumeTiming();
+  }
+  // Data frames per kMsgNetDeliver: one delivery carries a whole read.
+  if (deliveries > 0) {
+    state.counters["frames_per_delivery"] =
+        static_cast<double>(frames) / static_cast<double>(deliveries);
   }
 }
 BENCHMARK(BM_TcpLoopbackBurst)->Unit(benchmark::kMillisecond);

@@ -157,13 +157,23 @@ class Item {
   /// larger ones get a class-rounded pool block, so successive messages of
   /// similar size reuse storage.
   static Item of_bytes(const void* data, std::size_t n) {
+    return of_bytes(n, [&](std::uint8_t* out) {
+      if (n > 0) std::memcpy(out, data, n);
+    });
+  }
+
+  /// The in-place form: `fill(std::uint8_t* out)` writes all n payload
+  /// bytes straight into the inline buffer or the pooled block, so a codec
+  /// needs no staging buffer of its own.
+  template <typename Fill>
+  static Item of_bytes(std::size_t n, Fill&& fill) {
     Item it(ItemSpecial::kNone);
     if (n <= kInlineCapacity) {
-      if (n > 0) std::memcpy(it.inline_buf_, data, n);
+      fill(reinterpret_cast<std::uint8_t*>(it.inline_buf_));
       it.inline_size_ = static_cast<std::uint16_t>(n);
       it.inline_bytes_ = true;
     } else {
-      it.block_ = mem::make_bytes(data, n);
+      it.block_ = mem::make_bytes(n, std::forward<Fill>(fill));
     }
     it.size_bytes = n;
     return it;

@@ -35,12 +35,15 @@ ItemSpan Driver::pull_burst() {
   if (!pull_link_) throw NotWired(name() + ": pull side not wired");
   if (batch_.size() < max_batch_) batch_.resize(max_batch_);
   ItemSpan scratch(batch_.data(), max_batch_);
-  const std::size_t n = pull_link_(scratch);
+  return admit(scratch.first(pull_link_(scratch)));
+}
+
+ItemSpan Driver::admit(ItemSpan xs) {
   std::size_t kept = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (scratch[i].is_nil() && nil_policy_ == NilPolicy::kSkipCycle) continue;
-    observe(scratch[i]);
-    if (kept != i) scratch[kept] = std::move(scratch[i]);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    if (xs[i].is_nil() && nil_policy_ == NilPolicy::kSkipCycle) continue;
+    observe(xs[i]);
+    if (kept != i) xs[kept] = std::move(xs[i]);
     ++kept;
   }
   if (kept == 0) return {};
@@ -48,7 +51,7 @@ ItemSpan Driver::pull_burst() {
   if (Realization* r = realization()) {
     r->obs_hooks().batch_items->record(static_cast<std::int64_t>(kept));
   }
-  return scratch.first(kept);
+  return xs.first(kept);
 }
 
 void Pump::cycle() {
@@ -121,13 +124,22 @@ rt::Time AdaptivePump::next_fire(rt::Time now) {
   return fire;
 }
 
+Item ActiveSource::generate() {
+  throw std::logic_error(name() + ": override generate() or generate_span()");
+}
+
+ItemSpan ActiveSource::generate_span() {
+  one_ = generate();
+  return ItemSpan(&one_, 1);
+}
+
 void ActiveSource::cycle() {
-  Item x = generate();
-  if (x.is_eos()) throw EndOfStream{};
-  if (x.is_nil() && nil_policy() == NilPolicy::kSkipCycle) return;
-  observe(x);
-  ++items_pumped_;
-  push_next(std::move(x));
+  const ItemSpan xs = generate_span();
+  const auto eos = std::find_if(xs.begin(), xs.end(),
+                                [](const Item& x) { return x.is_eos(); });
+  const ItemSpan kept = admit(xs.first(eos - xs.begin()));
+  if (!kept.empty()) push_next_span(kept);
+  if (eos != xs.end()) throw EndOfStream{};
 }
 
 ClockedSourceBase::ClockedSourceBase(std::string name, double rate_hz,

@@ -123,13 +123,16 @@ class Driver : public Component {
   void push_next(Item x);
 
   /// One fire's upstream burst: pulls up to max_batch() items into the
-  /// driver's scratch, drops nils under kSkipCycle, observe()s and counts
-  /// the rest and records the burst size into core.batch_items. Returns the
-  /// kept items, empty when the fire moved nothing. EndOfStream from the
-  /// pull link propagates — an EOS ends a flow between bursts, never inside
-  /// one.
+  /// driver's scratch and admit()s them. EndOfStream from the pull link
+  /// propagates — an EOS ends a flow between bursts, never inside one.
   [[nodiscard]] ItemSpan pull_burst();
   void push_next_span(ItemSpan xs);
+
+  /// The rules every fire's burst passes: drops nils under kSkipCycle,
+  /// observe()s and counts the rest and records the burst size into
+  /// core.batch_items. Returns the kept items (compacted in place), empty
+  /// when the fire moved nothing.
+  [[nodiscard]] ItemSpan admit(ItemSpan xs);
 
   std::uint64_t items_pumped_ = 0;
   std::uint64_t deadline_misses_ = 0;
@@ -235,9 +238,19 @@ class ActiveSource : public Driver {
 
  protected:
   using Driver::Driver;
-  /// Produce the next item; return Item::eos() to end the stream.
-  [[nodiscard]] virtual Item generate() = 0;
+  /// Produce the next item; return Item::eos() to end the stream. A source
+  /// that overrides generate_span() need not override this.
+  [[nodiscard]] virtual Item generate();
+  /// One fire's items, in order (a network receiver's is one delivery).
+  /// An EOS ends the flow after the items before it; the cycle moves them
+  /// out, and the source keeps their storage. Default: generate()'s item as
+  /// a one-item span.
+  [[nodiscard]] virtual ItemSpan generate_span();
+  /// Pushes the admit()ted items of generate_span() as one span.
   void cycle() override;
+
+ private:
+  Item one_;  ///< the default generate_span()'s slot
 };
 
 /// A clock-driven active source.

@@ -42,6 +42,7 @@ void HostContext::dispatch_while_blocked() {
 
 void HostContext::poll_control() {
   rt::Runtime& rt = runtime();
+  if (!rt.control_queued()) return;  // the common case: no mailbox walk
   while (auto m = rt.try_receive([](const rt::Message& x) {
            return x.cls == rt::MsgClass::kControl;
          })) {

@@ -282,35 +282,36 @@ constexpr std::size_t kHeaderBytes = 48;
 constexpr std::uint32_t kMagic = 0x49504631;  // "IPF1"
 
 template <typename T>
-void put(std::vector<std::uint8_t>& b, std::size_t at, T v) {
-  std::memcpy(b.data() + at, &v, sizeof v);
+void put(std::uint8_t* b, std::size_t at, T v) {
+  std::memcpy(b + at, &v, sizeof v);
 }
 template <typename T>
-T get(const std::vector<std::uint8_t>& b, std::size_t at) {
+T get(std::span<const std::uint8_t> b, std::size_t at) {
   T v;
   std::memcpy(&v, b.data() + at, sizeof v);
   return v;
 }
 }  // namespace
 
-std::vector<std::uint8_t> encode_frame(const Item& x) {
+Item encode_frame(const Item& x) {
   const VideoFrame* f = x.payload<VideoFrame>();
-  if (f == nullptr) return {};
-  std::vector<std::uint8_t> b(
-      std::max(kHeaderBytes, f->compressed_bytes), 0);
-  put(b, 0, kMagic);
-  put(b, 4, static_cast<std::uint32_t>(f->content_id));
-  put(b, 8, f->frame_no);
-  put(b, 16, f->pts);
-  put(b, 24, static_cast<std::int32_t>(f->width));
-  put(b, 28, static_cast<std::int32_t>(f->height));
-  put(b, 32, static_cast<std::uint32_t>(f->compressed_bytes));
-  put(b, 36, static_cast<std::uint8_t>(to_char(f->type)));
-  put(b, 40, f->ref);
-  return b;
+  if (f == nullptr) return Item::of_bytes(nullptr, 0);
+  const std::size_t n = std::max(kHeaderBytes, f->compressed_bytes);
+  return Item::of_bytes(n, [&](std::uint8_t* b) {
+    std::memset(b, 0, n);  // the block is recycled: padding must be written
+    put(b, 0, kMagic);
+    put(b, 4, static_cast<std::uint32_t>(f->content_id));
+    put(b, 8, f->frame_no);
+    put(b, 16, f->pts);
+    put(b, 24, static_cast<std::int32_t>(f->width));
+    put(b, 28, static_cast<std::int32_t>(f->height));
+    put(b, 32, static_cast<std::uint32_t>(f->compressed_bytes));
+    put(b, 36, static_cast<std::uint8_t>(to_char(f->type)));
+    put(b, 40, f->ref);
+  });
 }
 
-Item decode_frame(const std::vector<std::uint8_t>& bytes) {
+Item decode_frame(std::span<const std::uint8_t> bytes) {
   if (bytes.size() < kHeaderBytes || get<std::uint32_t>(bytes, 0) != kMagic) {
     return Item::nil();
   }

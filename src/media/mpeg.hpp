@@ -9,6 +9,7 @@
 #include <optional>
 #include <random>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "core/basic.hpp"
@@ -203,11 +204,13 @@ class VideoDisplay : public PassiveSink {
 
 // ---- wire codec for netpipes -----------------------------------------------------
 
-/// Encode a video frame for transmission: a fixed header plus padding up to
-/// the frame's synthetic compressed size, so the link sees realistic bytes.
-[[nodiscard]] std::vector<std::uint8_t> encode_frame(const Item& x);
+/// Encode a video frame for transmission: a fixed header plus zero padding
+/// up to the frame's synthetic compressed size, so the link sees realistic
+/// bytes. Returns the wire item, written in place (net::MarshalFilter's
+/// codec contract); a non-frame item encodes as an empty payload.
+[[nodiscard]] Item encode_frame(const Item& x);
 
 /// Decode; returns Item::nil() for malformed packets.
-[[nodiscard]] Item decode_frame(const std::vector<std::uint8_t>& bytes);
+[[nodiscard]] Item decode_frame(std::span<const std::uint8_t> bytes);
 
 }  // namespace infopipe::media

@@ -189,16 +189,31 @@ template <typename T>
   return PayloadRef::adopt(h);
 }
 
-/// A raw-bytes payload block (serialization scratch), refcount 1. The pool
-/// hands back a class-rounded block, so successive wire messages of similar
-/// size reuse the same storage instead of running vector's grow dance.
-[[nodiscard]] inline PayloadRef make_bytes(const void* data, std::size_t n) {
+/// A raw-bytes payload block of `n` bytes, refcount 1, written in place by
+/// `fill(std::uint8_t* out)`, which must set all n bytes (a recycled block
+/// holds stale data). The pool hands back a class-rounded block, so
+/// successive wire messages of similar size reuse the same storage instead
+/// of running vector's grow dance.
+template <typename Fill>
+[[nodiscard]] PayloadRef make_bytes(std::size_t n, Fill&& fill) {
   BlockHeader* h = active_pool().acquire(n);
-  if (n != 0) std::memcpy(block_payload(h), data, n);
+  try {
+    fill(static_cast<std::uint8_t*>(block_payload(h)));
+  } catch (...) {
+    release_block(h);
+    throw;
+  }
   h->used = static_cast<std::uint32_t>(n);
   h->type = &typeid(Bytes);
   h->refs.store(1, std::memory_order_relaxed);
   return PayloadRef::adopt(h);
+}
+
+/// A raw-bytes payload block holding a copy of [data, data + n).
+[[nodiscard]] inline PayloadRef make_bytes(const void* data, std::size_t n) {
+  return make_bytes(n, [&](std::uint8_t* out) {
+    if (n != 0) std::memcpy(out, data, n);
+  });
 }
 
 }  // namespace infopipe::mem

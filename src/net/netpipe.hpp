@@ -19,8 +19,8 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "core/component.hpp"
 #include "core/pump.hpp"
@@ -56,7 +56,10 @@ class NetSender : public PassiveSink {
 };
 
 /// Consumer-side end of a netpipe: an active source whose activity is driven
-/// by packet arrivals. Updates the location property of the flow.
+/// by packet arrivals, one delivery per fire. A socket read's frames thus
+/// cross the consumer section as one span: one push (one put_span at the
+/// first buffer) and one control poll per read. Updates the location
+/// property of the flow.
 class NetReceiver : public ActiveSource {
  public:
   NetReceiver(std::string name, Transport& link, std::string remote_location,
@@ -85,20 +88,23 @@ class NetReceiver : public ActiveSource {
   [[nodiscard]] bool migratable() const override { return false; }
 
  protected:
-  /// Fire as soon as a packet is available; block (control-responsively)
+  /// Fire as soon as a delivery is available; block (control-responsively)
   /// until one arrives.
   rt::Time next_fire(rt::Time now) override { return now; }
 
-  Item generate() override {
+  ItemSpan generate_span() override {
+    burst_ = Burst{};  // the last delivery's storage, parked for the next
     HostContext& h = realization()->current_host();
-    rt::Message m = h.wait(
-        [](const rt::Message& x) { return x.type == kMsgNetDeliver; });
-    return m.take<Item>();
+    burst_ = h.wait([](const rt::Message& x) {
+                return x.type == kMsgNetDeliver;
+              }).take<Burst>();
+    return burst_.items();
   }
 
  private:
   Transport* link_;
   std::string location_;
+  Burst burst_;  ///< the delivery being pushed
 };
 
 /// Marshalling filter: higher-level information flow -> plain byte flow.
@@ -107,7 +113,10 @@ class NetReceiver : public ActiveSource {
 /// itself so codecs only handle the payload.
 class MarshalFilter : public FunctionComponent {
  public:
-  using Encode = std::function<std::vector<std::uint8_t>(const Item&)>;
+  /// Returns the wire item: a byte payload the codec writes in place with
+  /// Item::of_bytes(n, fill), inline or in a class-rounded pooled block, so
+  /// consecutive messages of similar size recycle the same storage.
+  using Encode = std::function<Item(const Item&)>;
 
   MarshalFilter(std::string name, Encode enc, std::string item_type)
       : FunctionComponent(std::move(name)),
@@ -126,10 +135,7 @@ class MarshalFilter : public FunctionComponent {
 
  protected:
   Item convert(Item x) override {
-    // The wire copy lives inline or in a pooled byte block (class-rounded,
-    // so consecutive messages of similar size recycle the same storage).
-    const std::vector<std::uint8_t> bytes = enc_(x);
-    Item wire = Item::of_bytes(bytes.data(), bytes.size());
+    Item wire = enc_(x);
     wire.seq = x.seq;
     wire.timestamp = x.timestamp;
     wire.kind = x.kind;
@@ -144,7 +150,8 @@ class MarshalFilter : public FunctionComponent {
 /// Unmarshalling filter: plain byte flow -> higher-level information flow.
 class UnmarshalFilter : public FunctionComponent {
  public:
-  using Decode = std::function<Item(const std::vector<std::uint8_t>&)>;
+  /// Reads the packet's payload bytes where they lie.
+  using Decode = std::function<Item(std::span<const std::uint8_t>)>;
 
   UnmarshalFilter(std::string name, Decode dec, std::string item_type)
       : FunctionComponent(std::move(name)),
@@ -160,14 +167,8 @@ class UnmarshalFilter : public FunctionComponent {
 
  protected:
   Item convert(Item x) override {
-    Item y = Item::nil();
-    if (const std::uint8_t* p = x.bytes_data()) {
-      // The codec API speaks vectors, so stage through a member scratch
-      // whose capacity is reused across messages (assign does not
-      // reallocate once it has grown to the flow's packet size).
-      scratch_.assign(p, p + x.bytes_size());
-      y = dec_(scratch_);
-    }
+    Item y = x.has_bytes() ? dec_({x.bytes_data(), x.bytes_size()})
+                           : Item::nil();
     y.seq = x.seq;
     y.timestamp = x.timestamp;
     y.kind = x.kind;
@@ -177,7 +178,6 @@ class UnmarshalFilter : public FunctionComponent {
  private:
   Decode dec_;
   std::string item_type_;
-  std::vector<std::uint8_t> scratch_;  ///< reused decode staging buffer
 };
 
 }  // namespace infopipe::net

@@ -83,11 +83,12 @@ rt::CodeResult ReliableTransport::sender_code(rt::Runtime& rt,
       }
       return rt::CodeResult::kContinue;
     }
-    case kMsgNetDeliver: {  // an ACK from the reverse link
-      const Item ack_item = m.take<Item>();
-      const ArqAck* ack = ack_item.payload<ArqAck>();
-      if (ack != nullptr && in_flight_.erase(ack->seq) > 0) {
-        ++stats_.acked;
+    case kMsgNetDeliver: {  // ACKs from the reverse link
+      for (const Item& ack_item : m.get<Burst>()->items()) {
+        const ArqAck* ack = ack_item.payload<ArqAck>();
+        if (ack != nullptr && in_flight_.erase(ack->seq) > 0) {
+          ++stats_.acked;
+        }
       }
       return rt::CodeResult::kContinue;
     }
@@ -99,34 +100,34 @@ rt::CodeResult ReliableTransport::sender_code(rt::Runtime& rt,
 rt::CodeResult ReliableTransport::receiver_code(rt::Runtime& rt,
                                                 rt::Message m) {
   if (m.type != kMsgNetDeliver) return rt::CodeResult::kContinue;
-  Item wire = m.take<Item>();
-  const ArqPacket* pkt = wire.payload<ArqPacket>();
-  if (pkt == nullptr) return rt::CodeResult::kContinue;
-
-  // Acknowledge everything we see, including duplicates (the original ACK
-  // may have been what got lost).
-  Item ack = Item::of<ArqAck>(ArqAck{pkt->seq});
-  ack.size_bytes = kAckBytes;
-  rev_->send(rt, std::move(ack));
-
-  if (pkt->seq < next_deliver_ || reorder_.count(pkt->seq) != 0) {
-    ++stats_.duplicates;
-    return rt::CodeResult::kContinue;
+  for (const Item& wire : m.get<Burst>()->items()) {
+    const ArqPacket* pkt = wire.payload<ArqPacket>();
+    if (pkt == nullptr) continue;
+    // Acknowledge everything we see, including duplicates (the original ACK
+    // may have been what got lost).
+    Item ack = Item::of<ArqAck>(ArqAck{pkt->seq});
+    ack.size_bytes = kAckBytes;
+    rev_->send(rt, std::move(ack));
+    if (pkt->seq < next_deliver_ || reorder_.count(pkt->seq) != 0) {
+      ++stats_.duplicates;
+    } else {
+      reorder_.emplace(pkt->seq, *pkt);
+    }
   }
-  reorder_.emplace(pkt->seq, *pkt);
 
-  // Release the in-order prefix to the consumer.
+  // Release the in-order prefix to the consumer as one burst.
+  Burst ready;
   while (!reorder_.empty() && reorder_.begin()->first == next_deliver_) {
-    ArqPacket ready = std::move(reorder_.begin()->second);
+    ArqPacket& p = reorder_.begin()->second;
+    ready.push_back(p.eos ? Item::eos() : std::move(p.item));
     reorder_.erase(reorder_.begin());
     ++next_deliver_;
-    if (consumer_ != rt::kNoThread) {
-      rt::Message out{kMsgNetDeliver, rt::MsgClass::kData};
-      out.payload = ready.eos ? Item::eos() : std::move(ready.item);
-      rt.send(consumer_, std::move(out));
-      ++stats_.delivered;
-      obs_delivered_->inc();
-    }
+  }
+  if (consumer_ != rt::kNoThread && !ready.empty()) {
+    stats_.delivered += ready.items().size();
+    obs_delivered_->inc(ready.items().size());
+    rt.send(consumer_, rt::Message{kMsgNetDeliver, rt::MsgClass::kData,
+                                   std::move(ready)});
   }
   return rt::CodeResult::kContinue;
 }

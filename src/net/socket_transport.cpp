@@ -39,6 +39,35 @@ sockaddr_in make_addr(const std::string& host, std::uint16_t port,
   return a;
 }
 
+/// A nonblocking socket bound to host:port (0: kernel-assigned) and, for
+/// TCP, listening; sets `bound` to the port it got. Throws RemoteError.
+int open_bound(const std::string& host, std::uint16_t port, bool udp,
+               int backlog, std::uint16_t& bound) {
+  const sockaddr_in a = make_addr(host, port, /*listen_side=*/true);
+  const int type =
+      (udp ? SOCK_DGRAM : SOCK_STREAM) | SOCK_NONBLOCK | SOCK_CLOEXEC;
+  const int fd = ::socket(AF_INET, type, 0);
+  if (fd < 0) throw RemoteError(errno_text("socket()"));
+  int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  std::string why;
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&a), sizeof a) < 0) {
+    why = errno_text("bind()") + " on " + host + ":" + std::to_string(port);
+  } else if (!udp && ::listen(fd, backlog) < 0) {
+    why = errno_text("listen()");
+  }
+  if (!why.empty()) {
+    ::close(fd);
+    throw RemoteError(why);
+  }
+  sockaddr_in got{};
+  socklen_t len = sizeof got;
+  bound = ::getsockname(fd, reinterpret_cast<sockaddr*>(&got), &len) == 0
+              ? ntohs(got.sin_port)
+              : port;
+  return fd;
+}
+
 void set_stream_options(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
@@ -51,9 +80,12 @@ void set_stream_options(int fd) {
 
 SocketTransport::SocketTransport(rt::Runtime& rt, rt::IoBridge& io,
                                  SocketConfig cfg, bool passive)
-    : rt_(&rt), io_(&io), cfg_(std::move(cfg)), passive_(passive) {
+    : rt_(&rt),
+      io_(&io),
+      cfg_(std::move(cfg)),
+      passive_(passive),
+      reader_(cfg_.max_frame_bytes) {
   port_ = cfg_.port;
-  reader_ = wire::FrameReader(cfg_.max_frame_bytes);
   agent_ = rt.spawn(
       "net.sock", rt::kPriorityData,
       [this](rt::Runtime& r, rt::Message m) { return agent_code(r, m); });
@@ -84,39 +116,16 @@ std::unique_ptr<SocketTransport> SocketTransport::listen(rt::Runtime& rt,
                                                          SocketConfig cfg) {
   auto t = std::unique_ptr<SocketTransport>(
       new SocketTransport(rt, io, std::move(cfg), /*passive=*/true));
-  const sockaddr_in a =
-      make_addr(t->cfg_.host, t->cfg_.port, /*listen_side=*/true);
-  const int type =
-      (t->cfg_.udp ? SOCK_DGRAM : SOCK_STREAM) | SOCK_NONBLOCK | SOCK_CLOEXEC;
-  const int fd = ::socket(AF_INET, type, 0);
-  if (fd < 0) throw RemoteError(errno_text("socket()"));
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&a), sizeof a) < 0) {
-    const std::string why = errno_text("bind()");
-    ::close(fd);
-    throw RemoteError(why + " on " + t->cfg_.host + ":" +
-                      std::to_string(t->cfg_.port));
-  }
-  sockaddr_in bound{};
-  socklen_t blen = sizeof bound;
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &blen) == 0) {
-    t->port_ = ntohs(bound.sin_port);
-  }
+  const int fd =
+      open_bound(t->cfg_.host, t->cfg_.port, t->cfg_.udp, 8, t->port_);
   if (t->cfg_.udp) {
     t->fd_ = fd;
     t->state_ = State::kConnected;  // connectionless: always "up"
-    t->io_->watch_readable_once(fd, t->agent_);
   } else {
-    if (::listen(fd, 8) < 0) {
-      const std::string why = errno_text("listen()");
-      ::close(fd);
-      throw RemoteError(why);
-    }
     t->listen_fd_ = fd;
     t->state_ = State::kListening;
-    t->io_->watch_readable_once(fd, t->agent_);
   }
+  t->io_->watch_readable_once(fd, t->agent_);
   return t;
 }
 
@@ -220,7 +229,7 @@ void SocketTransport::do_accept() {
     state_ = State::kConnected;
     ++stats_.accepts;
     peer_closed_ = false;
-    reader_ = wire::FrameReader(cfg_.max_frame_bytes);
+    reader_.reset();
     io_->watch_readable_once(fd_, agent_);
     flush();
   }
@@ -278,14 +287,16 @@ rt::CodeResult SocketTransport::agent_code(rt::Runtime&, rt::Message m) {
 
 void SocketTransport::drain_reads() {
   for (;;) {
-    if (rdbuf_.size() < kChunkBytes) rdbuf_.resize(kChunkBytes);
-    const ssize_t n = ::recv(fd_, rdbuf_.data(), rdbuf_.size(), 0);
+    const std::span<std::uint8_t> room = reader_.prepare(kChunkBytes);
+    const ssize_t n = ::recv(fd_, room.data(), room.size(), 0);
     if (n > 0) {
+      ++stats_.reads;
       stats_.bytes_received += static_cast<std::uint64_t>(n);
       obs_bytes_rx_->inc(static_cast<std::uint64_t>(n));
-      reader_.feed(rdbuf_.data(), static_cast<std::size_t>(n));
+      reader_.commit(static_cast<std::size_t>(n));
       try {
         while (auto f = reader_.next()) dispatch(std::move(*f));
+        publish();  // one delivery per read
       } catch (const RemoteError&) {
         // Hostile or corrupt stream: framing is lost, drop the connection.
         ++stats_.protocol_errors;
@@ -310,21 +321,22 @@ void SocketTransport::drain_reads() {
 
 void SocketTransport::drain_datagrams() {
   for (;;) {
-    if (rdbuf_.size() < kChunkBytes) rdbuf_.resize(kChunkBytes);
-    const ssize_t n = ::recv(fd_, rdbuf_.data(), rdbuf_.size(), 0);
+    // Each datagram carries whole frames; resetting the reader per datagram
+    // keeps one corrupt packet from poisoning the next.
+    reader_.reset();
+    const std::span<std::uint8_t> room = reader_.prepare(kChunkBytes);
+    const ssize_t n = ::recv(fd_, room.data(), room.size(), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;  // EAGAIN, or a transient ICMP error: both just end the drain
     }
+    if (n > 0) ++stats_.reads;
     stats_.bytes_received += static_cast<std::uint64_t>(n);
     obs_bytes_rx_->inc(static_cast<std::uint64_t>(n));
-    // Each datagram carries whole frames; a fresh reader per datagram keeps
-    // one corrupt packet from poisoning the next.
-    wire::FrameReader r(cfg_.max_frame_bytes);
-    r.feed(rdbuf_.data(), static_cast<std::size_t>(n));
+    reader_.commit(static_cast<std::size_t>(n));
     try {
-      while (auto f = r.next()) dispatch(std::move(*f));
-      if (r.buffered() != 0) {  // truncated trailing frame
+      while (auto f = reader_.next()) dispatch(std::move(*f));
+      if (reader_.buffered() != 0) {  // truncated trailing frame
         ++stats_.protocol_errors;
         obs_errors_->inc();
       }
@@ -332,6 +344,7 @@ void SocketTransport::drain_datagrams() {
       ++stats_.protocol_errors;  // drop the datagram, keep the socket
       obs_errors_->inc();
     }
+    publish();  // the frames that parsed before any error
   }
   io_->watch_readable_once(fd_, agent_);
 }
@@ -371,24 +384,18 @@ void SocketTransport::deliver(Item x) {
     if (eos_delivered_) return;  // at most one EOS per stream
     eos_delivered_ = true;
   }
-  if (rx_ == rt::kNoThread) {
-    early_.push_back(std::move(x));  // receiver not realized yet
-    return;
-  }
-  rt::Message m{kMsgNetDeliver, rt::MsgClass::kData};
-  m.payload = std::move(x);
-  rt_->send(rx_, std::move(m));
+  unsent_.push_back(std::move(x));
+}
+
+void SocketTransport::publish() {
+  if (rx_ == rt::kNoThread || unsent_.empty()) return;
+  rt_->send(rx_, rt::Message{kMsgNetDeliver, rt::MsgClass::kData,
+                             std::move(unsent_)});
 }
 
 void SocketTransport::attach_receiver(rt::ThreadId tid) {
   rx_ = tid;
-  while (!early_.empty()) {
-    Item x = std::move(early_.front());
-    early_.pop_front();
-    rt::Message m{kMsgNetDeliver, rt::MsgClass::kData};
-    m.payload = std::move(x);
-    rt_->send(rx_, std::move(m));
-  }
+  publish();  // frames that arrived before the receiver was realized
 }
 
 void SocketTransport::send(rt::Runtime&, Item packet) {
@@ -476,13 +483,14 @@ void SocketTransport::handle_peer_close(bool error) {
     fd_ = -1;
   }
   peer_closed_ = true;
-  reader_ = wire::FrameReader(cfg_.max_frame_bytes);
+  reader_.reset();
   if (error) ++stats_.peer_resets;
   if (!eos_delivered_ && rx_ != rt::kNoThread) {
     // The peer vanished without EOS: synthesize one so the consumer
     // pipeline terminates instead of hanging (SimLink's EOS contract).
     deliver(Item::eos());
   }
+  publish();  // with what the last read parsed before the close
   state_ = (passive_ && listen_fd_ >= 0) ? State::kListening : State::kClosed;
 }
 
@@ -539,31 +547,9 @@ SocketAcceptor::SocketAcceptor(rt::Runtime& rt, rt::IoBridge& io,
                                SocketConfig cfg, AcceptFn on_accept)
     : rt_(&rt), io_(&io), cfg_(std::move(cfg)), on_accept_(std::move(on_accept)) {
   if (cfg_.udp) throw RemoteError("SocketAcceptor is TCP-only");
-  const sockaddr_in a = make_addr(cfg_.host, cfg_.port, /*listen_side=*/true);
-  const int fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) throw RemoteError(errno_text("socket()"));
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&a), sizeof a) < 0) {
-    const std::string why = errno_text("bind()");
-    ::close(fd);
-    throw RemoteError(why + " on " + cfg_.host + ":" +
-                      std::to_string(cfg_.port));
-  }
-  sockaddr_in bound{};
-  socklen_t blen = sizeof bound;
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &blen) == 0) {
-    port_ = ntohs(bound.sin_port);
-  }
   // Deep backlog: a session server expects connect bursts, and nothing in
   // the accept path blocks (each adopted fd gets its own agent).
-  if (::listen(fd, 128) < 0) {
-    const std::string why = errno_text("listen()");
-    ::close(fd);
-    throw RemoteError(why);
-  }
-  listen_fd_ = fd;
+  listen_fd_ = open_bound(cfg_.host, cfg_.port, /*udp=*/false, 128, port_);
   agent_ = rt.spawn("net.accept", rt::kPriorityData,
                     [this](rt::Runtime&, rt::Message m) {
                       return agent_code(std::move(m));

@@ -4,8 +4,8 @@
 // SocketTransport carries the same netpipe traffic between OS processes
 // over loopback or a real network. It plugs in underneath the existing
 // netpipe machinery unchanged: NetSender::consume() calls send(), packets
-// surface at the attached receiver thread as kMsgNetDeliver messages, EOS
-// is an explicit frame — exactly SimLink's contract, so NetSender /
+// surface at the attached receiver thread as kMsgNetDeliver bursts, EOS
+// is an explicit frame — the Transport contract SimLink keeps, so NetSender /
 // NetReceiver, the marshalling filters and everything above them cannot
 // tell the difference (the lockstep criterion of the distributed_player
 // demo: byte-identical item streams either way).
@@ -19,10 +19,14 @@
 // buffer and posts the agent one flush per burst; the agent (kPriorityData)
 // does not preempt the sender, so a burst leaves in one send(2) when the
 // sending section yields — at once on EOS, control frames, connect, or 64
-// KiB unsent. Partial writes re-arm a writability watch. Inbound bytes
-// stream through wire::FrameReader, which reassembles frames across
-// arbitrary read() boundaries and rejects hostile input with RemoteError
-// (the connection is then dropped, never the process).
+// KiB unsent. Partial writes re-arm a writability watch. Inbound bytes are
+// read (64 KiB at a time) straight into wire::FrameReader's buffer, which
+// reassembles frames across arbitrary read() boundaries and rejects hostile
+// input with RemoteError (the connection is then dropped, never the
+// process). Every data frame one read parses is copied once, into its
+// pooled payload block, and all of them (EOS last) leave as one Burst: one
+// kMsgNetDeliver per read, not per frame. Frames parsed before
+// attach_receiver() wait in the unsent burst, which attaching sends.
 //
 // Connection management: the active end (connect()) retries with
 // exponential backoff until the peer appears — process start order between
@@ -39,7 +43,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -144,6 +147,7 @@ class SocketTransport : public Transport {
     std::uint64_t bytes_sent = 0;
     std::uint64_t frames_received = 0;
     std::uint64_t bytes_received = 0;
+    std::uint64_t reads = 0;            ///< recv(2) calls that returned bytes
     std::uint64_t writes = 0;           ///< send(2) calls
     std::uint64_t partial_writes = 0;   ///< EAGAIN → writability re-arm
     std::uint64_t connects = 0;         ///< successful active connects
@@ -183,6 +187,7 @@ class SocketTransport : public Transport {
   void drain_datagrams();
   void dispatch(wire::Frame f);
   void deliver(Item x);
+  void publish();  ///< sends the unsent burst to an attached receiver
   void flush();
   void handle_peer_close(bool reset);
   void send_udp(const Item& packet);
@@ -202,8 +207,7 @@ class SocketTransport : public Transport {
   std::vector<std::uint8_t> out_;  ///< outbound bytes, [out_pos_, end) unsent
   std::size_t out_pos_ = 0;
   bool flush_queued_ = false;  ///< a kNetSocketFlush is on its way
-  std::vector<std::uint8_t> rdbuf_;  ///< reusable read scratch
-  std::deque<Item> early_;  ///< frames that arrived before attach_receiver
+  Burst unsent_;  ///< frames parsed and not yet sent to the receiver
 
   bool eos_sent_ = false;
   bool eos_flushed_ = false;

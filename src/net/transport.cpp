@@ -2,8 +2,86 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <new>
 
 namespace infopipe::net {
+
+namespace detail {
+/// A burst's storage: this header, then `cap` Item slots, the first `size`
+/// of them live.
+struct alignas(Item) BurstRep {
+  std::uint32_t size = 0;
+  std::uint32_t cap = 0;
+  BurstRep* next = nullptr;  ///< parked list link
+  Item* items() noexcept { return reinterpret_cast<Item*>(this + 1); }
+};
+static_assert(alignof(BurstRep) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+}  // namespace detail
+
+namespace {
+using detail::BurstRep;
+
+/// Reps parked per kernel thread, and the largest capacity worth keeping.
+constexpr std::size_t kParkedReps = 8;
+constexpr std::uint32_t kParkedCap = 1024;
+
+struct ParkedReps {
+  BurstRep* head = nullptr;
+  std::size_t n = 0;
+  ~ParkedReps() {
+    while (head != nullptr) ::operator delete(std::exchange(head, head->next));
+    n = kParkedReps;  // a burst released later in thread exit is freed
+  }
+};
+thread_local ParkedReps t_parked;
+
+/// A parked rep with room for `need` items, else a fresh one of exactly
+/// that capacity.
+BurstRep* take_rep(std::uint32_t need) {
+  for (BurstRep** link = &t_parked.head; *link != nullptr;
+       link = &(*link)->next) {
+    if ((*link)->cap >= need) {
+      --t_parked.n;
+      return std::exchange(*link, (*link)->next);
+    }
+  }
+  void* raw = ::operator new(sizeof(BurstRep) + need * sizeof(Item));
+  return ::new (raw) BurstRep{0, need, nullptr};
+}
+}  // namespace
+
+void detail::park_rep(BurstRep* r) noexcept {
+  std::destroy_n(r->items(), r->size);
+  r->size = 0;
+  if (t_parked.n < kParkedReps && r->cap <= kParkedCap) {
+    r->next = std::exchange(t_parked.head, r);
+    ++t_parked.n;
+  } else {
+    ::operator delete(r);
+  }
+}
+
+Burst::Burst(const Burst& o) {
+  for (const Item& x : o.items()) push_back(Item(x));
+}
+
+void Burst::push_back(Item&& x) {
+  if (rep_ == nullptr) {
+    rep_ = take_rep(1);
+  } else if (rep_->size == rep_->cap) {
+    BurstRep* r = take_rep(std::max<std::uint32_t>(8, 2 * rep_->cap));
+    std::uninitialized_move_n(rep_->items(), rep_->size, r->items());
+    r->size = rep_->size;
+    detail::park_rep(std::exchange(rep_, r));
+  }
+  ::new (rep_->items() + rep_->size) Item(std::move(x));
+  ++rep_->size;
+}
+
+ItemSpan Burst::items() const noexcept {
+  return rep_ == nullptr ? ItemSpan{} : ItemSpan(rep_->items(), rep_->size);
+}
 
 std::size_t SimLink::queue_depth_bytes(rt::Time now) const {
   if (wire_free_at_ <= now) return 0;
@@ -25,9 +103,8 @@ void SimLink::send(rt::Runtime& rt, Item packet) {
     // reordering past the last packet.
     const rt::Time at =
         std::max(wire_free_at_, now) + cfg_.base_latency + cfg_.jitter;
-    rt::Message m{kMsgNetDeliver, rt::MsgClass::kData};
-    m.payload = std::move(packet);
-    rt.send_at(at, rx_, std::move(m));
+    rt.send_at(at, rx_, rt::Message{kMsgNetDeliver, rt::MsgClass::kData,
+                                    Burst(std::move(packet))});
     return;
   }
 
@@ -67,9 +144,9 @@ void SimLink::send(rt::Runtime& rt, Item packet) {
   ++stats_.delivered_scheduled;
   obs_bytes_->inc(size);
   obs_packets_->inc();
-  rt::Message m{kMsgNetDeliver, rt::MsgClass::kData};
-  m.payload = std::move(packet);
-  rt.send_at(deliver_at, rx_, std::move(m));
+  rt.send_at(deliver_at, rx_,
+             rt::Message{kMsgNetDeliver, rt::MsgClass::kData,
+                         Burst(std::move(packet))});
 }
 
 }  // namespace infopipe::net

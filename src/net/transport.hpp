@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <utility>
 
 #include "core/item.hpp"
 #include "rt/msg_registry.hpp"
@@ -22,8 +23,45 @@
 namespace infopipe::net {
 
 /// rt message type for packet delivery to a NetReceiver thread (value
-/// allotted in rt/msg_registry.hpp).
+/// allotted in rt/msg_registry.hpp); its payload is a Burst.
 inline constexpr int kMsgNetDeliver = rt::msg::kNetDeliver;
+
+namespace detail {
+struct BurstRep;
+/// Destroys a burst's items and parks or frees its storage.
+void park_rep(BurstRep* r) noexcept;
+}  // namespace detail
+
+/// The packets of one delivery, in order, an EOS (if any) last: every frame
+/// one socket read parsed, or one SimLink packet. Pointer-sized, so a
+/// message holds it without a heap box; its storage is parked on the kernel
+/// thread that releases it and reused by the next burst made there, so a
+/// steady flow of deliveries allocates nothing and a first one-packet
+/// delivery allocates once.
+class Burst {
+ public:
+  Burst() noexcept = default;
+  explicit Burst(Item&& x) { push_back(std::move(x)); }
+  Burst(const Burst& o);  ///< deep copy (std::any requires one)
+  Burst(Burst&& o) noexcept : rep_(std::exchange(o.rep_, nullptr)) {}
+  Burst& operator=(Burst o) noexcept {
+    std::swap(rep_, o.rep_);
+    return *this;
+  }
+  /// Inline: a message moves its burst (timer heaps, mailboxes), and a
+  /// moved-from burst has nothing to release.
+  ~Burst() {
+    if (rep_ != nullptr) detail::park_rep(rep_);
+  }
+
+  void push_back(Item&& x);
+  /// The packets; the receiver moves them out.
+  [[nodiscard]] ItemSpan items() const noexcept;
+  [[nodiscard]] bool empty() const noexcept { return items().empty(); }
+
+ private:
+  detail::BurstRep* rep_ = nullptr;
+};
 
 /// A transport protocol a netpipe can encapsulate (§2.4: "different
 /// transport protocols can be easily integrated into the Infopipe framework
@@ -34,7 +72,10 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Packets arrive as kMsgNetDeliver messages at this thread.
+  /// Packets arrive at this thread as kMsgNetDeliver messages, each
+  /// carrying one Burst: SimLink sends one-packet bursts (its per-packet
+  /// timing is its semantics), ReliableTransport releases each in-order run
+  /// as one burst, and SocketTransport sends one burst per read.
   virtual void attach_receiver(rt::ThreadId tid) = 0;
 
   /// Transmit one packet item. May drop, delay or reorder according to the
@@ -67,8 +108,8 @@ class SimLink : public Transport {
  public:
   explicit SimLink(LinkConfig cfg) : cfg_(cfg), rng_(cfg.seed) {}
 
-  /// Attach the receiving end: packets are delivered as kMsgNetDeliver
-  /// messages to this thread.
+  /// Attach the receiving end: each packet is delivered as a one-packet
+  /// burst to this thread.
   void attach_receiver(rt::ThreadId tid) override { rx_ = tid; }
   [[nodiscard]] rt::ThreadId receiver() const noexcept { return rx_; }
 

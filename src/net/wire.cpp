@@ -80,15 +80,24 @@ void append_control_reply(std::vector<std::uint8_t>& out,
   out.insert(out.end(), text.begin(), text.end());
 }
 
-void FrameReader::feed(const std::uint8_t* p, std::size_t n) {
-  // Compact the consumed prefix before growing: the buffer stays bounded by
+std::span<std::uint8_t> FrameReader::prepare(std::size_t n) {
+  // Drop the consumed prefix before growing: the buffer stays bounded by
   // one partial frame plus one read chunk.
-  if (pos_ > 0 && (pos_ == buf_.size() || pos_ >= 64 * 1024)) {
-    buf_.erase(buf_.begin(),
-               buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
+  if (pos_ == end_) {
+    pos_ = end_ = 0;
+  } else if (pos_ > 0 && buf_.size() - end_ < n) {
+    std::memmove(buf_.data(), buf_.data() + pos_, end_ - pos_);
+    end_ -= pos_;
     pos_ = 0;
   }
-  buf_.insert(buf_.end(), p, p + n);
+  if (buf_.size() - end_ < n) buf_.resize(end_ + n);
+  return {buf_.data() + end_, n};
+}
+
+void FrameReader::feed(const std::uint8_t* p, std::size_t n) {
+  if (n == 0) return;
+  std::memcpy(prepare(n).data(), p, n);
+  commit(n);
 }
 
 std::optional<Frame> FrameReader::next() {

@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -104,29 +105,44 @@ void append_control_reply(std::vector<std::uint8_t>& out,
 
 // ---- decoding --------------------------------------------------------------
 
-/// Incremental frame reassembly over arbitrary chunk boundaries.
+/// Incremental frame reassembly over arbitrary chunk boundaries. A socket
+/// reads straight into the reader: prepare(n) gives room for n bytes after
+/// the buffered ones, recv(2) writes there, and commit() keeps what arrived.
 class FrameReader {
  public:
   explicit FrameReader(std::size_t max_frame_bytes = kDefaultMaxFrameBytes)
       : max_(max_frame_bytes) {}
 
-  /// Appends raw bytes from the socket.
+  /// Writable room for n more bytes. Consumed frames are dropped first: at
+  /// most the partial tail moves, and the buffer only grows (it is never
+  /// cleared or zero-filled per read).
+  [[nodiscard]] std::span<std::uint8_t> prepare(std::size_t n);
+  /// Appends the first n bytes written into the last prepare()'s room.
+  void commit(std::size_t n) noexcept { end_ += n; }
+
+  /// Appends raw bytes (prepare + copy + commit).
   void feed(const std::uint8_t* p, std::size_t n);
+
+  /// Forgets buffered bytes and poison, keeping the buffer's capacity: one
+  /// reader serves every datagram of a UDP socket.
+  void reset() noexcept {
+    pos_ = end_ = 0;
+    poisoned_ = false;
+  }
 
   /// Extracts the next complete frame, or nullopt if more bytes are needed.
   /// Throws RemoteError on malformed input; after a throw the reader is
-  /// poisoned (framing lost) and every further call throws.
+  /// poisoned (framing lost) and every further call throws until reset().
   std::optional<Frame> next();
 
   /// Bytes buffered but not yet consumed by next().
-  [[nodiscard]] std::size_t buffered() const noexcept {
-    return buf_.size() - pos_;
-  }
+  [[nodiscard]] std::size_t buffered() const noexcept { return end_ - pos_; }
 
  private:
   std::size_t max_;
-  std::vector<std::uint8_t> buf_;
+  std::vector<std::uint8_t> buf_;  ///< [pos_, end_) buffered, then room
   std::size_t pos_ = 0;  ///< consumed prefix of buf_
+  std::size_t end_ = 0;
   bool poisoned_ = false;
 };
 

@@ -130,10 +130,8 @@ class SessionSource : public ActiveSource {
  protected:
   void prepare(rt::Time now) override;
   [[nodiscard]] rt::Time next_fire(rt::Time now) override;
+  /// Overridden wholesale: a wheel fire may emit zero or many spans.
   void cycle() override;
-  /// Unused: cycle() is overridden wholesale (a wheel fire may emit zero or
-  /// many items, which the one-item generate() contract cannot express).
-  [[nodiscard]] Item generate() override { return Item::eos(); }
 
  private:
   static constexpr std::size_t kMaxEmitPerCycle = 1024;

@@ -187,7 +187,6 @@ class ShardChannel {
 
   // -- stats (relaxed atomics, sampled by stats()) ----------------------------
 
-  void count_drop() noexcept { drops_.fetch_add(1, std::memory_order_relaxed); }
   void count_drops(std::uint64_t n) noexcept {
     drops_.fetch_add(n, std::memory_order_relaxed);
   }

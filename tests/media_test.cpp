@@ -208,9 +208,9 @@ TEST(WireCodec, FrameSurvivesRoundTrip) {
   Item x = Item::of<VideoFrame>(f);
   x.kind = kind_of(f.type);
 
-  const auto bytes = encode_frame(x);
-  EXPECT_EQ(bytes.size(), 4321u) << "wire size must match the coded size";
-  Item y = decode_frame(bytes);
+  const Item wire = encode_frame(x);
+  EXPECT_EQ(wire.bytes_size(), 4321u) << "wire size must match the coded size";
+  Item y = decode_frame({wire.bytes_data(), wire.bytes_size()});
   ASSERT_TRUE(y.is_data());
   const VideoFrame& g = y.as<VideoFrame>();
   EXPECT_EQ(g.frame_no, 123u);

@@ -38,8 +38,8 @@ struct RawConsumer {
   explicit RawConsumer(rt::Runtime& r) : rt(&r) {
     tid = r.spawn("consumer", rt::kPriorityData,
                   [this](rt::Runtime& rr, rt::Message m) -> rt::CodeResult {
-                    if (m.type == kMsgNetDeliver) {
-                      Item x = m.take<Item>();
+                    if (m.type != kMsgNetDeliver) return rt::CodeResult::kContinue;
+                    for (const Item& x : m.get<Burst>()->items()) {
                       if (x.is_eos()) {
                         eos = true;
                       } else {

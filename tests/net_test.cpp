@@ -106,8 +106,9 @@ TEST(SimLink, DeliversInOrderWithLatency) {
   std::vector<std::pair<std::uint64_t, rt::Time>> got;
   const rt::ThreadId rx = rtm.spawn(
       "rx", rt::kPriorityData, [&](rt::Runtime& r, rt::Message m) {
-        if (m.type == kMsgNetDeliver) {
-          got.emplace_back(m.get<Item>()->seq, r.now());
+        if (m.type != kMsgNetDeliver) return rt::CodeResult::kContinue;
+        for (const Item& x : m.get<Burst>()->items()) {
+          got.emplace_back(x.seq, r.now());
         }
         return rt::CodeResult::kContinue;
       });
@@ -207,7 +208,8 @@ TEST(SimLink, JitterCanReorderAndStatsAddUp) {
   std::vector<std::uint64_t> order;
   const rt::ThreadId rx = rtm.spawn(
       "rx", rt::kPriorityData, [&](rt::Runtime&, rt::Message m) {
-        if (m.type == kMsgNetDeliver) order.push_back(m.get<Item>()->seq);
+        if (m.type != kMsgNetDeliver) return rt::CodeResult::kContinue;
+        for (const Item& x : m.get<Burst>()->items()) order.push_back(x.seq);
         return rt::CodeResult::kContinue;
       });
   link.attach_receiver(rx);
@@ -264,13 +266,13 @@ TEST(SimLink, SetBandwidthIsSafeAgainstConcurrentSend) {
 
 // ---------- netpipe in a pipeline --------------------------------------------------
 
-std::vector<std::uint8_t> encode_string(const Item& x) {
+Item encode_string(const Item& x) {
   const auto* s = x.payload<std::string>();
-  return s != nullptr ? std::vector<std::uint8_t>(s->begin(), s->end())
-                      : std::vector<std::uint8_t>{};
+  return s != nullptr ? Item::of_bytes(s->data(), s->size())
+                      : Item::of_bytes(nullptr, 0);
 }
 
-Item decode_string(const std::vector<std::uint8_t>& b) {
+Item decode_string(std::span<const std::uint8_t> b) {
   return Item::of<std::string>(std::string(b.begin(), b.end()));
 }
 

@@ -42,8 +42,8 @@ TEST_P(ArqSweep, AlwaysLosslessInOrder) {
   bool eos = false;
   const rt::ThreadId sink = rtm.spawn(
       "sink", rt::kPriorityData, [&](rt::Runtime&, rt::Message m) {
-        if (m.type == net::kMsgNetDeliver) {
-          Item x = m.take<Item>();
+        if (m.type != net::kMsgNetDeliver) return rt::CodeResult::kContinue;
+        for (const Item& x : m.get<net::Burst>()->items()) {
           if (x.is_eos()) {
             eos = true;
           } else {

@@ -16,8 +16,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -28,6 +31,27 @@
 #include "net/socket_transport.hpp"
 #include "net/wire.hpp"
 #include "rt/io_bridge.hpp"
+
+// Counting global allocator for the steady-state receive case: counts
+// operator new calls on this OS thread while a test opens its window. The
+// runtime's user-level threads (transport agents, the pipeline) all run on
+// the thread that drives it; the IoBridge poller thread is not counted.
+namespace {
+thread_local bool t_count_allocs = false;
+thread_local std::uint64_t t_allocs = 0;
+}  // namespace
+
+// GCC cannot see that the replaced new and delete pair malloc with free.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  if (t_count_allocs) ++t_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace infopipe::net {
 namespace {
@@ -178,17 +202,23 @@ TEST(Wire, BitFlippedStreamNeverCrashesOrOverReads) {
 
 // ---------- loopback sockets -------------------------------------------------------
 
-/// Items arriving as kMsgNetDeliver at a plain collector thread.
+/// Items arriving in kMsgNetDeliver bursts at a plain collector thread.
 struct Collector {
   std::vector<Item> items;
   bool eos = false;
+  bool eos_last = true;  ///< no item ever followed the EOS
+  std::uint64_t deliveries = 0;
   rt::ThreadId tid = rt::kNoThread;
 
   void spawn(rt::Runtime& rtm) {
     tid = rtm.spawn("collect", rt::kPriorityData,
                     [this](rt::Runtime&, rt::Message m) {
-                      if (m.type == kMsgNetDeliver) {
-                        Item x = m.take<Item>();
+                      if (m.type != kMsgNetDeliver) {
+                        return rt::CodeResult::kContinue;
+                      }
+                      ++deliveries;
+                      for (Item& x : m.get<Burst>()->items()) {
+                        if (eos) eos_last = false;
                         if (x.is_eos()) {
                           eos = true;
                         } else {
@@ -370,6 +400,39 @@ TEST(SocketTransport, MalformedStreamDropsConnectionNotProcess) {
   EXPECT_EQ(item_text(got.items[0]), "after the attack");
 }
 
+TEST(SocketTransport, CorruptDatagramDoesNotPoisonTheNext) {
+  // Every datagram is framed on its own: garbage costs one protocol error
+  // and that datagram, never the socket or the datagrams after it.
+  LoopbackRig rig(/*udp=*/true);
+  Collector got;
+  got.spawn(rig.rtm);
+  rig.server->attach_receiver(got.tid);
+
+  const int raw = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(raw, 0);
+  sockaddr_in a{};
+  a.sin_family = AF_INET;
+  a.sin_port = htons(rig.server->local_port());
+  a.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const auto send_dgram = [&](const std::vector<std::uint8_t>& b) {
+    return ::sendto(raw, b.data(), b.size(), 0,
+                    reinterpret_cast<const sockaddr*>(&a), sizeof a);
+  };
+  const std::vector<std::uint8_t> junk(64, 0xAB);  // wrong magic
+  std::vector<std::uint8_t> valid;
+  wire::append_data_frame(valid, bytes_item("valid", 7, 3));
+  ASSERT_EQ(send_dgram(junk), static_cast<ssize_t>(junk.size()));
+  ASSERT_EQ(send_dgram(valid), static_cast<ssize_t>(valid.size()));
+
+  ASSERT_TRUE(drive_until(rig.rtm, [&] { return got.items.size() == 1; },
+                          rt::seconds(2)));
+  EXPECT_EQ(item_text(got.items[0]), "valid");
+  EXPECT_EQ(got.items[0].seq, 7u);
+  EXPECT_EQ(got.items[0].kind, 3);
+  EXPECT_EQ(rig.server->stats().protocol_errors, 1u);
+  ::close(raw);
+}
+
 TEST(SocketTransport, UdpLoopbackBestEffortDelivery) {
   LoopbackRig rig(/*udp=*/true);
   Collector got;
@@ -472,6 +535,107 @@ TEST(SocketTransport, BurstIsOneWrite) {
   EXPECT_TRUE(rig.client->eos_flushed());
 }
 
+TEST(SocketTransport, ReadIsOneDelivery) {
+  // The burst of BurstIsOneWrite seen from the receiving end: every frame
+  // one recv(2) parses reaches the receiver in one kMsgNetDeliver burst.
+  constexpr int kFrames = 32;
+  constexpr std::size_t kBytes = 1024;
+  LoopbackRig rig;
+  Collector got;
+  got.spawn(rig.rtm);
+  rig.server->attach_receiver(got.tid);
+  ASSERT_TRUE(drive_until(rig.rtm, [&] { return rig.client->connected(); }));
+
+  (void)send_burst(rig.rtm, *rig.client, kFrames, kBytes);
+  ASSERT_TRUE(drive_until(rig.rtm, [&] { return got.eos; }));
+  expect_burst(got.items, kFrames, kBytes);
+  EXPECT_TRUE(got.eos_last) << "EOS must close the last burst";
+  EXPECT_EQ(rig.client->stats().writes, 1u);
+  EXPECT_LT(got.deliveries, static_cast<std::uint64_t>(kFrames + 1))
+      << "one delivery per frame";
+  EXPECT_GE(rig.server->stats().reads, 1u);
+  EXPECT_LE(got.deliveries, rig.server->stats().reads)
+      << "more deliveries than reads that returned bytes";
+}
+
+/// Opens the allocation-counting window once `warm` items have arrived and
+/// closes it `measured` items later, so start-up allocations (thread
+/// entries, pool slabs, buffers growing to their working size) stay out.
+class AllocWindowSink : public PassiveSink {
+ public:
+  AllocWindowSink(std::uint64_t warm, std::uint64_t measured)
+      : PassiveSink("sink"), warm_(warm), end_(warm + measured) {}
+  ~AllocWindowSink() override { t_count_allocs = false; }
+
+  [[nodiscard]] std::uint64_t count() const noexcept { return n_; }
+  [[nodiscard]] double allocs_per_item() const {
+    return static_cast<double>(allocs_) / static_cast<double>(end_ - warm_);
+  }
+
+ protected:
+  void consume(Item) override {
+    if (++n_ == warm_) {
+      t_allocs = 0;
+      t_count_allocs = true;
+    } else if (n_ == end_) {
+      t_count_allocs = false;
+      allocs_ = t_allocs;
+    }
+  }
+
+ private:
+  std::uint64_t warm_;
+  std::uint64_t end_;
+  std::uint64_t n_ = 0;
+  std::uint64_t allocs_ = 0;
+};
+
+Item copy_bytes(std::span<const std::uint8_t> b) {
+  return Item::of_bytes(b.data(), b.size());
+}
+
+TEST(SocketTransport, SteadyStateReceiveAllocatesAlmostNothing) {
+  // Once warm, a read's frames go from the socket into the reader's
+  // buffer, into pooled payload blocks, and to the receiver as one burst
+  // whose storage is reused; what each read still costs (mailbox nodes,
+  // the one-shot readiness re-arm) spreads over its frames.
+  constexpr std::size_t kBytes = 1024;
+  constexpr std::uint64_t kPerSend = 48;
+  constexpr std::uint64_t kWarm = 2000;
+  constexpr std::uint64_t kMeasured = 8000;
+  static const std::array<std::uint8_t, kBytes> kPayload{};
+  LoopbackRig rig;
+  NetReceiver rx("rx", *rig.server, "here");
+  UnmarshalFilter unmarshal("unmarshal", copy_bytes, "bytes");
+  AllocWindowSink sink(kWarm, kMeasured);
+  Pipeline pipe;
+  pipe.connect(rx, 0, unmarshal, 0);
+  pipe.connect(unmarshal, 0, sink, 0);
+  Realization real(rig.rtm, pipe);
+  real.start();
+  ASSERT_TRUE(drive_until(rig.rtm, [&] { return rig.client->connected(); }));
+
+  // Each kick sends kPerSend frames from one ULT step: one send(2).
+  std::uint64_t sent = 0;
+  const rt::ThreadId sender = rig.rtm.spawn(
+      "sender", rt::kPriorityData, [&](rt::Runtime& r, rt::Message) {
+        for (std::uint64_t i = 0; i < kPerSend; ++i) {
+          Item x = Item::of_bytes(kPayload.data(), kBytes);
+          x.seq = sent++;
+          rig.client->send(r, std::move(x));
+        }
+        return rt::CodeResult::kContinue;
+      });
+  ASSERT_TRUE(drive_until(rig.rtm, [&] {
+    if (sink.count() == sent) {  // the last kick has arrived in full
+      rig.rtm.send(sender, rt::Message{0, rt::MsgClass::kData});
+    }
+    return sink.count() >= kWarm + kMeasured;
+  }));
+  EXPECT_LT(sink.allocs_per_item(), 0.1);
+  real.stop();
+}
+
 TEST(SocketTransport, BackpressuredBurstKeepsOrder) {
   // About 24 MB from one ULT step while the receiver, on the same runtime,
   // cannot drain: the socket buffers fill and writes hit EAGAIN.
@@ -494,13 +658,13 @@ TEST(SocketTransport, BackpressuredBurstKeepsOrder) {
 
 // ---------- netpipes over a real socket -------------------------------------------
 
-std::vector<std::uint8_t> encode_string(const Item& x) {
+Item encode_string(const Item& x) {
   const auto* s = x.payload<std::string>();
-  return s != nullptr ? std::vector<std::uint8_t>(s->begin(), s->end())
-                      : std::vector<std::uint8_t>{};
+  return s != nullptr ? Item::of_bytes(s->data(), s->size())
+                      : Item::of_bytes(nullptr, 0);
 }
 
-Item decode_string(const std::vector<std::uint8_t>& b) {
+Item decode_string(std::span<const std::uint8_t> b) {
   return Item::of<std::string>(std::string(b.begin(), b.end()));
 }
 
