@@ -14,9 +14,16 @@
 
 #include "bench_obs.hpp"
 
+#include <pthread.h>
+#include <sched.h>
+
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <thread>
 
 #include "core/infopipes.hpp"
 #include "shard/shard_group.hpp"
@@ -190,6 +197,72 @@ BENCHMARK(BM_CrossShardBatchedFlow)
     ->Arg(64)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// Cross-thread wake: one post_external round trip from the bench thread to a
+// runtime hosted by run_service() on its own kernel thread. Arg 0 lets the
+// runtime park before every post (the post pays the wake); arg 1 keeps it
+// busy in a yield loop (the post only joins the external batch). Manual
+// time: from the post to the bench thread seeing the acknowledgement. Both
+// threads spin, so they are pinned to different cores: left to the kernel
+// they can share one core for a second, and each round trip then waits
+// out a time slice.
+
+void pin_to_cpu(unsigned cpu) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu % std::max(1u, std::thread::hardware_concurrency()), &set);
+  (void)pthread_setaffinity_np(pthread_self(), sizeof set, &set);
+}
+
+void BM_CrossThreadWake(benchmark::State& state) {
+  const bool running = state.range(0) == 1;
+  cpu_set_t saved;
+  (void)pthread_getaffinity_np(pthread_self(), sizeof saved, &saved);
+  pin_to_cpu(0);
+  rt::Runtime rtm(std::make_unique<rt::RealClock>());
+  std::atomic<std::uint64_t> acks{0};
+  std::atomic<bool> done{false};
+  const rt::ThreadId echo = rtm.spawn(
+      "echo", rt::kPriorityData, [&acks](rt::Runtime&, rt::Message) {
+        acks.fetch_add(1, std::memory_order_release);
+        return rt::CodeResult::kContinue;
+      });
+  if (running) {
+    const rt::ThreadId spin = rtm.spawn(
+        "spin", rt::kPriorityData, [&done](rt::Runtime& r, rt::Message) {
+          while (!done.load(std::memory_order_relaxed)) r.yield();
+          return rt::CodeResult::kTerminate;
+        });
+    rtm.send(spin, rt::Message{});
+  }
+  std::thread host([&rtm] {
+    pin_to_cpu(1);
+    rtm.run_service();
+  });
+  std::uint64_t posted = 0;
+  for (auto _ : state) {
+    if (!running) std::this_thread::sleep_for(std::chrono::microseconds(50));
+    const auto t0 = std::chrono::steady_clock::now();
+    rtm.post_external(echo, rt::Message{});
+    ++posted;
+    while (acks.load(std::memory_order_acquire) < posted) {
+    }
+    state.SetIterationTime(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count());
+  }
+  done.store(true, std::memory_order_relaxed);
+  rtm.request_halt();
+  host.join();
+  (void)pthread_setaffinity_np(pthread_self(), sizeof saved, &saved);
+  state.SetLabel(running ? "running" : "parked");
+}
+BENCHMARK(BM_CrossThreadWake)
+    ->Arg(0)
+    ->Arg(1)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -64,7 +64,8 @@ UBSAN_OPTIONS=halt_on_error=1 \
 
 echo "== TSan build + multi-runtime suites =="
 # Only the suites that exercise multiple kernel threads: the ip_shard
-# channels/groups, the io_bridge poller, the rt substrate they build on,
+# channels/groups, the runtime's park point and io_bridge readiness, the
+# rt substrate they build on,
 # the feedback suites (cross-shard loops sample channel atomics and
 # post control events between kernel threads), and the ip_balance suite
 # (live migration re-binds channels while the far shard runs), the
@@ -73,8 +74,8 @@ echo "== TSan build + multi-runtime suites =="
 # the batch suite (span reservations publish across the shard channel's
 # SPSC indices with a single store each), the net suite (SimLink's
 # set_bandwidth races a kernel-thread tuner against concurrent sends),
-# and the socket suite (SocketTransport runs against the io_bridge poller
-# thread and real kernel sockets), and the session suite (open/close churn
+# and the socket suite (SocketTransport runs against real kernel sockets
+# while posts race the runtime's park), and the session suite (open/close churn
 # from plain std::threads against live shard engines, plus the socket
 # front door), and the replay suite (the recorder's tap sink is fed from
 # every shard thread at once; the HB checker joins vector clocks across
@@ -92,6 +93,11 @@ cmake --build build-thread
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-thread -R 'rt_runtime_test|rt_stress_test|core_exec_test|figure1_test|io_bridge_test|shard|elastic|feedback|balance|mem_test|batch|net_test|socket_transport_test|session_test|replay_test' \
     --output-on-failure
+# The park point's suites again, each up to 20 times: park/wake and
+# readiness races show up as an occasional failure, not a steady one.
+TSAN_OPTIONS=halt_on_error=1 \
+  ctest --test-dir build-thread -R 'io_bridge_test|rt_runtime_test|socket_transport_test' \
+    --repeat until-fail:20 --output-on-failure
 
 echo "== multi-process smoke: distributed_player over loopback TCP =="
 # Two real OS processes exchange the stream over loopback TCP; the client

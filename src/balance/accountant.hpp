@@ -6,7 +6,8 @@
 //
 //   * shard busy fraction — differences of rt::Runtime::service_busy_ns /
 //     service_idle_ns between samples (the run_service loop splits its wall
-//     time into stepping vs parked-on-the-doorbell), folded into an EWMA so
+//     time into running vs parked in its epoll set, timer waits included),
+//     folded into an EWMA so
 //     a momentary burst does not trigger a migration;
 //   * channel load — the ShardChannel stat atomics (depth, producer and
 //     consumer stall counters), readable from any thread by design; stall

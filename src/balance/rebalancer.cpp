@@ -220,7 +220,6 @@ void Rebalancer::do_scale_down(int victim) {
 void Rebalancer::launch() {
   if (host_.joinable()) return;
   rt_ = std::make_unique<rt::Runtime>(std::make_unique<rt::RealClock>());
-  rt_->set_external_notifier([this] { bell_.ring(); });
   // Spawn + start the task before the host thread exists: still
   // single-threaded here, so the non-thread-safe Runtime surface is safe.
   //
@@ -258,13 +257,12 @@ void Rebalancer::launch() {
       *rt_, "balance.rebalancer", opts_.period,
       [this](rt::Time) { (void)step(); });
   task_->start();
-  host_ = std::thread([this] { rt_->run_service(bell_); });
+  host_ = std::thread([this] { rt_->run_service(); });
 }
 
 void Rebalancer::stop() {
   if (!host_.joinable()) return;
   rt_->request_halt();
-  bell_.ring();
   host_.join();
   // The runtime is parked again; tearing the task down from this thread is
   // race-free.

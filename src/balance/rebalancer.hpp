@@ -55,7 +55,6 @@
 #include "balance/planner.hpp"
 #include "feedback/toolkit.hpp"
 #include "obs/metrics.hpp"
-#include "rt/doorbell.hpp"
 #include "rt/runtime.hpp"
 #include "shard/sharded_realization.hpp"
 
@@ -190,7 +189,6 @@ class Rebalancer {
   std::unique_ptr<rt::Runtime> rt_;
   std::unique_ptr<fb::PeriodicTask> task_;
   rt::ThreadId scaler_tid_ = rt::kNoThread;
-  rt::Doorbell bell_;
   std::thread host_;
 };
 

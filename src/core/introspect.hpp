@@ -91,12 +91,12 @@ struct BufferStats {
 /// pushes/pops, put_blocks/take_blocks are producer/consumer stalls. Unlike
 /// buffer counters these are sampled from atomics, so `fill == puts - takes`
 /// is only approximate while both shards are running. The shard pair and the
-/// doorbell wakeup count are the only channel-specific facts left.
+/// cross-shard wakeup count are the only channel-specific facts left.
 struct ChannelStats {
   BufferStats flow;
   int from_shard = 0;
   int to_shard = 0;
-  std::uint64_t wakeups = 0;  ///< cross-shard doorbell posts
+  std::uint64_t wakeups = 0;  ///< cross-shard wakeup posts
 };
 
 /// A consistent picture of the realized pipeline's progress, timestamped by

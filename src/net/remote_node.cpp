@@ -18,10 +18,10 @@ std::pair<std::string, std::string> split2(const std::string& s) {
 
 /// Runs a blocking control call either inline (already on a user-level
 /// thread) or on a temporary thread while driving the runtime in small
-/// run_until() slices. The slices matter: socket replies arrive through
-/// Runtime::post_external from the IoBridge poller, i.e. AFTER the runtime
-/// has gone quiescent, so a single run() would return with the call still
-/// blocked. call_control's own timeout bounds the loop.
+/// run_until() slices. The slices matter: socket replies are seen when the
+/// runtime parks in its epoll set, i.e. AFTER it has gone quiescent, so a
+/// single run() would return with the call still blocked. call_control's
+/// own timeout bounds the loop.
 std::string drive_control(rt::Runtime& rt, SocketTransport& link,
                           wire::ControlOp op, const std::string& text,
                           rt::Time timeout) {

@@ -11,11 +11,12 @@
 // demo: byte-identical item streams either way).
 //
 // Mechanics. All socket I/O is nonblocking and driven through
-// rt::IoBridge's readiness loop: the bridge's poller OS thread reports
-// readability/writability as one-shot messages to the transport's agent —
-// a user-level thread on the owning runtime — which does the actual
-// read()/write()/accept()/connect() completion on the runtime's thread, so
-// the transport needs no locks of its own. send() appends to one outbound
+// rt::IoBridge's one-shot readiness watches: the owning runtime's epoll set
+// reports readability/writability, on the runtime's own thread, as messages
+// to the transport's agent — a user-level thread on that runtime — which
+// does the actual read()/write()/accept()/connect() completion, so the
+// transport needs no locks of its own. Each drain runs to EAGAIN before it
+// re-arms, which is what the bridge's edge-triggered watches rely on. send() appends to one outbound
 // buffer and posts the agent one flush per burst; the agent (kPriorityData)
 // does not preempt the sender, so a burst leaves in one send(2) when the
 // sending section yields — at once on EOS, control frames, connect, or 64

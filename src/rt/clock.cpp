@@ -1,7 +1,6 @@
 #include "rt/clock.hpp"
 
 #include <chrono>
-#include <thread>
 
 namespace infopipe::rt {
 
@@ -16,23 +15,5 @@ Time steady_now_ns() {
 RealClock::RealClock() : epoch_(steady_now_ns()) {}
 
 Time RealClock::now() const { return steady_now_ns() - epoch_; }
-
-void RealClock::wait_until(Time t) {
-  std::unique_lock lk(m_);
-  const Time delta = t - now();
-  if (delta > 0) {
-    cv_.wait_for(lk, std::chrono::nanoseconds(delta),
-                 [this] { return interrupted_; });
-  }
-  interrupted_ = false;
-}
-
-void RealClock::interrupt_wait() {
-  {
-    std::lock_guard lk(m_);
-    interrupted_ = true;
-  }
-  cv_.notify_all();
-}
 
 }  // namespace infopipe::rt

@@ -5,16 +5,18 @@
 // The paper evaluated on real hardware with a real clock; we default to the
 // virtual clock so every experiment in bench/ is deterministic and fast, and
 // provide RealClock for wall-clock runs (see DESIGN.md §3, substitutions).
+//
+// A clock only tells time. Waiting is the Runtime's business: an idle
+// virtual-clock runtime jumps its clock to the next timer (advance_to), and
+// an idle real-clock runtime blocks its kernel thread in its own epoll set
+// with the next timer as the timeout (rt/runtime.hpp, the park point).
 #pragma once
-
-#include <condition_variable>
-#include <mutex>
 
 #include "rt/types.hpp"
 
 namespace infopipe::rt {
 
-/// Interface used by the Runtime for all time queries and idle waits.
+/// Interface used by the Runtime for all time queries.
 class Clock {
  public:
   virtual ~Clock() = default;
@@ -26,27 +28,16 @@ class Clock {
   /// time). The scheduler uses this to decide whether an idle period should
   /// jump the clock forward or block the hosting OS thread.
   [[nodiscard]] virtual bool is_virtual() const = 0;
-
-  /// Wait until `t`. VirtualClock jumps immediately; RealClock sleeps the
-  /// hosting OS thread. Called by the scheduler only when no user-level
-  /// thread is runnable.
-  virtual void wait_until(Time t) = 0;
-
-  /// Wakes a wait_until() in progress (thread-safe). Used when external
-  /// messages are posted from other OS threads (rt::IoBridge); a virtual
-  /// clock never blocks, so the default is a no-op.
-  virtual void interrupt_wait() {}
 };
 
-/// Deterministic discrete-event clock. Time advances only via wait_until()
-/// (from the idle scheduler) or advance_to() (from tests).
+/// Deterministic discrete-event clock. Time advances only via advance_to()
+/// (from the idle scheduler, or from tests).
 class VirtualClock final : public Clock {
  public:
   explicit VirtualClock(Time start = 0) : now_(start) {}
 
   [[nodiscard]] Time now() const override { return now_; }
   [[nodiscard]] bool is_virtual() const override { return true; }
-  void wait_until(Time t) override { advance_to(t); }
 
   /// Move time forward. Moving backwards is a programming error and is
   /// ignored (time is monotonic).
@@ -67,14 +58,9 @@ class RealClock final : public Clock {
 
   [[nodiscard]] Time now() const override;
   [[nodiscard]] bool is_virtual() const override { return false; }
-  void wait_until(Time t) override;
-  void interrupt_wait() override;
 
  private:
   Time epoch_;  // steady_clock time at construction, in ns
-  std::mutex m_;
-  std::condition_variable cv_;
-  bool interrupted_ = false;
 };
 
 }  // namespace infopipe::rt

@@ -1,12 +1,12 @@
 #include "rt/io_bridge.hpp"
 
 #include <fcntl.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cassert>
 #include <cstring>
-#include <stdexcept>
 
 namespace infopipe::rt {
 
@@ -28,225 +28,141 @@ extern "C" void io_bridge_signal_handler(int signo) {
   }
 }
 
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
 }  // namespace
-
-IoBridge::IoBridge(Runtime& rt) : rt_(&rt) {
-  if (::pipe(control_pipe_) != 0) {
-    throw std::runtime_error("IoBridge: cannot create control pipe");
-  }
-  set_nonblocking(control_pipe_[0]);
-  set_nonblocking(control_pipe_[1]);
-  poller_ = std::thread([this] { poll_loop(); });
-}
 
 IoBridge::~IoBridge() {
   // Restore handlers before tearing the pipe down so no signal races the
-  // close; then stop the poller. The join is deterministic: either the wake
-  // byte lands, or the pipe is full — in which case poll() sees POLLIN
-  // anyway, the poller drains it and re-checks stop_.
-  for (const auto& [signo, action] : saved_actions_) {
-    ::sigaction(signo, &action, nullptr);
-  }
-  if (owns_signal_pipe_) {
+  // close; then leave the runtime's set.
+  for (const SignalWatch& w : signals_) ::sigaction(w.signo, &w.saved, nullptr);
+  if (signal_pipe_[0] >= 0) {
     g_signal_pipe_wr.store(-1, std::memory_order_relaxed);
+    rt_->unwatch_io(signal_pipe_[0]);
+    ::close(signal_pipe_[0]);
+    ::close(signal_pipe_[1]);
   }
-  {
-    std::lock_guard lk(mutex_);
-    stop_ = true;
+  for (std::size_t fd = 0; fd < watches_.size(); ++fd) {
+    if (watches_[fd].added) rt_->unwatch_io(static_cast<int>(fd));
   }
-  const std::uint8_t kWake = 0;
-  [[maybe_unused]] ssize_t n = ::write(control_pipe_[1], &kWake, 1);
-  poller_.join();
-  ::close(control_pipe_[0]);
-  ::close(control_pipe_[1]);
 }
 
-void IoBridge::watch_fd(int fd, ThreadId to) {
-  {
-    std::lock_guard lk(mutex_);
-    fd_targets_[fd] = to;
+IoBridge::Watch& IoBridge::add(int fd, bool stream) {
+  assert(rt_->owned_here());
+  const auto i = static_cast<std::size_t>(fd);
+  if (i >= watches_.size()) watches_.resize(i + 1);
+  Watch& w = watches_[i];
+  if (!w.added) {
+    rt_->watch_io(fd, stream ? EPOLLIN : EPOLLIN | EPOLLOUT | EPOLLET, *this);
+    w.added = true;
+    w.stream = stream;
   }
-  const std::uint8_t kWake = 0;
-  [[maybe_unused]] ssize_t n = ::write(control_pipe_[1], &kWake, 1);
+  return w;
 }
 
-void IoBridge::unwatch_fd(int fd) {
-  {
-    std::lock_guard lk(mutex_);
-    fd_targets_.erase(fd);
-  }
-  const std::uint8_t kWake = 0;
-  [[maybe_unused]] ssize_t n = ::write(control_pipe_[1], &kWake, 1);
-}
+void IoBridge::watch_fd(int fd, ThreadId to) { add(fd, true).to[0] = to; }
 
-void IoBridge::watch_readable_once(int fd, ThreadId to) {
-  {
-    std::lock_guard lk(mutex_);
-    readable_once_[fd] = to;
-  }
-  const std::uint8_t kWake = 0;
-  [[maybe_unused]] ssize_t n = ::write(control_pipe_[1], &kWake, 1);
-}
-
-void IoBridge::watch_writable_once(int fd, ThreadId to) {
-  {
-    std::lock_guard lk(mutex_);
-    writable_once_[fd] = to;
-  }
-  const std::uint8_t kWake = 0;
-  [[maybe_unused]] ssize_t n = ::write(control_pipe_[1], &kWake, 1);
+void IoBridge::arm(int fd, ThreadId to, bool writable) {
+  Watch& w = add(fd, false);
+  w.to[writable] = to;
+  if (w.edge[writable]) fire(fd, w, writable);
 }
 
 void IoBridge::cancel_fd(int fd) {
-  {
-    std::lock_guard lk(mutex_);
-    fd_targets_.erase(fd);
-    readable_once_.erase(fd);
-    writable_once_.erase(fd);
+  assert(rt_->owned_here());
+  const auto i = static_cast<std::size_t>(fd);
+  if (fd < 0 || i >= watches_.size() || !watches_[i].added) return;
+  rt_->unwatch_io(fd);
+  watches_[i] = Watch{};
+}
+
+void IoBridge::fire(int fd, Watch& w, bool writable) {
+  const ThreadId to = w.to[writable];
+  w.edge[writable] = to == kNoThread;
+  if (to == kNoThread) return;
+  w.to[writable] = kNoThread;
+  Message m{writable ? kMsgIoWritable : kMsgIoReadable, MsgClass::kData};
+  m.payload = fd;
+  rt_->send(to, std::move(m));
+}
+
+void IoBridge::on_io(int fd, std::uint32_t events) {
+  if (fd == signal_pipe_[0]) {
+    read_signals();
+    return;
   }
-  const std::uint8_t kWake = 0;
-  [[maybe_unused]] ssize_t n = ::write(control_pipe_[1], &kWake, 1);
+  Watch& w = watches_[static_cast<std::size_t>(fd)];
+  if (w.stream) {
+    read_stream(fd, w.to[0]);
+    return;
+  }
+  // Errors and hang-ups fire both directions: the consumer's own
+  // read()/write()/getsockopt() sees the error; a silent hang must not
+  // happen.
+  if ((events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) fire(fd, w, false);
+  if ((events & (EPOLLOUT | EPOLLERR | EPOLLHUP)) != 0) fire(fd, w, true);
+}
+
+void IoBridge::read_stream(int fd, ThreadId to) {
+  std::vector<std::uint8_t> data(64 * 1024);
+  const ssize_t n = ::read(fd, data.data(), data.size());
+  if (n > 0) {
+    data.resize(static_cast<std::size_t>(n));
+    Message m{kMsgIoData, MsgClass::kData};
+    m.payload = std::move(data);
+    rt_->send(to, std::move(m));
+  } else if (n == 0) {
+    cancel_fd(fd);
+    Message m{kMsgIoEof, MsgClass::kData};
+    m.payload = fd;
+    rt_->send(to, std::move(m));
+  }
+}
+
+void IoBridge::read_signals() {
+  std::uint8_t buf[64];
+  ssize_t n;
+  while ((n = ::read(signal_pipe_[0], buf, sizeof buf)) > 0) {
+    for (ssize_t i = 0; i < n; ++i) {
+      for (const SignalWatch& w : signals_) {
+        if (w.signo != buf[i]) continue;
+        Message m{kMsgIoSignal, MsgClass::kControl};
+        m.payload = w.signo;
+        rt_->send(w.to, std::move(m));
+      }
+    }
+  }
 }
 
 void IoBridge::watch_signal(int signo, ThreadId to) {
-  if (!owns_signal_pipe_) {
+  if (signal_pipe_[0] < 0) {
+    int p[2];
+    if (::pipe2(p, O_NONBLOCK | O_CLOEXEC) != 0) {
+      throw RuntimeError("IoBridge: cannot create the signal self-pipe");
+    }
     int expected = -1;
-    if (!g_signal_pipe_wr.compare_exchange_strong(expected, control_pipe_[1],
+    if (!g_signal_pipe_wr.compare_exchange_strong(expected, p[1],
                                                   std::memory_order_relaxed)) {
+      ::close(p[0]);
+      ::close(p[1]);
       throw RuntimeError(
           "IoBridge::watch_signal: another bridge already owns the signal "
           "self-pipe");
     }
-    owns_signal_pipe_ = true;
+    signal_pipe_[0] = p[0];
+    signal_pipe_[1] = p[1];
+    rt_->watch_io(p[0], EPOLLIN, *this);
   }
-  {
-    std::lock_guard lk(mutex_);
-    signal_targets_[signo] = to;
+  for (SignalWatch& w : signals_) {
+    if (w.signo != signo) continue;
+    w.to = to;
+    return;
   }
   struct sigaction sa;
   std::memset(&sa, 0, sizeof sa);
   sa.sa_handler = &io_bridge_signal_handler;
   ::sigemptyset(&sa.sa_mask);
   sa.sa_flags = SA_RESTART;
-  struct sigaction old;
-  if (::sigaction(signo, &sa, &old) == 0) {
-    saved_actions_.emplace(signo, old);
-  }
-}
-
-void IoBridge::handle_signal_byte(std::uint8_t signo) {
-  if (signo == 0) return;  // plain wake-up byte
-  ThreadId to = kNoThread;
-  {
-    std::lock_guard lk(mutex_);
-    auto it = signal_targets_.find(signo);
-    if (it != signal_targets_.end()) to = it->second;
-  }
-  if (to != kNoThread) {
-    Message m{kMsgIoSignal, MsgClass::kControl};
-    m.payload = static_cast<int>(signo);
-    rt_->post_external(to, std::move(m));
-  }
-}
-
-void IoBridge::poll_loop() {
-  // Parallel to the pollfd array: what kind of watch each entry serves.
-  enum class Kind : std::uint8_t { kControl, kStream, kReadOnce, kWriteOnce };
-  std::vector<pollfd> fds;
-  std::vector<Kind> kinds;
-  for (;;) {
-    fds.clear();
-    kinds.clear();
-    fds.push_back(pollfd{control_pipe_[0], POLLIN, 0});
-    kinds.push_back(Kind::kControl);
-    {
-      std::lock_guard lk(mutex_);
-      if (stop_) return;
-      for (const auto& [fd, target] : fd_targets_) {
-        fds.push_back(pollfd{fd, POLLIN, 0});
-        kinds.push_back(Kind::kStream);
-      }
-      for (const auto& [fd, target] : readable_once_) {
-        fds.push_back(pollfd{fd, POLLIN, 0});
-        kinds.push_back(Kind::kReadOnce);
-      }
-      for (const auto& [fd, target] : writable_once_) {
-        fds.push_back(pollfd{fd, POLLOUT, 0});
-        kinds.push_back(Kind::kWriteOnce);
-      }
-    }
-    // No timeout: every mutation (watch/unwatch/stop/signal) writes a wake
-    // byte, so blocking indefinitely is safe and shutdown is deterministic.
-    const int rc = ::poll(fds.data(), fds.size(), /*timeout ms=*/-1);
-    if (rc < 0) continue;  // EINTR etc.
-
-    // Control pipe: wake-ups and signal bytes.
-    if ((fds[0].revents & POLLIN) != 0) {
-      std::uint8_t buf[64];
-      ssize_t n;
-      while ((n = ::read(control_pipe_[0], buf, sizeof buf)) > 0) {
-        for (ssize_t i = 0; i < n; ++i) handle_signal_byte(buf[i]);
-      }
-    }
-
-    for (std::size_t i = 1; i < fds.size(); ++i) {
-      if (kinds[i] == Kind::kReadOnce || kinds[i] == Kind::kWriteOnce) {
-        // One-shot readiness: notify (if still armed) and drop the watch.
-        // POLLERR/POLLHUP/POLLNVAL also fire the notification — the
-        // consumer's own read()/write()/getsockopt() sees the error; what
-        // must not happen is a silent hang (or, for a cancelled+closed fd,
-        // a POLLNVAL busy loop — the map erase below guarantees progress).
-        const short want = static_cast<short>(
-            (kinds[i] == Kind::kReadOnce ? POLLIN : POLLOUT) | POLLERR |
-            POLLHUP | POLLNVAL);
-        if ((fds[i].revents & want) == 0) continue;
-        auto& map =
-            kinds[i] == Kind::kReadOnce ? readable_once_ : writable_once_;
-        ThreadId to = kNoThread;
-        {
-          std::lock_guard lk(mutex_);
-          auto it = map.find(fds[i].fd);
-          if (it != map.end()) {
-            to = it->second;
-            map.erase(it);
-          }
-        }
-        if (to == kNoThread) continue;  // cancelled meanwhile
-        Message m{kinds[i] == Kind::kReadOnce ? kMsgIoReadable : kMsgIoWritable,
-                  MsgClass::kData};
-        m.payload = fds[i].fd;
-        rt_->post_external(to, std::move(m));
-        continue;
-      }
-      if ((fds[i].revents & (POLLIN | POLLHUP)) == 0) continue;
-      ThreadId to = kNoThread;
-      {
-        std::lock_guard lk(mutex_);
-        auto it = fd_targets_.find(fds[i].fd);
-        if (it != fd_targets_.end()) to = it->second;
-      }
-      if (to == kNoThread) continue;
-      std::vector<std::uint8_t> data(64 * 1024);
-      const ssize_t n = ::read(fds[i].fd, data.data(), data.size());
-      if (n > 0) {
-        data.resize(static_cast<std::size_t>(n));
-        Message m{kMsgIoData, MsgClass::kData};
-        m.payload = std::move(data);
-        rt_->post_external(to, std::move(m));
-      } else if (n == 0) {
-        Message m{kMsgIoEof, MsgClass::kData};
-        m.payload = fds[i].fd;
-        rt_->post_external(to, std::move(m));
-        std::lock_guard lk(mutex_);
-        fd_targets_.erase(fds[i].fd);
-      }
-    }
-  }
+  SignalWatch w{signo, to, {}};
+  if (::sigaction(signo, &sa, &w.saved) == 0) signals_.push_back(w);
 }
 
 }  // namespace infopipe::rt

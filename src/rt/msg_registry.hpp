@@ -14,7 +14,7 @@
 //   100..199  ip_net: netpipe data plane, node protocol, ARQ, sockets
 //   200..299  ip_feedback loops
 //   300..399  rt::IoBridge OS-event mapping
-//   400..499  ip_shard cross-shard doorbells
+//   400..499  ip_shard cross-shard wakeups
 //   500..599  ip_replay record/replay control
 //   600..699  ip_balance scale/plan control
 //

@@ -1,11 +1,17 @@
 #include "rt/runtime.hpp"
 
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
-#include <chrono>
+#include <cerrno>
+#include <cstring>
 #include <utility>
 
 #include "replay/hooks.hpp"
+#include "rt/io_bridge.hpp"
 
 namespace infopipe::rt {
 
@@ -54,10 +60,31 @@ Runtime::Runtime(std::unique_ptr<Clock> clock, Options options)
   });
 }
 
+void Runtime::open_io() {
+  if (epoll_fd_ >= 0) return;
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = wake_fd_;
+  if (epoll_fd_ < 0 || wake_fd_ < 0 ||
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
+    const std::string err = std::strerror(errno);
+    if (epoll_fd_ >= 0) ::close(epoll_fd_);
+    if (wake_fd_ >= 0) ::close(wake_fd_);
+    epoll_fd_ = wake_fd_ = -1;
+    throw RuntimeError("Runtime: cannot open its epoll set: " + err);
+  }
+}
+
 Runtime::~Runtime() {
   // The pool is immortal (payloads may outlive this runtime), but its owner
   // thread is gone: foreign returns must adopt from now on.
   pool_->detach();
+  if (epoll_fd_ >= 0) {
+    ::close(epoll_fd_);
+    ::close(wake_fd_);
+  }
 }
 
 // ---- Thread management -----------------------------------------------------
@@ -140,10 +167,25 @@ void Runtime::post_external(ThreadId to, Message m) {
   {
     std::lock_guard lk(external_mutex_);
     external_.emplace_back(to, std::move(m));
-    external_pending_.store(true, std::memory_order_release);
+    external_pending_.store(true, std::memory_order_seq_cst);
   }
-  clock_->interrupt_wait();
-  if (notifier_) notifier_();
+  wake();
+}
+
+void Runtime::request_halt() noexcept {
+  halt_.store(true, std::memory_order_seq_cst);
+  wake();
+}
+
+void Runtime::wake() noexcept {
+  // Dekker with park_until(): the flag was stored before this load, and the
+  // runtime rechecks both flags after publishing parked_, so one side sees
+  // the other. The exchange lets one of several racing posters write.
+  if (parked_.load(std::memory_order_seq_cst) &&
+      parked_.exchange(false, std::memory_order_seq_cst)) {
+    const std::uint64_t one = 1;
+    [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
+  }
 }
 
 void Runtime::send_at(Time t, ThreadId to, Message m) {
@@ -261,11 +303,6 @@ std::optional<Message> Runtime::try_receive(const MsgPredicate& pred) {
   return std::nullopt;
 }
 
-bool Runtime::has_message(const MsgPredicate& pred) {
-  UThread& me = require_current("has_message");
-  return std::any_of(me.mailbox_.begin(), me.mailbox_.end(), pred);
-}
-
 void Runtime::sleep_until(Time t) {
   UThread& me = require_current("sleep_until");
   if (t <= now()) {
@@ -352,7 +389,7 @@ void Runtime::suspend_current() {
   UThread* next = nullptr;
   if (me->state_ != ThreadState::kDone && !stop_requested_ && !halted() &&
       !external_pending_.load(std::memory_order_acquire) &&
-      (timers_.empty() || timers_.front().when > now())) {
+      (timers_.empty() || timers_.front().when > now()) && !io_poll_due()) {
     next = pick_next();
   }
   if (next == me) {
@@ -466,6 +503,7 @@ bool Runtime::step(Time horizon) {
   });
 
   fire_due_timers();
+  if (io_poll_due()) wait_io(0);
 
   if (UThread* t = pick_next()) {
     enter(*t);
@@ -476,19 +514,111 @@ bool Runtime::step(Time horizon) {
 
   // Idle: advance to the earliest timer within the horizon.
   if (!timers_.empty() && timers_.front().when <= horizon) {
-    clock_->wait_until(timers_.front().when);
+    park_until(timers_.front().when);
     fire_due_timers();
     return true;
   }
   return false;
 }
 
+void Runtime::park_until(Time deadline) {
+  if (clock_->is_virtual()) {
+    static_cast<VirtualClock&>(*clock_).advance_to(deadline);
+    return;
+  }
+  const Time entry = now();
+  if (deadline <= entry) return;
+  open_io();
+  if (in_service_) {
+    service_busy_ns_.fetch_add(static_cast<std::uint64_t>(entry - service_mark_),
+                               std::memory_order_relaxed);
+  }
+  // Dekker with wake(): publish parked_, then recheck both wake flags.
+  parked_.store(true, std::memory_order_seq_cst);
+  if (!external_pending_.load(std::memory_order_seq_cst) &&
+      !halt_.load(std::memory_order_seq_cst)) {
+    wait_io(deadline == kTimeNever ? -1 : deadline - entry);
+  }
+  parked_.store(false, std::memory_order_relaxed);
+  if (in_service_) {
+    service_mark_ = now();
+    service_idle_ns_.fetch_add(static_cast<std::uint64_t>(service_mark_ - entry),
+                               std::memory_order_relaxed);
+  }
+}
+
+void Runtime::wait_io(Time timeout) {
+  constexpr int kMaxEvents = 64;
+  epoll_event evs[kMaxEvents];
+  // Nanosecond timeout: a timer wait must neither spin nor round up to
+  // epoll_wait's milliseconds.
+  const timespec ts{static_cast<time_t>(timeout / seconds(1)),
+                    static_cast<long>(timeout % seconds(1))};
+  const int n = ::epoll_pwait2(epoll_fd_, evs, kMaxEvents,
+                               timeout < 0 ? nullptr : &ts, nullptr);
+  if (io_watched_ != 0) io_polled_at_ = now();
+  for (int i = 0; i < n; ++i) {
+    const int fd = evs[i].data.fd;
+    if (fd == wake_fd_) {
+      std::uint64_t v;
+      [[maybe_unused]] const ssize_t r = ::read(wake_fd_, &v, sizeof v);
+    } else if (static_cast<std::size_t>(fd) < io_bridges_.size() &&
+               io_bridges_[static_cast<std::size_t>(fd)] != nullptr) {
+      io_bridges_[static_cast<std::size_t>(fd)]->on_io(fd, evs[i].events);
+    }
+  }
+}
+
+bool Runtime::owned_here() const noexcept {
+  return g_active_runtime == this || !in_run_;
+}
+
+void Runtime::watch_io(int fd, std::uint32_t events, IoBridge& bridge) {
+  assert(owned_here());
+  if (clock_->is_virtual()) {
+    throw RuntimeError("Runtime::watch_io needs a real-clock runtime");
+  }
+  open_io();
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.fd = fd;
+  if (fd < 0 || ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    throw RuntimeError(std::string("Runtime::watch_io: ") +
+                       std::strerror(errno));
+  }
+  const auto i = static_cast<std::size_t>(fd);
+  if (i >= io_bridges_.size()) io_bridges_.resize(i + 1, nullptr);
+  io_bridges_[i] = &bridge;
+  ++io_watched_;
+}
+
+void Runtime::unwatch_io(int fd) {
+  assert(owned_here());
+  const auto i = static_cast<std::size_t>(fd);
+  if (fd < 0 || i >= io_bridges_.size() || io_bridges_[i] == nullptr) return;
+  // Fails harmlessly (EBADF) when the caller already closed the fd.
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  io_bridges_[i] = nullptr;
+  --io_watched_;
+}
+
 void Runtime::run() { run_until(kTimeNever); }
 
-void Runtime::run_until(Time t) {
+void Runtime::run_until(Time t) { run_loop(t, /*service=*/false); }
+
+void Runtime::run_service() {
+  if (clock_->is_virtual()) {
+    throw RuntimeError("Runtime::run_service needs a real clock");
+  }
+  run_loop(kTimeNever, /*service=*/true);
+}
+
+void Runtime::run_loop(Time t, bool service) {
   if (in_run_) throw RuntimeError("Runtime::run() is not reentrant");
   in_run_ = true;
   stop_requested_ = false;
+  in_service_ = service;
+  if (service) service_mark_ = now();
   ActiveRuntimeScope scope(this);
   // Item::of inside hosted threads allocates from this runtime's pool; the
   // scope also marks this kernel thread as the pool's owner for recycling.
@@ -496,13 +626,22 @@ void Runtime::run_until(Time t) {
   for (;;) {
     while (!stop_requested_ && !halted() && step(t)) {
     }
-    if (stop_requested_ || halted() || t == kTimeNever ||
-        clock_->is_virtual() || now() >= t) {
+    if (halted()) break;
+    if (service) {
+      if (!errors_.empty()) break;
+      // A stop only ends a stepping pass; the service loop runs on.
+      if (std::exchange(stop_requested_, false)) continue;
+    } else if (stop_requested_ || t == kTimeNever || clock_->is_virtual() ||
+               now() >= t) {
       break;
     }
-    // Real clock with a finite horizon: quiescent but early. Block until
-    // the horizon — interruptibly, so post_external() resumes stepping.
-    clock_->wait_until(t);
+    // Real clock, quiescent: park until the horizon (for ever in service).
+    park_until(t);
+  }
+  if (service) {
+    service_busy_ns_.fetch_add(static_cast<std::uint64_t>(now() - service_mark_),
+                               std::memory_order_relaxed);
+    in_service_ = false;
   }
   in_run_ = false;
   if (t != kTimeNever && clock_->is_virtual() && now() < t) {
@@ -517,32 +656,6 @@ void Runtime::run_until(Time t) {
       throw RuntimeError("uncaught exception in thread '" + name +
                          "': " + e.what());
     }
-  }
-}
-
-void Runtime::run_service(Doorbell& bell) {
-  using SteadyClock = std::chrono::steady_clock;
-  while (!halted()) {
-    // Wall-clock busy/idle split for the load accountant (ip_balance): time
-    // inside run() is busy, time parked on the bell is idle. Measured with
-    // the OS steady clock — NOT this runtime's (possibly virtual) clock —
-    // because the question is how loaded the hosting kernel thread is.
-    const auto t0 = SteadyClock::now();
-    run();
-    const auto t1 = SteadyClock::now();
-    service_busy_ns_.fetch_add(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count(),
-        std::memory_order_relaxed);
-    if (halted()) break;
-    // Quiescent. Work injected between run() returning and wait() parks is
-    // not lost: post_external rings the bell (sticky counter), and
-    // request_halt() is followed by a ring from the caller.
-    bell.wait();
-    service_idle_ns_.fetch_add(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            SteadyClock::now() - t1)
-            .count(),
-        std::memory_order_relaxed);
   }
 }
 

@@ -23,8 +23,18 @@
 // one context switch. The scheduler context is entered only for external
 // batches, due timers, stop or halt, thread termination and idling; it is
 // the only place that reaps threads, injects post_external() messages,
-// fires timers and waits on the clock. The pick is the same pick_next()
-// on either path, so dispatch order does not depend on which path made it.
+// fires timers, polls file descriptors and parks. The pick is the same
+// pick_next() on either path, so dispatch order does not depend on which
+// path made it.
+//
+// One park point per kernel thread: a real-clock runtime owns one epoll set
+// holding an eventfd and every file descriptor registered through
+// rt::IoBridge, and it blocks in exactly one place —
+// epoll_pwait2 on that set, with the earliest timer as the timeout.
+// Readiness, timer expiry, post_external() and request_halt() all end the
+// same wait, and readiness is handled right there on the runtime's own
+// thread. A virtual-clock runtime never blocks: it jumps its clock to the
+// next timer and never opens the descriptors.
 #pragma once
 
 #include <atomic>
@@ -43,12 +53,13 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "rt/clock.hpp"
-#include "rt/doorbell.hpp"
 #include "rt/reservation.hpp"
 #include "rt/message.hpp"
 #include "rt/uthread.hpp"
 
 namespace infopipe::rt {
+
+class IoBridge;
 
 /// Thrown for API misuse (e.g. blocking operations outside a thread) and for
 /// calls to dead threads.
@@ -125,19 +136,13 @@ class Runtime {
   std::size_t cancel_timers(ThreadId to, int type);
 
   /// Thread-safe injection from OUTSIDE the scheduler's OS thread (the
-  /// only Runtime entry point with that property). Used by rt::IoBridge to
-  /// map OS events onto platform messages (§4); wakes an idle RealClock
-  /// wait. The message is delivered at the next suspension of any thread.
+  /// only Runtime entry point with that property, with request_halt()).
+  /// Cross-shard channels, run_on() and other kernel threads use it. The
+  /// message joins a mutex-guarded batch that the scheduler delivers at the
+  /// next suspension of any thread. The poster wakes the runtime only when
+  /// it has published that it is parked: a post to a running runtime costs
+  /// one lock and one load, a post to a parked one adds one eventfd write.
   void post_external(ThreadId to, Message m);
-
-  /// Hook invoked (on the posting kernel thread) after every
-  /// post_external(). A runtime hosted on a dedicated kernel thread sets
-  /// this to ring its Doorbell so a quiescent run_service() loop resumes.
-  /// Must be installed before the host thread starts; the hook itself must
-  /// be thread-safe.
-  void set_external_notifier(std::function<void()> fn) {
-    notifier_ = std::move(fn);
-  }
 
   /// Synchronous call: sends `m` with a fresh request_id and blocks until
   /// the matching kReply arrives. While blocked, the callee inherits the
@@ -163,9 +168,6 @@ class Runtime {
 
   /// Non-blocking: extracts the first queued message matching `pred`.
   std::optional<Message> try_receive(const MsgPredicate& pred);
-
-  /// True if any queued message matches `pred`.
-  [[nodiscard]] bool has_message(const MsgPredicate& pred);
 
   void sleep_until(Time t);
   void sleep_for(Time d) { sleep_until(now() + d); }
@@ -205,14 +207,17 @@ class Runtime {
 
   // ---- Scheduling loop (from the hosting OS thread) ------------------------
 
-  /// Runs until quiescent: no runnable thread and no pending timer. Threads
-  /// blocked in receive() stay alive; a later send()+run() resumes them.
-  /// Rethrows the first exception that escaped a code function, if any.
+  /// Runs until quiescent: no runnable thread and no pending timer, even
+  /// with file descriptors registered. Threads blocked in receive() stay
+  /// alive; a later send()+run() resumes them. Rethrows the first exception
+  /// that escaped a code function, if any.
   void run();
 
   /// Runs until the clock reaches `t` (inclusive of timers at `t`) or until
   /// quiescence, whichever is later in processing terms; under a virtual
-  /// clock the clock is advanced to exactly `t` before returning.
+  /// clock the clock is advanced to exactly `t` before returning. Under a
+  /// real clock a quiescent runtime parks until `t`; readiness, posts and
+  /// halts end the park early.
   void run_until(Time t);
 
   /// Makes run() return at the next dispatch point.
@@ -223,24 +228,21 @@ class Runtime {
   /// next dispatch point and every subsequent run() returns immediately
   /// until clear_halt(). Unlike request_stop() (reset on run entry, so a
   /// cross-thread request can be lost to the race with a starting run), a
-  /// halt posted from any thread is never missed. Also interrupts an idle
-  /// RealClock wait.
-  void request_halt() noexcept {
-    halt_.store(true, std::memory_order_release);
-    clock_->interrupt_wait();
-  }
+  /// halt posted from any thread is never missed: it wakes a parked runtime
+  /// the way post_external() does.
+  void request_halt() noexcept;
   [[nodiscard]] bool halted() const noexcept {
     return halt_.load(std::memory_order_acquire);
   }
   /// Re-arms a halted runtime (call from the host thread, between runs).
   void clear_halt() noexcept { halt_.store(false, std::memory_order_release); }
 
-  /// Host loop for a runtime owned by a dedicated kernel thread: run() until
-  /// quiescent, park on `bell`, repeat — until request_halt(). Work injected
-  /// through post_external() resumes a parked loop provided the external
-  /// notifier rings the bell (ShardGroup wires this up). Rethrows the first
-  /// exception that escaped a code function, like run().
-  void run_service(Doorbell& bell);
+  /// Host loop for a real-clock runtime owned by a dedicated kernel thread:
+  /// run until quiescent, park in the epoll set (timers, readiness, posts),
+  /// repeat — until request_halt(). Rethrows the first exception that
+  /// escaped a code function, like run(). Throws RuntimeError under a
+  /// virtual clock, which has nothing to park on.
+  void run_service();
 
   // ---- Introspection -------------------------------------------------------
 
@@ -284,11 +286,13 @@ class Runtime {
   /// Number of live (not yet terminated) threads.
   [[nodiscard]] std::size_t live_threads() const noexcept;
 
-  /// Cumulative wall-clock time run_service() spent stepping (busy) vs
-  /// parked on its doorbell (idle), in nanoseconds of the OS steady clock.
-  /// Thread-safe reads; the load accountant (ip_balance) differences
-  /// successive samples into a busy fraction per shard. Zero until the
-  /// runtime is hosted via run_service().
+  /// Cumulative wall-clock time run_service() spent outside its park point
+  /// (busy) vs inside it (idle), in nanoseconds of the real clock. Both
+  /// advance at every park entry and exit, so a shard that always has a
+  /// timer pending reports while it runs. Thread-safe reads; the load
+  /// accountant (ip_balance) differences successive samples into a busy
+  /// fraction per shard. Zero until the runtime is hosted via
+  /// run_service().
   [[nodiscard]] std::uint64_t service_busy_ns() const noexcept {
     return service_busy_ns_.load(std::memory_order_relaxed);
   }
@@ -297,6 +301,22 @@ class Runtime {
   }
 
  private:
+  // ---- File descriptors (real clock only; the IoBridge facade) -------------
+  friend class IoBridge;
+
+  /// Adds `fd` to the epoll set with `events` (EPOLLIN, EPOLLET, ...). The
+  /// bridge's on_io() gets what the set reports, on this runtime's thread,
+  /// from the scheduler: no user-level thread is current, so a send() from
+  /// it never preempts. Must run on the runtime's own thread or while no
+  /// thread runs it (asserted in debug builds). Throws RuntimeError under a
+  /// virtual clock or when epoll_ctl fails.
+  void watch_io(int fd, std::uint32_t events, IoBridge& bridge);
+  void unwatch_io(int fd);
+
+  /// True on the kernel thread inside this runtime's run loop, or while no
+  /// thread runs it: where the non-thread-safe surface may be used.
+  [[nodiscard]] bool owned_here() const noexcept;
+
   struct TimerEntry {
     Time when;
     std::uint64_t seq;  // FIFO among equal times
@@ -339,6 +359,33 @@ class Runtime {
   /// Runs one scheduling step; returns false when quiescent.
   bool step(Time horizon);
 
+  /// run_until() and run_service(): the latter parks instead of returning
+  /// when quiescent.
+  void run_loop(Time t, bool service);
+
+  /// The park point: advances a virtual clock to `deadline`, or blocks in
+  /// the epoll set until `deadline` unless a post or halt is pending.
+  void park_until(Time deadline);
+
+  /// Waits in the epoll set for up to `timeout` ns (0: poll, negative: no
+  /// limit) and hands every reported descriptor to its IoBridge.
+  void wait_io(Time timeout);
+
+  /// Opens the epoll set and its eventfd on first need (a real-clock
+  /// runtime that never parks or watches an fd never opens them).
+  void open_io();
+
+  /// Wakes a parked runtime (thread-safe). wake_fd_ is read only after
+  /// parked_ was seen set, which park_until() stores after open_io().
+  void wake() noexcept;
+
+  /// A runtime that never idles still polls its descriptors: true when
+  /// any are registered and the last poll is kIoPollInterval old.
+  [[nodiscard]] bool io_poll_due() const {
+    return io_watched_ != 0 && now() - io_polled_at_ >= kIoPollInterval;
+  }
+  static constexpr Time kIoPollInterval = microseconds(100);
+
   UThread* current_thread() noexcept { return current_; }
   UThread& require_current(const char* op);
 
@@ -352,9 +399,19 @@ class Runtime {
   std::vector<std::pair<ThreadId, Message>> external_;
   std::atomic<bool> external_pending_{false};
   std::atomic<bool> halt_{false};
+  /// Published by the runtime before it rechecks external_pending_ and
+  /// parks; a poster that sets external_pending_ and then sees it writes
+  /// the eventfd (the Dekker pair of shard/channel.hpp's waiter slot).
+  std::atomic<bool> parked_{false};
+  int epoll_fd_ = -1;  ///< real clock only; see open_io()
+  int wake_fd_ = -1;   ///< eventfd in the epoll set
+  std::vector<IoBridge*> io_bridges_;  ///< by fd
+  std::size_t io_watched_ = 0;
+  Time io_polled_at_ = 0;
   std::atomic<std::uint64_t> service_busy_ns_{0};
   std::atomic<std::uint64_t> service_idle_ns_{0};
-  std::function<void()> notifier_;  ///< see set_external_notifier()
+  Time service_mark_ = 0;  ///< last park exit; see service_busy_ns()
+  bool in_service_ = false;
   std::unordered_map<ThreadId, std::unique_ptr<UThread>> threads_;
   std::vector<TimerEntry> timers_;  // min-heap via TimerLater
   Context sched_ctx_;

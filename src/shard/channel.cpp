@@ -172,7 +172,7 @@ void ChannelSink::consume_span(ItemSpan xs) {
     while (done < run.size()) {
       const std::size_t moved = ch.try_push_span(run.subspan(done));
       if (moved > 0) {
-        // One doorbell per published chunk, not per item.
+        // One wakeup per published chunk, not per item.
         ch.wake_consumer();
         done += moved;
         continue;

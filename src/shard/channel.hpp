@@ -6,18 +6,20 @@
 // whose consumer endpoint (ChannelSource) lives on the downstream shard.
 // The fast path is wait-free — one atomic load, the slot moves, one atomic
 // store per burst (a one-item burst for the per-item ops). Only when a side
-// finds the ring full/empty does it fall back to the doorbell path: it
+// finds the ring full/empty does it fall back to the wakeup path: it
 // publishes its thread id in a waiter slot and parks in the middleware's
 // control-responsive wait; the other side, after every push/pop, exchanges
 // the waiter slot and posts a wakeup message through
-// rt::Runtime::post_external (which rings the shard's Doorbell), so an idle
-// shard sleeps instead of spinning.
+// rt::Runtime::post_external, which writes the shard's eventfd only when
+// the shard is parked in its epoll set, so an idle shard sleeps instead of
+// spinning.
 //
 // The sleep/wake handshake is a classic Dekker pattern on
 // (ring state, waiter slot): the waiter stores its tid and THEN re-checks
 // the ring; the other side updates the ring and THEN exchanges the waiter
 // slot. All four accesses are seq_cst, so one of the two always observes the
-// other's write and no wakeup is lost.
+// other's write and no wakeup is lost. The runtime's own park uses the same
+// pattern on (external_pending_, parked_).
 //
 // Semantics mirror core::Buffer so a cut is behaviour-preserving:
 // end-of-stream is a sticky flag drained after queued items, kDropNewest
@@ -47,7 +49,7 @@
 namespace infopipe::shard {
 
 namespace detail {
-/// rt message types of the cross-shard doorbell path (payload: the
+/// rt message types of the cross-shard wakeup path (payload: the
 /// ShardChannel*). Values allotted in rt/msg_registry.hpp.
 enum ShardMsgType : int {
   kMsgChanData = rt::msg::kChanData,    ///< ring has data; wakes a consumer
@@ -277,7 +279,7 @@ class ChannelSink : public PassiveSink {
  protected:
   void consume(Item x) override;
   /// Publishes runs of data items through try_push_span — one ring
-  /// reservation and one doorbell per chunk instead of per item.
+  /// reservation and one wakeup per chunk instead of per item.
   void consume_span(ItemSpan xs) override;
   void on_eos() override;
 

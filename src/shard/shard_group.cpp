@@ -28,7 +28,7 @@ struct RunOnReq {
 
 /// Best-effort pinning of the calling kernel thread; a shard landing on its
 /// own core is the point of the module, but a machine with fewer cores than
-/// shards must still work (the channels and doorbells do not care).
+/// shards must still work (the channels and park points do not care).
 void pin_to_core(int shard) {
 #ifdef __linux__
   const unsigned ncpu = std::thread::hardware_concurrency();
@@ -78,10 +78,6 @@ ShardGroup::Shard& ShardGroup::make_shard(int i) {
                                          ? clock_factory_()
                                          : std::make_unique<rt::RealClock>();
   s->rtm = std::make_unique<rt::Runtime>(std::move(clock), runtime_opts_);
-  // Ring the shard's doorbell after every post_external, so work injected
-  // into a parked run_service() loop resumes it.
-  rt::Doorbell* bell = &s->bell;
-  s->rtm->set_external_notifier([bell] { bell->ring(); });
   // The service thread: executes run_on() payloads on this shard.
   s->service_tid = s->rtm->spawn(
       "shard.service", rt::kPriorityControl,
@@ -148,7 +144,6 @@ void ShardGroup::retire_shard(int shard) {
   s.retired.store(true, std::memory_order_release);
   live_.fetch_sub(1, std::memory_order_acq_rel);
   s.rtm->request_halt();
-  s.bell.ring();
   if (s.host.joinable()) s.host.join();
   replay::note_scale(nullptr, nullptr, shard, /*added=*/false,
                      live_.load(std::memory_order_acquire));
@@ -206,7 +201,7 @@ void ShardGroup::host_loop(int shard) {
   g_host_group = this;
   g_host_shard = shard;
   try {
-    s.rtm->run_service(s.bell);
+    s.rtm->run_service();
   } catch (...) {
     const std::lock_guard<std::mutex> lk(err_mutex_);
     if (!s.error) s.error = std::current_exception();
@@ -221,7 +216,6 @@ void ShardGroup::stop() {
   for (int i = 0; i < n; ++i) {
     Shard& s = *slots_[static_cast<std::size_t>(i)];
     s.rtm->request_halt();
-    s.bell.ring();
   }
   for (int i = 0; i < n; ++i) {
     Shard& s = *slots_[static_cast<std::size_t>(i)];

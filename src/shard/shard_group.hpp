@@ -1,15 +1,16 @@
-// ShardGroup: N runtimes, N kernel threads, one doorbell each (ip_shard).
+// ShardGroup: N runtimes, N kernel threads, one park point each (ip_shard).
 //
 // Everything inside one rt::Runtime stays single-kernel-threaded — that is
 // the substrate the whole middleware's no-locks-in-components guarantee
 // rests on. A ShardGroup scales out WITHOUT touching that invariant: it owns
 // n_shards independent runtimes, each hosted by its own kernel thread
-// running Runtime::run_service(), i.e. run-until-quiescent then park on the
-// shard's Doorbell. Cross-shard traffic (ShardChannel items, forwarded
-// control events, run_on() calls) enters a shard exclusively through
-// rt::Runtime::post_external — the one thread-safe Runtime entry point —
-// whose external notifier rings the doorbell, so idle shards sleep and
-// never spin.
+// running Runtime::run_service(), i.e. run-until-quiescent then park in the
+// runtime's own epoll set (timers, the shard's sockets, posts). Cross-shard
+// traffic (ShardChannel items, forwarded control events, run_on() calls)
+// enters a shard exclusively through rt::Runtime::post_external — the one
+// thread-safe Runtime entry point — which wakes the shard only when it is
+// parked, so idle shards sleep and never spin. A shard's kernel thread is
+// the only thread the shard adds: rt::IoBridge readiness runs on it too.
 //
 // run_on() is the coordination primitive: it executes a function ON a
 // shard's kernel thread (inside a dedicated service user-level thread) and
@@ -41,7 +42,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "rt/doorbell.hpp"
 #include "rt/runtime.hpp"
 #include "shard/topology.hpp"
 
@@ -93,9 +93,6 @@ class ShardGroup {
     return live_.load(std::memory_order_acquire);
   }
   [[nodiscard]] rt::Runtime& runtime(int shard) { return *shard_at(shard).rtm; }
-  [[nodiscard]] rt::Doorbell& doorbell(int shard) {
-    return shard_at(shard).bell;
-  }
 
   /// The NUMA layout this group places memory by (injected or probed).
   [[nodiscard]] const Topology& topology() const noexcept { return topo_; }
@@ -152,7 +149,7 @@ class ShardGroup {
   /// output must not care.
   void step_until(rt::Time t, const std::vector<int>& order);
 
-  /// Halts every shard, rings the doorbells, joins the kernel threads.
+  /// Halts every shard (waking the parked ones), joins the kernel threads.
   /// Idempotent. Rethrows the first exception that escaped a shard's
   /// scheduling loop, if any.
   void stop();
@@ -193,7 +190,6 @@ class ShardGroup {
  private:
   struct Shard {
     std::unique_ptr<rt::Runtime> rtm;
-    rt::Doorbell bell;
     std::thread host;
     rt::ThreadId service_tid = rt::kNoThread;
     std::atomic<bool> dead{false};     ///< host thread exited (error or halt)
@@ -202,7 +198,7 @@ class ShardGroup {
   };
 
   /// Constructs the shard in slot `i` (runtime over the group clock
-  /// factory, doorbell notifier, service ULT, NUMA-placed pool). Does not
+  /// factory, service ULT, NUMA-placed pool). Does not
   /// publish it — the caller stores n_shards_ after any thread start.
   Shard& make_shard(int i);
 

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -14,6 +17,7 @@
 
 #include "rt/io_bridge.hpp"
 #include "rt/runtime.hpp"
+#include "shard/shard_group.hpp"
 
 namespace infopipe::rt {
 namespace {
@@ -119,6 +123,45 @@ TEST(IoBridge, PostExternalWakesARealClockWait) {
   EXPECT_LT(handled_at - t0, milliseconds(400)) << "wait was not interrupted";
 }
 
+TEST(IoBridge, NeverIdleRuntimeStillSeesReadiness) {
+  // A yield-looping thread keeps the runtime from ever parking; the
+  // scheduler must still poll the set and deliver the readiness.
+  Runtime rt(std::make_unique<RealClock>());
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, sv), 0);
+  bool readable = false;
+  const ThreadId sink = rt.spawn("sink", kPriorityData,
+                                 [&](Runtime&, Message m) -> CodeResult {
+                                   if (m.type == kMsgIoReadable) readable = true;
+                                   return CodeResult::kTerminate;
+                                 });
+  std::atomic<Time> written_at{-1};
+  Time seen_at = -1;
+  const ThreadId spinner = rt.spawn(
+      "spinner", kPriorityData, [&](Runtime& r, Message) -> CodeResult {
+        const Time deadline = r.now() + seconds(5);
+        while (!readable && r.now() < deadline) r.yield();
+        seen_at = r.now();
+        return CodeResult::kTerminate;
+      });
+  IoBridge bridge(rt);
+  bridge.watch_readable_once(sv[0], sink);
+  rt.send(spinner, Message{});
+  std::thread writer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    written_at.store(rt.now());
+    ASSERT_EQ(::write(sv[1], "x", 1), 1);
+  });
+  rt.run();
+  writer.join();
+  EXPECT_TRUE(readable);
+  EXPECT_LT(seen_at - written_at.load(), milliseconds(50))
+      << "readiness waited for the runtime to go idle";
+  bridge.cancel_fd(sv[0]);
+  ::close(sv[0]);
+  ::close(sv[1]);
+}
+
 TEST(IoBridge, UnwatchStopsDelivery) {
   Runtime rt(std::make_unique<RealClock>());
   int chunks = 0;
@@ -208,11 +251,12 @@ TEST(IoBridge, SecondSignalClaimantIsRejectedAndOwnershipReleases) {
 }
 
 TEST(IoBridge, TeardownUnderConcurrentPostsIsDeterministic) {
-  // Hammer the poller lifecycle: while external kernel threads are posting
+  // Hammer the bridge lifecycle: while external kernel threads are posting
   // into the runtime and writing into a watched pipe, destroy the bridge.
-  // The destructor must join the poller deterministically — no use-after-
-  // free of the bridge's state, no lost runtime, no hang (the test TIMEOUT
-  // catches that). Run several rounds to hit different interleavings.
+  // The destructor must leave the runtime's epoll set cleanly — no use-
+  // after-free of the bridge's state, no lost runtime, no hang (the test
+  // TIMEOUT catches that). Run several rounds to hit different
+  // interleavings.
   for (int round = 0; round < 20; ++round) {
     Runtime rt(std::make_unique<RealClock>());
     std::atomic<int> seen{0};
@@ -257,6 +301,37 @@ TEST(IoBridge, TeardownUnderConcurrentPostsIsDeterministic) {
     ::close(fds[0]);
     ::close(fds[1]);
   }
+}
+
+TEST(IoBridge, BridgesAndShardsAddOnlyTheShardThreads) {
+  // One park point per kernel thread: a launched ShardGroup(2) with one
+  // bridge per shard runs two kernel threads, not four.
+  const auto tasks = [] {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& e :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      ++n;
+    }
+    return n;
+  };
+  const std::size_t before = tasks();
+  {
+    shard::ShardGroup group(2);
+    group.launch();
+    IoBridge io0(group.runtime(0));
+    IoBridge io1(group.runtime(1));
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, sv), 0);
+    group.run_on(0, [&] { io0.watch_readable_once(sv[0], kNoThread); });
+    group.run_on(1, [&] { io1.watch_readable_once(sv[1], kNoThread); });
+    EXPECT_EQ(tasks(), before + 2);
+    group.run_on(0, [&] { io0.cancel_fd(sv[0]); });
+    group.run_on(1, [&] { io1.cancel_fd(sv[1]); });
+    group.stop();
+    ::close(sv[0]);
+    ::close(sv[1]);
+  }
+  EXPECT_EQ(tasks(), before);
 }
 
 }  // namespace

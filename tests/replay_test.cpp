@@ -493,7 +493,7 @@ TEST(HappensBefore, SeededUnorderedCrossShardAccessIsFlaggedLive) {
     group.launch();
     int shared_counter = 0;
     // The deliberate bug: both shards touch shared_counter with no channel
-    // or stash edge between them. run_on's own doorbell messages are not
+    // or stash edge between them. run_on's own wakeup messages are not
     // recorded HB edges — the middleware's data-plane discipline (all
     // cross-shard state rides channels/pools) is exactly what is violated.
     group.run_on(0, [&] { note_shared_access(&shared_counter, true); });

@@ -1,8 +1,11 @@
 // Unit tests for the message-based user-level thread package (ip_rt).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "rt/runtime.hpp"
@@ -757,13 +760,59 @@ TEST(Park, UnparkLeavesThreadsThatAreNotParkedAlone) {
 
 // --- dedicated-host-thread primitives (ip_shard substrate) ------------------
 
-TEST(Runtime, DoorbellIsStickyAcrossRings) {
-  Doorbell bell;
-  bell.ring();
-  bell.ring();
-  bell.wait();  // consumes ring 1 without blocking
-  bell.wait();  // consumes ring 2 without blocking
-  EXPECT_EQ(bell.rings(), 2u);
+TEST(Runtime, PostsRacingTheParkAreNeverLost) {
+  // Each post lands while the host is finishing the previous one and going
+  // quiescent, i.e. racing the parked flag it publishes before it rechecks
+  // for posts. A lost wake-up would leave the runtime parked with a post
+  // pending: the spin below then times out.
+  Runtime rt(std::make_unique<RealClock>());
+  std::atomic<int> got{0};
+  const ThreadId t = rt.spawn("sink", kPriorityData,
+                              [&](Runtime&, Message) -> CodeResult {
+                                got.fetch_add(1);
+                                return CodeResult::kContinue;
+                              });
+  std::thread host([&] { rt.run_service(); });
+  constexpr int kRounds = 2000;
+  int delivered = 0;
+  for (int i = 1; i <= kRounds; ++i) {
+    rt.post_external(t, Message{});
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (got.load() < i && std::chrono::steady_clock::now() < deadline) {
+      // Vary how far the host gets into its park before the next post.
+      if (i % 3 == 0) std::this_thread::yield();
+    }
+    if (got.load() < i) break;
+    delivered = i;
+    if (i % 64 == 0) std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  rt.request_halt();
+  host.join();
+  EXPECT_EQ(delivered, kRounds) << "post " << delivered + 1 << " was lost";
+}
+
+TEST(Runtime, ServiceBusyFractionCountsTimerWaitsAsIdle) {
+  // A runtime that always has a timer pending never goes quiescent; its
+  // busy/idle counters must still advance while it runs, and time spent
+  // waiting for the timer is idle.
+  Runtime rt(std::make_unique<RealClock>());
+  const ThreadId t = rt.spawn("ticker", kPriorityData,
+                              [](Runtime& r, Message) -> CodeResult {
+                                for (;;) r.sleep_for(milliseconds(1));
+                              });
+  rt.send(t, Message{});
+  std::thread host([&] { rt.run_service(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::uint64_t busy0 = rt.service_busy_ns();
+  const std::uint64_t idle0 = rt.service_idle_ns();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const std::uint64_t busy = rt.service_busy_ns() - busy0;
+  const std::uint64_t idle = rt.service_idle_ns() - idle0;
+  rt.request_halt();
+  host.join();
+  ASSERT_GT(busy + idle, 0u) << "the counters did not advance while running";
+  EXPECT_LT(static_cast<double>(busy) / static_cast<double>(busy + idle), 0.2);
 }
 
 TEST(Runtime, HaltIsStickyAndClearable) {
@@ -784,18 +833,16 @@ TEST(Runtime, HaltIsStickyAndClearable) {
   EXPECT_EQ(runs, 1);
 }
 
-TEST(Runtime, RunServiceParksOnDoorbellAndHonorsHalt) {
+TEST(Runtime, RunServiceParksAndHonorsHalt) {
   Runtime rt(std::make_unique<RealClock>());
-  Doorbell bell;
-  rt.set_external_notifier([&bell] { bell.ring(); });
   std::atomic<int> runs{0};
   const ThreadId t = rt.spawn("worker", kPriorityData,
                               [&](Runtime&, Message) -> CodeResult {
                                 runs.fetch_add(1);
                                 return CodeResult::kContinue;
                               });
-  std::thread host([&] { rt.run_service(bell); });
-  // Work injected from outside resumes the parked loop via the notifier.
+  std::thread host([&] { rt.run_service(); });
+  // Work injected from outside resumes the parked loop.
   rt.post_external(t, Message{});
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(5);
@@ -804,7 +851,6 @@ TEST(Runtime, RunServiceParksOnDoorbellAndHonorsHalt) {
   }
   EXPECT_EQ(runs.load(), 1);
   rt.request_halt();
-  bell.ring();
   host.join();  // a lost halt or wakeup would hang here (test TIMEOUT)
 }
 

@@ -19,6 +19,7 @@
 #include <array>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <new>
 #include <string>
@@ -34,8 +35,8 @@
 
 // Counting global allocator for the steady-state receive case: counts
 // operator new calls on this OS thread while a test opens its window. The
-// runtime's user-level threads (transport agents, the pipeline) all run on
-// the thread that drives it; the IoBridge poller thread is not counted.
+// runtime's user-level threads (transport agents, the pipeline) and its
+// readiness handling all run on the thread that drives it.
 namespace {
 thread_local bool t_count_allocs = false;
 thread_local std::uint64_t t_allocs = 0;
@@ -231,8 +232,8 @@ struct Collector {
 };
 
 /// Drives a RealClock runtime in small slices until `done` or the budget
-/// runs out. Socket events arrive via post_external between slices, so a
-/// single run() would stop at the first quiescent moment.
+/// runs out. Socket readiness is seen when the runtime parks, so a single
+/// run() would stop at the first quiescent moment.
 template <typename Pred>
 bool drive_until(rt::Runtime& rtm, Pred done,
                  rt::Time budget = rt::seconds(10)) {
@@ -288,6 +289,30 @@ TEST(SocketTransport, TcpLoopbackDeliversInOrderWithEos) {
   EXPECT_EQ(rig.server->stats().protocol_errors, 0u);
   EXPECT_EQ(rig.client->kind(), "tcp");
   EXPECT_EQ(rig.server->kind(), "tcp");
+}
+
+std::size_t count_entries(const char* dir) {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e : std::filesystem::directory_iterator(dir)) ++n;
+  return n;
+}
+
+TEST(SocketTransport, TeardownLeavesNoFdsOrThreads) {
+  // Build and tear down a real-clock runtime with a bridge and a connected
+  // TCP pair, 200 times: the epoll set, its eventfd and the sockets go with
+  // their owners, and no kernel thread is left behind.
+  const auto cycle = [] {
+    LoopbackRig rig;
+    return drive_until(rig.rtm, [&] {
+      return rig.client->connected() && rig.server->connected();
+    });
+  };
+  ASSERT_TRUE(cycle());  // warm-up: first-use statics
+  const std::size_t fds = count_entries("/proc/self/fd");
+  const std::size_t tasks = count_entries("/proc/self/task");
+  for (int i = 0; i < 200; ++i) ASSERT_TRUE(cycle()) << "cycle " << i;
+  EXPECT_EQ(count_entries("/proc/self/fd"), fds);
+  EXPECT_EQ(count_entries("/proc/self/task"), tasks);
 }
 
 TEST(SocketTransport, ItemsBeforeAttachAreBufferedNotLost) {
