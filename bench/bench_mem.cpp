@@ -11,7 +11,7 @@
 //
 // Three workloads: a bare make/destroy loop (allocator cost in isolation),
 // a single-runtime pumped flow, and a 2-shard flow whose payloads cross a
-// ShardChannel cut — the case the consumer-side recycling protocol exists
+// cut buffer — the case the consumer-side recycling protocol exists
 // for. Each runs per representation (`mode`: 1 = pooled block,
 // 2 = inline-in-Item); the payload's size picks it — a bare uint64_t rides
 // inline, the same value boxed past Item::kInlineCapacity takes a pool

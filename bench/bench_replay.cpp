@@ -7,9 +7,10 @@
 // prices the other end — a ScheduleRecorder actually appending frames under
 // its mutex — which is the cost a RECORDED run pays, never a production one.
 //
-// BM_ChannelPushPop then measures the real carrier: a ShardChannel ring
-// cycle with the taps dormant vs recording, the per-item number to compare
-// against bench_shard's batched-movement rows.
+// BM_ChannelPushPop then measures the real carrier: one ring cycle of a
+// Buffer bound to two runtimes, as a cut buffer is, with the taps dormant
+// vs recording — the per-item number to compare against bench_shard's
+// batched-movement rows.
 #include <benchmark/benchmark.h>
 
 #include "bench_obs.hpp"
@@ -19,7 +20,6 @@
 #include "core/infopipes.hpp"
 #include "replay/recorder.hpp"
 #include "rt/runtime.hpp"
-#include "shard/channel.hpp"
 
 using namespace infopipe;
 
@@ -63,19 +63,21 @@ void BM_TapLive(benchmark::State& state) {
 }
 BENCHMARK(BM_TapLive);
 
-/// One ring cycle (try_push + try_pop) per iteration; `recording` selects
-/// dormant taps (0) or an installed ScheduleRecorder (1).
+/// One ring cycle (try_put + try_take) per iteration on a two-runtime
+/// binding, the one the taps record; `recording` selects dormant taps (0)
+/// or an installed ScheduleRecorder (1).
 void BM_ChannelPushPop(benchmark::State& state) {
-  rt::Runtime rtm;
-  shard::ShardChannel ch("bench.replay", 64);
-  ch.bind_producer(rtm, 0);
-  ch.bind_consumer(rtm, 1);
+  rt::Runtime producer_rt;
+  rt::Runtime consumer_rt;
+  Buffer ch("bench.replay", 64);
+  ch.bind_producer(producer_rt, 0);
+  ch.bind_consumer(consumer_rt, 1);
   replay::ScheduleRecorder rec;
   if (state.range(0) != 0) rec.install();
   for (auto _ : state) {
     Item x = Item::token(1);
-    benchmark::DoNotOptimize(ch.try_push(x));
-    benchmark::DoNotOptimize(ch.try_pop());
+    benchmark::DoNotOptimize(ch.try_put(x));
+    benchmark::DoNotOptimize(ch.try_take());
   }
   rec.uninstall();
   state.SetItemsProcessed(state.iterations());

@@ -3,13 +3,14 @@
 //
 // Each section carries a spin-work stage, so on a multi-core host the
 // sections genuinely overlap once they sit on different kernel threads and
-// throughput scales with the shard count (until the cross-shard channel
-// hop dominates). On a single-core host the sharded numbers collapse to
-// the baseline plus channel overhead — record the host's core count next
+// throughput scales with the shard count (until the hop through the cut
+// buffers dominates). On a single-core host the sharded numbers collapse
+// to the baseline plus cut overhead — record the host's core count next
 // to any archived result.
 //
 // Accepts --metrics-out=FILE: dumps the merged per-shard registries
-// (shard<i>.-prefixed rows plus chan.* channel rows) per shard count.
+// (shard<i>.-prefixed rows plus chan.* rows of the cut buffers) per shard
+// count.
 #include <benchmark/benchmark.h>
 
 #include "bench_obs.hpp"
@@ -151,7 +152,7 @@ BENCHMARK(BM_ShardThroughput)
 // Cross-shard item movement, batched vs per-item (ARCHITECTURE §15). No
 // spin work: token items through src -> pump -> [cut] -> pump -> sink on 2
 // shards, so items/sec measures the movement machinery itself — driver
-// cycles, buffer locks, channel pushes — which is exactly what spans
+// cycles, ring moves and cross-shard wakes — which is exactly what spans
 // amortize. max_batch = 1 is the per-item baseline.
 
 constexpr std::uint64_t kFlowItems = 200000;

@@ -64,15 +64,15 @@ UBSAN_OPTIONS=halt_on_error=1 \
 
 echo "== TSan build + multi-runtime suites =="
 # Only the suites that exercise multiple kernel threads: the ip_shard
-# channels/groups, the runtime's park point and io_bridge readiness, the
+# cut buffers/groups, the runtime's park point and io_bridge readiness, the
 # rt substrate they build on,
-# the feedback suites (cross-shard loops sample channel atomics and
+# the feedback suites (cross-shard loops sample buffer atomics and
 # post control events between kernel threads), and the ip_balance suite
-# (live migration re-binds channels while the far shard runs), the
+# (live migration rebinds a cut buffer's end while the far shard runs), the
 # ip_mem suite (payload blocks allocated on one shard are released on
 # another through the pool's lock-free foreign-return/adoption path), and
-# the batch suite (span reservations publish across the shard channel's
-# SPSC indices with a single store each), the net suite (SimLink's
+# the batch suite (span moves publish across a cut buffer's SPSC
+# positions with a single store each), the net suite (SimLink's
 # set_bandwidth races a kernel-thread tuner against concurrent sends),
 # and the socket suite (SocketTransport runs against real kernel sockets
 # while posts race the runtime's park), and the session suite (open/close churn
@@ -80,8 +80,8 @@ echo "== TSan build + multi-runtime suites =="
 # front door), and the replay suite (the recorder's tap sink is fed from
 # every shard thread at once; the HB checker joins vector clocks across
 # them), and the elastic suite (host kernel threads are started and
-# joined mid-run while sibling shards keep streaming items across the
-# channels). Two single-runtime suites join them because they run
+# joined mid-run while sibling shards keep streaming items through cut
+# buffers). Two single-runtime suites join them because they run
 # coroutines: the core execution suite and the Figure 1 player. A
 # suspending thread switches straight to the next thread (direct transfer),
 # so these are the suites whose fiber switches go thread to thread and
@@ -93,10 +93,12 @@ cmake --build build-thread
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-thread -R 'rt_runtime_test|rt_stress_test|core_exec_test|figure1_test|io_bridge_test|shard|elastic|feedback|balance|mem_test|batch|net_test|socket_transport_test|session_test|replay_test' \
     --output-on-failure
-# The park point's suites again, each up to 20 times: park/wake and
-# readiness races show up as an occasional failure, not a steady one.
+# The park point's suites and the cut buffer's (core::Buffer's
+# cross-runtime handshake: shard_test, batch_test) again, each up to 20
+# times: park/wake, readiness and lost-wakeup races show up as an
+# occasional failure, not a steady one.
 TSAN_OPTIONS=halt_on_error=1 \
-  ctest --test-dir build-thread -R 'io_bridge_test|rt_runtime_test|socket_transport_test' \
+  ctest --test-dir build-thread -R 'io_bridge_test|rt_runtime_test|socket_transport_test|shard_test|batch_test' \
     --repeat until-fail:20 --output-on-failure
 
 echo "== multi-process smoke: distributed_player over loopback TCP =="

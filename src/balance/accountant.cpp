@@ -34,16 +34,6 @@ void LoadAccountant::ewma_update(ShardAcc& acc, double fraction) {
   acc.has_estimate = true;
 }
 
-void LoadAccountant::rebind_channels_locked() {
-  chans_.clear();
-  for (shard::ShardChannel* ch : sr_->live_channels()) {
-    ChanAcc acc;
-    acc.ch = ch;
-    chans_.push_back(acc);
-  }
-  epoch_ = sr_->migrations();
-}
-
 void LoadAccountant::grow_locked() {
   // An elastic group may have added shards since construction (or the last
   // sample). New entries start with no estimate; retired shards keep their
@@ -72,6 +62,11 @@ void LoadAccountant::sample() {
         if (dbusy + didle > 0) {
           ewma_update(acc, static_cast<double>(dbusy) /
                                static_cast<double>(dbusy + didle));
+        } else {
+          // The counters move only at park entry and exit: a runtime that
+          // never parked in the interval ran throughout, one that stayed
+          // parked idled throughout.
+          ewma_update(acc, rtm.parked() ? 0.0 : 1.0);
         }
       }
       acc.busy_ns = busy;
@@ -80,11 +75,20 @@ void LoadAccountant::sample() {
     }
   }
 
-  if (sr_ != nullptr && epoch_ != sr_->migrations()) rebind_channels_locked();
-  for (ChanAcc& acc : chans_) {
-    const std::uint64_t ps = acc.ch->producer_stalls();
-    const std::uint64_t cs = acc.ch->consumer_stalls();
-    if (acc.primed && now > acc.when_ns) {
+  for (ChanAcc& acc : chans_) acc.cut = false;
+  const std::vector<Buffer*> cuts =
+      sr_ != nullptr ? sr_->live_channels() : std::vector<Buffer*>{};
+  for (const Buffer* b : cuts) {
+    auto it = std::find_if(chans_.begin(), chans_.end(),
+                           [b](const ChanAcc& a) { return a.buf == b; });
+    const bool primed = it != chans_.end();
+    if (!primed) it = chans_.insert(chans_.end(), ChanAcc{b});
+    ChanAcc& acc = *it;
+    acc.cut = true;
+    const Buffer::Stats st = b->stats();
+    const std::uint64_t ps = st.put_blocks;
+    const std::uint64_t cs = st.take_blocks;
+    if (primed && now > acc.when_ns) {
       const double dt = static_cast<double>(now - acc.when_ns) / 1e9;
       const double pr = static_cast<double>(ps - acc.producer_stalls) / dt;
       const double cr = static_cast<double>(cs - acc.consumer_stalls) / dt;
@@ -94,7 +98,6 @@ void LoadAccountant::sample() {
     acc.producer_stalls = ps;
     acc.consumer_stalls = cs;
     acc.when_ns = now;
-    acc.primed = true;
   }
 
   last_when_ = now;
@@ -116,14 +119,13 @@ LoadSnapshot LoadAccountant::snapshot() const {
   for (const ShardAcc& acc : shards_) snap.busy.push_back(acc.ewma);
   snap.channels.reserve(chans_.size());
   for (const ChanAcc& acc : chans_) {
+    if (!acc.cut) continue;
     ChannelLoad cl;
-    cl.name = acc.ch->name();
-    cl.from_shard = acc.ch->from_shard();
-    cl.to_shard = acc.ch->to_shard();
-    const std::size_t cap = acc.ch->capacity();
-    cl.fill_fraction =
-        cap == 0 ? 0.0
-                 : static_cast<double>(acc.ch->depth()) / static_cast<double>(cap);
+    cl.name = acc.buf->name();
+    cl.from_shard = acc.buf->from_shard();
+    cl.to_shard = acc.buf->to_shard();
+    cl.fill_fraction = static_cast<double>(acc.buf->fill()) /
+                       static_cast<double>(acc.buf->capacity());
     cl.producer_stall_rate = acc.producer_rate;
     cl.consumer_stall_rate = acc.consumer_rate;
     snap.channels.push_back(std::move(cl));

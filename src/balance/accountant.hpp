@@ -1,23 +1,24 @@
 // LoadAccountant: decaying per-shard and per-cut load estimates (ip_balance).
 //
 // The rebalancer needs two signals: how busy each shard's kernel thread is,
-// and how congested each cross-shard channel is. Both are sampled without
+// and how congested each cut buffer is. Both are sampled without
 // perturbing the flow:
 //
 //   * shard busy fraction — differences of rt::Runtime::service_busy_ns /
 //     service_idle_ns between samples (the run_service loop splits its wall
 //     time into running vs parked in its epoll set, timer waits included),
-//     folded into an EWMA so
-//     a momentary burst does not trigger a migration;
-//   * channel load — the ShardChannel stat atomics (depth, producer and
+//     folded into an EWMA so a momentary burst does not trigger a
+//     migration. An interval in which the runtime never parked reads as
+//     busy, one it spent wholly parked as idle;
+//   * channel load — a cut buffer's stat atomics (fill, producer and
 //     consumer stall counters), readable from any thread by design; stall
 //     counters are differenced into rates per second.
 //
 // In manual/deterministic mode there are no kernel threads and the busy
 // split reads zero; tests inject shard loads through note_busy_sample()
-// instead, which feeds the same EWMA. When a migration completes
-// (ShardedRealization::migrations() bumps), the channel bindings are
-// re-resolved, so collapsed cuts drop out and fresh cuts appear.
+// instead, which feeds the same EWMA. Each sample reads the current cut
+// set, so collapsed cuts drop out and fresh cuts appear; a buffer keeps its
+// rate window across cuts because it is the same object throughout.
 #pragma once
 
 #include <cstdint>
@@ -87,17 +88,16 @@ class LoadAccountant {
     double ewma = 0.0;
   };
   struct ChanAcc {
-    shard::ShardChannel* ch = nullptr;
+    const Buffer* buf = nullptr;
+    bool cut = false;  ///< in the cut set at the last sample
     std::uint64_t producer_stalls = 0;
     std::uint64_t consumer_stalls = 0;
     std::uint64_t when_ns = 0;
-    bool primed = false;
     double producer_rate = 0.0;
     double consumer_rate = 0.0;
   };
 
   void ewma_update(ShardAcc& acc, double fraction);
-  void rebind_channels_locked();
   /// Extends shards_ to the group's current (elastic) size.
   void grow_locked();
 
@@ -106,8 +106,7 @@ class LoadAccountant {
   Options opts_;
   mutable std::mutex mu_;
   std::vector<ShardAcc> shards_;
-  std::vector<ChanAcc> chans_;
-  std::uint64_t epoch_ = ~std::uint64_t{0};  ///< sr_->migrations() at rebind
+  std::vector<ChanAcc> chans_;  ///< every buffer ever cut, first cut first
   std::uint64_t last_when_ = 0;
 };
 

@@ -76,7 +76,6 @@ MigrationReport MigrationProtocol::move_section(shard::ShardedRealization& sr,
   if (metrics != nullptr) {
     if (rep.ok()) {
       metrics->counter("balance.migration.count").inc();
-      metrics->counter("balance.migration.items_moved").inc(rep.outcome.items_moved);
       metrics->histogram("balance.migration.quiesce_ns")
           .record(static_cast<std::int64_t>(rep.quiesce_ns));
       metrics->histogram("balance.migration.transfer_ns")

@@ -93,8 +93,6 @@ void Rebalancer::record_report(const MigrationReport& r) {
   const std::lock_guard<std::mutex> lk(metrics_mu_);
   if (r.ok()) {
     metrics_.counter("balance.migration.count").inc();
-    metrics_.counter("balance.migration.items_moved")
-        .inc(r.outcome.items_moved);
     metrics_.histogram("balance.migration.quiesce_ns")
         .record(static_cast<std::int64_t>(r.quiesce_ns));
     metrics_.histogram("balance.migration.transfer_ns")

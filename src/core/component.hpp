@@ -313,7 +313,7 @@ class PassiveSource : public Component {
   /// without an override; a special hit mid-burst is stashed and returned
   /// as its own one-item burst on the next call (a span never mixes data
   /// and specials). Sources that can produce runs cheaper than a virtual
-  /// call per item (CountingSource, ChannelSource) override this.
+  /// call per item (CountingSource) override this.
   virtual std::size_t generate_span(ItemSpan out) {
     if (has_pending_) {
       has_pending_ = false;
@@ -360,7 +360,7 @@ class PassiveSink : public Component {
 
   /// Batched path: consume a burst. The default per-item adapter mirrors
   /// the per-item glue exactly — nils are skipped, EOS routes to on_eos().
-  /// Sinks with a bulk fast path (ChannelSink) override this.
+  /// Sinks with a bulk fast path override this.
   virtual void consume_span(ItemSpan xs) {
     for (Item& x : xs) {
       if (x.is_eos()) {

@@ -84,14 +84,12 @@ struct BufferStats {
   std::uint64_t take_blocks = 0;
 };
 
-/// Per-channel traffic counters at snapshot time (ip_shard: the lock-free
-/// SPSC channel that replaces a buffer cut across shards). The flow counters
-/// use the exact BufferStats schema — a channel IS the buffer it replaced,
-/// so tooling reads one format: fill is the ring depth, puts/takes are
-/// pushes/pops, put_blocks/take_blocks are producer/consumer stalls. Unlike
-/// buffer counters these are sampled from atomics, so `fill == puts - takes`
-/// is only approximate while both shards are running. The shard pair and the
-/// cross-shard wakeup count are the only channel-specific facts left.
+/// Traffic counters of a buffer cut across shards (ip_shard), at snapshot
+/// time. The flow counters are the buffer's own BufferStats row, so tooling
+/// reads one format for cut and uncut buffers. They are sampled from
+/// atomics while both shards run, so `fill == puts - takes` is only
+/// approximate then. The shard pair and the cross-shard wakeup count are
+/// the only cut-specific facts.
 struct ChannelStats {
   BufferStats flow;
   int from_shard = 0;

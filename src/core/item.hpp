@@ -21,7 +21,7 @@
 // (use_count() == 1), which is indistinguishable to consumers of an
 // immutable payload.
 //
-// Items MOVE along the hot path — buffer deques, channel rings, pump
+// Items MOVE along the hot path — buffer ring slots, pump
 // forwarding — and both representations have noexcept moves, which the
 // static_asserts at the bottom pin down. The hand-written copy/move
 // members exist only so the inline buffer is copied to its used length
@@ -278,7 +278,7 @@ class Item {
 /// push/pop/consume APIs of PR 6).
 using ItemSpan = std::span<Item>;
 
-// The hot path (buffer deques, channel ring slots, pump forwarding) relies
+// The hot path (buffer ring slots, pump forwarding) relies
 // on items moving without throwing; a copy sneaking in would be a refcount
 // round trip per hop.
 static_assert(std::is_nothrow_move_constructible_v<Item>);

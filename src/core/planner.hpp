@@ -110,7 +110,7 @@ struct Plan {
 /// every shard.
 struct Partition {
   /// A buffer whose two neighbouring sections landed on different shards;
-  /// the sharded realization replaces it with a cross-shard channel.
+  /// the sharded realization binds its two ends to those shards.
   struct Cut {
     Component* buffer = nullptr;
     std::size_t upstream_section = 0;    ///< index into Plan::sections
@@ -146,8 +146,8 @@ struct Partition {
 /// sections connected through anything but a buffer (merge/balance shared
 /// regions, where an edge runs directly between two drivers' domains) are
 /// clustered together, as are the sections around each `colocate` pair of
-/// components (the sharded realization uses this to keep buffers whose
-/// policies a channel cannot reproduce, e.g. kDropOldest, on one shard).
+/// components (the sharded realization uses this to keep kDropOldest
+/// buffers, whose eviction would race a remote consumer, on one shard).
 /// The clusters, in order of their lowest section index and weighted by
 /// thread count, are placed by place(). Shards may end up empty when there
 /// are fewer clusters.

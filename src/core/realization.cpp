@@ -334,6 +334,7 @@ class Wiring {
       case Style::kBuffer: {
         auto* b = static_cast<Buffer*>(&c);
         reg(c, h, lock);
+        b->bind_producer(*R.rt_);
         return [b, Rp](ItemSpan xs) { b->put_span(xs, Rp->current_host()); };
       }
       case Style::kFunction: {
@@ -463,6 +464,7 @@ class Wiring {
       case Style::kBuffer: {
         auto* b = static_cast<Buffer*>(&c);
         reg(c, h, lock);
+        b->bind_consumer(*R.rt_);
         return [b, Rp](ItemSpan out) -> std::size_t {
           const std::size_t n = b->take_span(out, Rp->current_host());
           if (lone_eos(out.first(n))) throw EndOfStream{};
@@ -833,11 +835,7 @@ StatsSnapshot Realization::stats_snapshot() {
       snap.drivers.push_back(DriverStats{d->name(), d->items_pumped(),
                                          d->deadline_misses(), d->running()});
     } else if (auto* b = dynamic_cast<Buffer*>(c)) {
-      const auto& s = b->stats();
-      snap.buffers.push_back(BufferStats{b->name(), b->fill(), b->capacity(),
-                                         s.max_fill, s.puts, s.takes, s.drops,
-                                         s.nil_returns, s.put_blocks,
-                                         s.take_blocks});
+      snap.buffers.push_back(b->flow_stats());
     }
   }
   return snap;
@@ -922,7 +920,7 @@ rt::CodeResult Realization::driver_code(HostContext& h, Driver& d,
       return rt::CodeResult::kTerminate;
     }
   }
-  // Stale data/timer messages (late ticks, channel leftovers) are dropped.
+  // Stale data/timer messages (late ticks) are dropped.
   return rt::CodeResult::kContinue;
 }
 

@@ -104,7 +104,7 @@ class HostContext {
 
   /// Like wait(), but also returns (with nullopt) after dispatching any
   /// control event, so the caller can re-check state that the event may have
-  /// changed (ShardChannel endpoints use this to notice STOP/FLUSH).
+  /// changed.
   std::optional<rt::Message> wait_interruptible(const MsgPred& pred);
 
   /// Returns once `ready()` holds, parking in between; wakes come from

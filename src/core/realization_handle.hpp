@@ -56,8 +56,8 @@ class RealizationHandle {
   /// allocated. Immutable for the life of the realization.
   [[nodiscard]] virtual PlanInfo plan_info() const = 0;
 
-  /// Runtime statistics as data: items pumped per driver, buffer and
-  /// channel traffic, timestamped by the runtime clock.
+  /// Runtime statistics as data: items pumped per driver, buffer traffic
+  /// (cut buffers as channel rows), timestamped by the runtime clock.
   [[nodiscard]] virtual StatsSnapshot stats_snapshot() = 0;
 
   /// Every registry row the realization's runtime(s) publish.

@@ -36,18 +36,11 @@ Buffer* need_buffer(Component* c) {
 }
 
 /// Turns a cumulative event count into a smoothed events-per-second reading,
-/// differenced over the home runtime's clock between samples. The counter's
-/// SOURCE can change between samples (a cut channel collapsing into its
-/// buffer, or a fresh channel after a later split): `count` returns an
-/// opaque source tag alongside the value, and a tag change — or a counter
-/// that went backwards — re-primes the window (that sample repeats the last
-/// rate) instead of differencing incompatible counters. First sample primes
-/// the window and reads 0.
-FeedbackLoop::Reading windowed_rate_over(
-    std::function<std::pair<const void*, std::uint64_t>()> count,
-    rt::Runtime* home) {
+/// differenced over the home runtime's clock between samples. The first
+/// sample primes the window and reads 0.
+FeedbackLoop::Reading windowed_rate(std::function<std::uint64_t()> count,
+                                    rt::Runtime* home) {
   struct State {
-    const void* src = nullptr;
     std::uint64_t n = 0;
     rt::Time t = 0;
     double rate = 0.0;
@@ -55,28 +48,38 @@ FeedbackLoop::Reading windowed_rate_over(
   };
   auto st = std::make_shared<State>();
   return [count = std::move(count), home, st]() {
-    const std::pair<const void*, std::uint64_t> s = count();
+    const std::uint64_t n = count();
     const rt::Time now = home->now();
-    if (st->primed && s.first == st->src && s.second >= st->n &&
-        now > st->t) {
-      st->rate = static_cast<double>(s.second - st->n) * 1e9 /
+    if (st->primed && now > st->t) {
+      st->rate = static_cast<double>(n - st->n) * 1e9 /
                  static_cast<double>(now - st->t);
     }
-    st->src = s.first;
-    st->n = s.second;
+    st->n = n;
     st->t = now;
     st->primed = true;
     return st->rate;
   };
 }
 
-FeedbackLoop::Reading windowed_rate(std::function<std::uint64_t()> count,
-                                    rt::Runtime* home) {
-  return windowed_rate_over(
-      [count = std::move(count)]() {
-        return std::pair<const void*, std::uint64_t>{nullptr, count()};
-      },
-      home);
+/// A congestion reading of `b`: its counters are atomics with one writer
+/// each, so the reading may run on any shard, and the object is the same
+/// whether or not a migration has cut the buffer.
+FeedbackLoop::Reading buffer_reading(Buffer* b, SensorKind kind,
+                                     rt::Runtime* home) {
+  switch (kind) {
+    case SensorKind::kFillFraction:
+      return [b]() {
+        return static_cast<double>(b->fill()) /
+               static_cast<double>(b->capacity());
+      };
+    case SensorKind::kProducerStallRate:
+      return windowed_rate([b]() { return b->stats().put_blocks; }, home);
+    case SensorKind::kConsumerStallRate:
+      return windowed_rate([b]() { return b->stats().take_blocks; }, home);
+    case SensorKind::kProbeValue:
+      break;
+  }
+  throw CompositionError("'" + b->name() + "' has no probe value");
 }
 
 /// Samples a component by name through the migration-safe path: the sample
@@ -212,29 +215,11 @@ FeedbackLoop::Actuate event_actuator(std::function<void(const Event&)> post,
 FeedbackLoop::Reading resolve_reading(Realization& real, const SensorRef& s) {
   Component* c = real.find_component(s.target);
   if (c == nullptr) unknown(s.target);
-  switch (s.kind) {
-    case SensorKind::kFillFraction: {
-      Buffer* b = need_buffer(c);
-      return [b]() {
-        return static_cast<double>(b->fill()) /
-               static_cast<double>(b->capacity());
-      };
-    }
-    case SensorKind::kProducerStallRate: {
-      Buffer* b = need_buffer(c);
-      return windowed_rate([b]() { return b->stats().put_blocks; },
-                           &real.runtime());
-    }
-    case SensorKind::kConsumerStallRate: {
-      Buffer* b = need_buffer(c);
-      return windowed_rate([b]() { return b->stats().take_blocks; },
-                           &real.runtime());
-    }
-    case SensorKind::kProbeValue:
-      (void)probe(c);  // type-check at bind time, not first sample
-      return [c]() { return probe(c); };
+  if (s.kind != SensorKind::kProbeValue) {
+    return buffer_reading(need_buffer(c), s.kind, &real.runtime());
   }
-  unknown(s.target);
+  (void)probe(c);  // type-check at bind time, not first sample
+  return [c]() { return probe(c); };
 }
 
 FeedbackLoop::Actuate resolve_actuate(Realization& real,
@@ -255,60 +240,17 @@ FeedbackLoop::Reading resolve_reading(shard::ShardedRealization& sr,
                                       rt::Time probe_period) {
   rt::Runtime* home = &sr.group().runtime(home_shard);
   shard::ShardedRealization* srp = &sr;
-  // A channel carries the name of the buffer it replaced, so the same
-  // SensorRef works before and after a cut lands on its target — and the
-  // congestion kinds re-resolve the name on EVERY read, so the sensor keeps
-  // tracking as migrations restructure the flow: the live channel's ring
-  // atomics while the cut exists, the underlying buffer (through the
-  // migration-safe sampler) after a collapse folds it away, and the fresh
-  // channel object if a later move re-creates the cut.
-  const bool was_cut = sr.find_channel(s.target) != nullptr;
+  // A cut buffer is still the application's Buffer, so a congestion ref
+  // binds to the object once and reads it wherever its ends run.
+  Buffer* cut = sr.find_channel(s.target);
   const shard::ShardedRealization::Located loc = sr.find_component(s.target);
-  if (!was_cut && loc.comp == nullptr) unknown(s.target);
+  if (cut == nullptr && loc.comp == nullptr) unknown(s.target);
   switch (s.kind) {
-    case SensorKind::kFillFraction: {
-      if (!was_cut) (void)need_buffer(loc.comp);  // type-check at bind time
-      std::function<double()> fallback =
-          sampled(srp, s.target, [](Component& c) {
-            Buffer* b = need_buffer(&c);
-            return static_cast<double>(b->fill()) /
-                   static_cast<double>(b->capacity());
-          });
-      return [srp, name = s.target, fallback = std::move(fallback)]() {
-        if (shard::ShardChannel* ch = srp->find_live_channel(name)) {
-          return static_cast<double>(ch->depth()) /
-                 static_cast<double>(ch->capacity());
-        }
-        return fallback();
-      };
-    }
+    case SensorKind::kFillFraction:
     case SensorKind::kProducerStallRate:
-    case SensorKind::kConsumerStallRate: {
-      if (!was_cut) (void)need_buffer(loc.comp);
-      const bool producer = s.kind == SensorKind::kProducerStallRate;
-      // The buffer-side count tolerates a skipped sample (last value
-      // repeats, the rate window just stretches over the gap). The channel
-      // pointer doubles as the window's source tag: a collapse or re-split
-      // re-primes instead of differencing unrelated counters.
-      std::function<double()> fallback =
-          sampled(srp, s.target, [producer](Component& c) {
-            const Buffer::Stats& st = need_buffer(&c)->stats();
-            return static_cast<double>(producer ? st.put_blocks
-                                                : st.take_blocks);
-          });
-      return windowed_rate_over(
-          [srp, name = s.target, producer,
-           fallback = std::move(fallback)]() {
-            if (shard::ShardChannel* ch = srp->find_live_channel(name)) {
-              return std::pair<const void*, std::uint64_t>{
-                  ch, producer ? ch->producer_stalls()
-                               : ch->consumer_stalls()};
-            }
-            return std::pair<const void*, std::uint64_t>{
-                nullptr, static_cast<std::uint64_t>(fallback())};
-          },
-          home);
-    }
+    case SensorKind::kConsumerStallRate:
+      return buffer_reading(cut != nullptr ? cut : need_buffer(loc.comp),
+                            s.kind, home);
     case SensorKind::kProbeValue: {
       if (loc.comp == nullptr) {
         throw CompositionError("channel '" + s.target +
@@ -381,8 +323,8 @@ std::unique_ptr<FeedbackLoop> make_loop(shard::ShardedRealization& sr,
                                         LoopSpec spec, int home_shard) {
   int home = home_shard;
   if (home < 0) {
-    if (shard::ShardChannel* ch = sr.find_channel(spec.sensor.target)) {
-      home = ch->to_shard();
+    if (const Buffer* b = sr.find_channel(spec.sensor.target)) {
+      home = b->to_shard();
     } else {
       const auto loc = sr.find_component(spec.sensor.target);
       if (loc.comp == nullptr) unknown(spec.sensor.target);
@@ -420,9 +362,8 @@ std::unique_ptr<FeedbackLoop> make_loop(shard::ShardedRealization& sr,
           if (ep == epoch) return std::nullopt;
           epoch = ep;
           int nh = -1;
-          if (shard::ShardChannel* ch =
-                  srp->find_live_channel(sensor.target)) {
-            nh = ch->to_shard();
+          if (const Buffer* b = srp->find_channel(sensor.target)) {
+            nh = b->to_shard();
           } else {
             nh = srp->find_component(sensor.target).shard;
           }

@@ -2,18 +2,16 @@
 //
 // The Figure 1 loop — a consumer-side sensor steering a producer-side
 // component through the platform — must not care WHERE its two ends run.
-// A SensorRef/ActuatorRef names an endpoint (a component or a cross-shard
-// channel, by the name the application gave it); resolving the ref against
-// a realization produces the concrete Reading/Actuate function:
+// A SensorRef/ActuatorRef names an endpoint (a component, by the name the
+// application gave it); resolving the ref against a realization produces
+// the concrete Reading/Actuate function:
 //
 //   * against a Realization, refs resolve to direct probes and local
 //     control events — everything is on one runtime;
 //   * against a shard::ShardedRealization, congestion sensors (fill and
-//     stall kinds) re-resolve their name on every read: the live cross-shard
-//     channel's ring atomics while the cut exists, the underlying buffer
-//     (through the migration-safe sampler) after the rebalancer collapses
-//     the cut, and the fresh channel object if a later migration re-creates
-//     it — the rate window re-primes across each such switch; component
+//     stall kinds) read the buffer's atomics directly: a buffer is one
+//     object whether or not a cut spans it, so the reading survives every
+//     migration that creates, rebinds or collapses the cut; probe
 //     sensors go through ShardedRealization::try_sample_component, which
 //     samples on whichever shard hosts the component NOW — so a reading
 //     keeps working after the rebalancer migrates its target, and never
@@ -33,14 +31,14 @@
 // and the next Reading re-homes it onto the new owner shard.
 //
 // make_loop() binds a whole loop from a LoopSpec: on a sharded realization
-// the loop is homed on a shard (by default the sensor channel's consumer
+// the loop is homed on a shard (by default a cut sensor buffer's consumer
 // shard — congestion is observed where it hurts) and its lifecycle is
 // routed there via run_on, so the caller never touches a foreign runtime.
 //
 // Cross-shard component samples are serialized by the realization's
 // structural lock (one in flight at a time, others reuse their last value),
 // so two component-sampling loops closed in opposite directions between the
-// same pair of shards no longer deadlock. Channel sensors (pure atomics)
+// same pair of shards no longer deadlock. Buffer sensors (pure atomics)
 // remain the cheapest way to observe a cut.
 #pragma once
 
@@ -55,13 +53,13 @@ namespace infopipe::fb {
 
 /// What a named sensor endpoint measures.
 enum class SensorKind {
-  kFillFraction,       ///< buffer fill / channel depth, as fraction of capacity
+  kFillFraction,       ///< buffer fill, as fraction of capacity
   kProducerStallRate,  ///< producer-side blocks (put_blocks) per second
   kConsumerStallRate,  ///< consumer-side blocks (take_blocks) per second
   kProbeValue,  ///< RateSensor rate_hz / LatencySensor latency_ms / pump rate
 };
 
-/// A sensor endpoint by name: a component or channel in some realization.
+/// A sensor endpoint by name: a component in some realization.
 /// Pure value — resolution happens against a realization.
 struct SensorRef {
   std::string target;
@@ -82,16 +80,15 @@ struct ActuatorRef {
 
 // -- named-endpoint factories ---------------------------------------------------
 
-/// Fill level of the buffer (or depth of the cross-shard channel) named
-/// `target`, as a fraction of capacity.
+/// Fill level of the buffer named `target`, as a fraction of capacity.
 [[nodiscard]] inline SensorRef fill_fraction(std::string target) {
   return SensorRef{std::move(target), SensorKind::kFillFraction};
 }
-/// Producer-side stall rate (blocks/s) of the buffer or channel `target`.
+/// Producer-side stall rate (blocks/s) of the buffer `target`.
 [[nodiscard]] inline SensorRef producer_stall_rate(std::string target) {
   return SensorRef{std::move(target), SensorKind::kProducerStallRate};
 }
-/// Consumer-side stall rate (blocks/s) of the buffer or channel `target`.
+/// Consumer-side stall rate (blocks/s) of the buffer `target`.
 [[nodiscard]] inline SensorRef consumer_stall_rate(std::string target) {
   return SensorRef{std::move(target), SensorKind::kConsumerStallRate};
 }
@@ -120,9 +117,8 @@ struct ActuatorRef {
                                                     const ActuatorRef& a);
 
 /// Resolve against a sharded realization for a loop homed on `home_shard`:
-/// congestion refs re-resolve their name per read (live channel atomics,
-/// else the underlying buffer via the migration-safe sampler), component
-/// refs sample through try_sample_component, and foreign probe values are
+/// congestion refs read the buffer's atomics, cut or not, local probe refs
+/// sample through try_sample_component, and foreign probe values are
 /// served from a shard-side cache refreshed every `probe_period` (<= 0
 /// picks a 25ms default; make_loop passes the loop period).
 [[nodiscard]] FeedbackLoop::Reading resolve_reading(
@@ -150,8 +146,8 @@ struct LoopSpec {
                                                       LoopSpec spec);
 
 /// Bind a loop on a sharded realization. `home_shard` < 0 picks the natural
-/// home: the sensor channel's consumer shard (where congestion is observed),
-/// else the sensor component's shard. The loop's task runs on that shard's
+/// home: a cut sensor buffer's consumer shard (where congestion is
+/// observed), else the sensor component's shard. The loop's task runs on that shard's
 /// runtime; construction, start/stop and destruction are routed there, so
 /// this is safe to call from any kernel thread while the group runs.
 [[nodiscard]] std::unique_ptr<FeedbackLoop> make_loop(

@@ -13,8 +13,8 @@
 //     on one kernel thread at a time, so the free lists need no locks.
 //     (The global pool is the exception: it is `shared` and takes a mutex.)
 //   * return_block() runs on ANY thread, because the last PayloadRef to a
-//     block can die anywhere — typically on the consumer shard of a channel
-//     hop. Three cases:
+//     block can die anywhere — typically on the consumer shard of a cut
+//     buffer. Three cases:
 //       - releasing thread owns this pool     -> push to the free list;
 //       - foreign thread, owner stash bounded -> lock-free MPSC return
 //         stack, drained by the owner on its next free-list miss;

@@ -38,7 +38,7 @@ enum class Hop : std::uint8_t {
   kControlDispatch,  ///< control event delivered to a component
   kTimerFire,        ///< runtime timer fired
   kDrop,             ///< item dropped (full buffer / switch misroute / link)
-  kShardHop,         ///< item crossed shards via a ShardChannel (a=from, b=to)
+  kShardHop,         ///< items crossed shards via a cut buffer (a=from, b=to)
   kMigration,        ///< a section was migrated between shards (a=from, b=to)
 };
 

@@ -2,7 +2,7 @@
 // over the middleware's OWN synchronization edges.
 //
 // The middleware's concurrency story is that cross-shard data only moves
-// through two mechanisms: ShardChannel rings (publish on the producer
+// through two mechanisms: cut buffers' rings (publish on the producer
 // shard happens-before consume on the consumer shard, per ring position)
 // and the Pool foreign-return stash (a foreign release happens-before the
 // owner's drain/adoption). If every cross-thread access of shared state is

@@ -1,7 +1,7 @@
 // Schedule-decision tap points (ip_replay).
 //
 // Every source of nondeterminism the middleware itself introduces — which
-// mailbox message a ULT dispatches next, which ring positions a ShardChannel
+// mailbox message a ULT dispatches next, which ring positions a cut buffer
 // publishes and consumes, when a migration quiesces/transfers/resumes, when
 // a pool block rides the foreign-return stash, when a timer fires — funnels
 // through one of the note_*() functions below. The instrumented layers (rt,

@@ -14,7 +14,7 @@
 //   100..199  ip_net: netpipe data plane, node protocol, ARQ, sockets
 //   200..299  ip_feedback loops
 //   300..399  rt::IoBridge OS-event mapping
-//   400..499  ip_shard cross-shard wakeups
+//   400..499  ip_shard coordination
 //   500..599  ip_replay record/replay control
 //   600..699  ip_balance scale/plan control
 //
@@ -57,9 +57,10 @@ inline constexpr int kIoReadable = 303;  ///< payload: int (the fd); one-shot
 inline constexpr int kIoWritable = 304;  ///< payload: int (the fd); one-shot
 
 // ---- ip_shard (400..499) --------------------------------------------------
-inline constexpr int kChanData = 400;   ///< ring has data; wakes a consumer
-inline constexpr int kChanSpace = 401;  ///< ring has space; wakes a producer
-inline constexpr int kRunFn = 410;      ///< ShardGroup::run_on payload
+inline constexpr int kRunFn = 410;  ///< ShardGroup::run_on payload
+// Retired, never to be reused: 400 and 401 (cross-shard channel data/space
+// wakes). A cut buffer's blocked end is woken by Runtime::unpark_external,
+// not a message.
 
 // ---- ip_replay (500..599) -------------------------------------------------
 inline constexpr int kReplayStep = 500;  ///< trace-driven step barrier

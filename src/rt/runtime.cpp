@@ -172,6 +172,15 @@ void Runtime::post_external(ThreadId to, Message m) {
   wake();
 }
 
+void Runtime::unpark_external(ThreadId id) {
+  {
+    std::lock_guard lk(external_mutex_);
+    external_unparks_.push_back(id);
+    external_pending_.store(true, std::memory_order_seq_cst);
+  }
+  wake();
+}
+
 void Runtime::request_halt() noexcept {
   halt_.store(true, std::memory_order_seq_cst);
   wake();
@@ -492,9 +501,14 @@ bool Runtime::step(Time horizon) {
     {
       std::lock_guard lk(external_mutex_);
       batch.swap(external_);
+      unpark_batch_.swap(external_unparks_);
       external_pending_.store(false, std::memory_order_release);
     }
     for (auto& [to, msg] : batch) send(to, std::move(msg));
+    // The two unpark vectors trade places, so neither reallocates in a
+    // steady flow of remote wakes.
+    for (const ThreadId id : unpark_batch_) unpark(id);
+    unpark_batch_.clear();
   }
 
   // Reap terminated threads.

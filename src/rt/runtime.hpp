@@ -136,8 +136,8 @@ class Runtime {
   std::size_t cancel_timers(ThreadId to, int type);
 
   /// Thread-safe injection from OUTSIDE the scheduler's OS thread (the
-  /// only Runtime entry point with that property, with request_halt()).
-  /// Cross-shard channels, run_on() and other kernel threads use it. The
+  /// only Runtime entry points with that property, with request_halt() and
+  /// unpark_external()). run_on() and other kernel threads use it. The
   /// message joins a mutex-guarded batch that the scheduler delivers at the
   /// next suspension of any thread. The poster wakes the runtime only when
   /// it has published that it is parked: a post to a running runtime costs
@@ -180,6 +180,11 @@ class Runtime {
   /// wakes its target (including the preemption check) but without a
   /// message. A thread that is running, ready or sleeping is left alone.
   void unpark(ThreadId id);
+
+  /// unpark() from OUTSIDE the scheduler's OS thread: the request rides the
+  /// post_external() batch and eventfd wake, and takes effect when the
+  /// scheduler injects that batch. A request for a dead thread is ignored.
+  void unpark_external(ThreadId id);
 
   /// True when a control-class message is queued for the current thread.
   [[nodiscard]] bool control_queued() const noexcept {
@@ -289,7 +294,8 @@ class Runtime {
   /// Cumulative wall-clock time run_service() spent outside its park point
   /// (busy) vs inside it (idle), in nanoseconds of the real clock. Both
   /// advance at every park entry and exit, so a shard that always has a
-  /// timer pending reports while it runs. Thread-safe reads; the load
+  /// timer pending reports while it runs; one that never parks moves
+  /// neither until it does (see parked()). Thread-safe reads; the load
   /// accountant (ip_balance) differences successive samples into a busy
   /// fraction per shard. Zero until the runtime is hosted via
   /// run_service().
@@ -298,6 +304,12 @@ class Runtime {
   }
   [[nodiscard]] std::uint64_t service_idle_ns() const noexcept {
     return service_idle_ns_.load(std::memory_order_relaxed);
+  }
+  /// True while the runtime waits in its park point. Thread-safe read; a
+  /// wake clears it as it writes the eventfd, a moment before the wait
+  /// returns.
+  [[nodiscard]] bool parked() const noexcept {
+    return parked_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -397,11 +409,13 @@ class Runtime {
   obs::FlowTracer tracer_;
   std::mutex external_mutex_;
   std::vector<std::pair<ThreadId, Message>> external_;
+  std::vector<ThreadId> external_unparks_;
+  std::vector<ThreadId> unpark_batch_;  ///< scheduler side of the swap
   std::atomic<bool> external_pending_{false};
   std::atomic<bool> halt_{false};
   /// Published by the runtime before it rechecks external_pending_ and
   /// parks; a poster that sets external_pending_ and then sees it writes
-  /// the eventfd (the Dekker pair of shard/channel.hpp's waiter slot).
+  /// the eventfd (the same Dekker as core/buffer.hpp's waiter slot).
   std::atomic<bool> parked_{false};
   int epoll_fd_ = -1;  ///< real clock only; see open_io()
   int wake_fd_ = -1;   ///< eventfd in the epoll set

@@ -4,7 +4,7 @@
 #include <string>
 
 #include "replay/hooks.hpp"
-#include "shard/channel.hpp"  // detail::kMsgRunFn
+#include "rt/msg_registry.hpp"
 
 #ifdef __linux__
 #include <pthread.h>
@@ -82,7 +82,7 @@ ShardGroup::Shard& ShardGroup::make_shard(int i) {
   s->service_tid = s->rtm->spawn(
       "shard.service", rt::kPriorityControl,
       [](rt::Runtime&, rt::Message m) {
-        if (m.type == detail::kMsgRunFn) {
+        if (m.type == rt::msg::kRunFn) {
           if (auto* p = m.get<std::shared_ptr<RunOnReq>>()) {
             const std::shared_ptr<RunOnReq> req = *p;
             try {
@@ -262,7 +262,7 @@ void ShardGroup::step_until(rt::Time t, const std::vector<int>& order) {
     if (!present) visit.push_back(s);
   }
   // Round-robin until quiescent: a shard's turn may post work into another
-  // shard (channel wakeups, forwarded events, run_on payloads), so keep
+  // shard (cut buffer wakes, forwarded events, run_on payloads), so keep
   // cycling until one full round moves no code function anywhere. Retired
   // shards are skipped; their dispatch counters are frozen, so including
   // them in the sum is harmless.
@@ -296,7 +296,7 @@ void ShardGroup::run_on(int shard, std::function<void()> fn) {
   }
   auto req = std::make_shared<RunOnReq>();
   req->fn = std::move(fn);
-  rt::Message m{detail::kMsgRunFn, rt::MsgClass::kControl};
+  rt::Message m{rt::msg::kRunFn, rt::MsgClass::kControl};
   m.payload = req;
   s.rtm->post_external(s.service_tid, std::move(m));
   std::unique_lock<std::mutex> lk(req->m);

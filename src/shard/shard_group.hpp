@@ -6,10 +6,10 @@
 // n_shards independent runtimes, each hosted by its own kernel thread
 // running Runtime::run_service(), i.e. run-until-quiescent then park in the
 // runtime's own epoll set (timers, the shard's sockets, posts). Cross-shard
-// traffic (ShardChannel items, forwarded control events, run_on() calls)
-// enters a shard exclusively through rt::Runtime::post_external — the one
-// thread-safe Runtime entry point — which wakes the shard only when it is
-// parked, so idle shards sleep and never spin. A shard's kernel thread is
+// traffic (wakes of a cut buffer's ends, forwarded control events, run_on()
+// calls) enters a shard exclusively through rt::Runtime's thread-safe post
+// path (post_external, unpark_external), which wakes the shard only when it
+// is parked, so idle shards sleep and never spin. A shard's kernel thread is
 // the only thread the shard adds: rt::IoBridge readiness runs on it too.
 //
 // run_on() is the coordination primitive: it executes a function ON a
@@ -21,9 +21,8 @@
 // The topology is ELASTIC (ARCHITECTURE §19): add_shard() spins up one more
 // pinned runtime at runtime, retire_shard() halts and joins one. Shard ids
 // are never reused or renumbered — a retired shard keeps its slot, its
-// runtime object and its final counters (the retired-channel retention rule
-// extended to whole shards), so every index that escaped into channels,
-// plans or traces stays valid. size() therefore counts every shard ever
+// runtime object and its final counters, so every index that escaped into
+// cut bindings, plans or traces stays valid. size() therefore counts every shard ever
 // created; is_live()/live_shards() describe the current topology. A group
 // that never calls either keeps its construction-time topology.
 #pragma once
@@ -66,7 +65,7 @@ class ShardGroup {
     std::function<std::unique_ptr<rt::Clock>()> clock_factory;
     bool manual = false;
     /// NUMA layout used for memory placement (each shard's payload pool and
-    /// each cross-shard channel ring land on the consumer shard's node).
+    /// each cut buffer's ring land on the consumer shard's node).
     /// Defaults to Topology::detect(); inject a synthetic mapping in tests.
     std::optional<Topology> topology;
   };

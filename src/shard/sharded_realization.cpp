@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <set>
 #include <thread>
 #include <utility>
@@ -11,10 +10,63 @@
 
 namespace infopipe::shard {
 
+namespace {
+
+/// The upstream end of a cut buffer in its producer shard's sub-pipeline:
+/// the section pushes into the buffer exactly as it would uncut.
+class CutIn final : public PassiveSink {
+ public:
+  explicit CutIn(Buffer& b) : PassiveSink(b.name() + ".send"), b_(&b) {}
+
+ protected:
+  void consume(Item x) override { consume_span(ItemSpan(&x, 1)); }
+  void consume_span(ItemSpan xs) override {
+    b_->put_span(xs, realization()->current_host());
+  }
+
+ private:
+  Buffer* b_;
+};
+
+/// The downstream end: the section pulls out of the buffer, sub-pipeline
+/// planning sees the Typespec the full plan propagated onto the cut edge,
+/// and the buffer's control events (FLUSH) act at its consumer end.
+class CutOut final : public PassiveSource {
+ public:
+  CutOut(Buffer& b, Typespec offer)
+      : PassiveSource(b.name() + ".recv"), b_(&b), offer_(std::move(offer)) {}
+
+  [[nodiscard]] Typespec output_offer(int /*port*/) const override {
+    return offer_;
+  }
+  void handle_event(const Event& e) override { b_->handle_event(e); }
+
+ protected:
+  Item generate() override {
+    Item x;
+    (void)generate_span(ItemSpan(&x, 1));
+    return x;
+  }
+  std::size_t generate_span(ItemSpan out) override {
+    return b_->take_span(out, realization()->current_host());
+  }
+
+ private:
+  Buffer* b_;
+  Typespec offer_;
+};
+
+ChannelStats cut_stats(const Buffer& b) {
+  return ChannelStats{b.flow_stats(), b.from_shard(), b.to_shard(),
+                      b.stats().wakeups};
+}
+
+}  // namespace
+
 ShardedRealization::ShardedRealization(ShardGroup& group, const Pipeline& p)
     : group_(&group), pipe_(&p), plan_(infopipe::plan(p)) {
-  // Buffers whose policy a channel cannot reproduce must never be cut:
-  // kDropOldest would race the consumer for the head slot.
+  // kDropOldest buffers are never cut: eviction at the head would race a
+  // consumer on another kernel thread.
   std::vector<std::pair<const Component*, const Component*>> colo;
   for (Component* c : p.components()) {
     if (auto* b = dynamic_cast<Buffer*>(c)) {
@@ -34,31 +86,9 @@ ShardedRealization::ShardedRealization(ShardGroup& group, const Pipeline& p)
     for (const Plan::Hosted& h : sec.members) section_of_.emplace(h.comp, i);
   }
 
-  // One channel + endpoint pair per cut, semantics copied from the buffer.
   for (const Partition::Cut& cut : part_.cuts) {
-    auto* b = dynamic_cast<Buffer*>(cut.buffer);
-    if (b == nullptr) {
-      throw CompositionError("partition cut at '" + cut.buffer->name() +
-                             "' which is not a buffer");
-    }
-    auto link = std::make_unique<CutLink>();
-    link->buffer = cut.buffer;
-    link->up_sec = cut.upstream_section;
-    link->down_sec = cut.downstream_section;
-    const int up = assign_[cut.upstream_section];
-    const int down = assign_[cut.downstream_section];
-    // The ring lives on the consumer shard's NUMA node: the consumer is the
-    // side that touches every slot last (the pop move) and then walks the
-    // payload, so its node is where the slot array earns locality.
-    link->chan = std::make_unique<ShardChannel>(
-        b->name(), b->capacity(), b->full_policy(), b->empty_policy(),
-        group.node_of_shard(down));
-    link->chan->bind_producer(group.runtime(up), up);
-    link->chan->bind_consumer(group.runtime(down), down);
-    link->sink = std::make_unique<ChannelSink>(*link->chan);
-    link->source =
-        std::make_unique<ChannelSource>(*link->chan, cut_spec(*cut.buffer));
-    cuts_.push_back(std::move(link));
+    cuts_.push_back(make_cut(cut));
+    bind_cut(*cuts_.back());
   }
 
   sub_pipes_.resize(static_cast<std::size_t>(group.size()));
@@ -105,10 +135,38 @@ std::map<const Component*, int> ShardedRealization::compute_shard_of_comp()
 std::map<const Component*, std::size_t> ShardedRealization::live_cut_of()
     const {
   std::map<const Component*, std::size_t> cut_of;
-  for (std::size_t i = 0; i < cuts_.size(); ++i) {
-    if (!cuts_[i]->retired) cut_of[cuts_[i]->buffer] = i;
-  }
+  for (std::size_t i = 0; i < cuts_.size(); ++i) cut_of[cuts_[i]->buffer] = i;
   return cut_of;
+}
+
+std::unique_ptr<ShardedRealization::CutLink> ShardedRealization::make_cut(
+    const Partition::Cut& cut) const {
+  auto* b = dynamic_cast<Buffer*>(cut.buffer);
+  if (b == nullptr) {
+    throw CompositionError("partition cut at '" + cut.buffer->name() +
+                           "' which is not a buffer");
+  }
+  auto link = std::make_unique<CutLink>();
+  link->buffer = b;
+  link->up_sec = cut.upstream_section;
+  link->down_sec = cut.downstream_section;
+  link->in = std::make_unique<CutIn>(*b);
+  link->out = std::make_unique<CutOut>(*b, cut_spec(*b));
+  return link;
+}
+
+void ShardedRealization::bind_cut(CutLink& link) {
+  Buffer* b = link.buffer;
+  const int up = assign_[link.up_sec];
+  const int down = assign_[link.down_sec];
+  b->bind_producer(group_->runtime(up), up);
+  b->bind_consumer(group_->runtime(down), down);
+  // The ring lives on the consumer shard's NUMA node: the consumer is the
+  // end that touches every slot last (the take move) and then walks the
+  // payload. Re-placed on the producer's thread, the one end that may be
+  // running; an empty ring only, so no item moves.
+  const int node = group_->node_of_shard(down);
+  run_on_shard(up, [b, node] { b->place_ring(node); });
 }
 
 Typespec ShardedRealization::cut_spec(const Component& buffer) const {
@@ -127,17 +185,17 @@ void ShardedRealization::build_sub_pipes(const std::vector<int>& shards) {
   const std::map<const Component*, int> shard_of_comp = compute_shard_of_comp();
   const std::map<const Component*, std::size_t> cut_of = live_cut_of();
   // Every edge lands on exactly one shard; edges touching a cut buffer are
-  // rerouted to the channel endpoints.
+  // rerouted to its end adapters.
   for (const Edge& e : pipe_->edges()) {
     Component* from = e.from;
     Component* to = e.to;
     int s = 0;
     if (const auto c = cut_of.find(e.to); c != cut_of.end()) {
-      to = cuts_[c->second]->sink.get();
-      s = cuts_[c->second]->chan->from_shard();
+      to = cuts_[c->second]->in.get();
+      s = cuts_[c->second]->buffer->from_shard();
     } else if (const auto c2 = cut_of.find(e.from); c2 != cut_of.end()) {
-      from = cuts_[c2->second]->source.get();
-      s = cuts_[c2->second]->chan->to_shard();
+      from = cuts_[c2->second]->out.get();
+      s = cuts_[c2->second]->buffer->to_shard();
     } else if (const auto f = shard_of_comp.find(e.from);
                f != shard_of_comp.end()) {
       s = f->second;
@@ -149,7 +207,7 @@ void ShardedRealization::build_sub_pipes(const std::vector<int>& shards) {
                                                      e.in_port);
   }
   // Carry user preferences over (cut buffers excepted: their typespec was
-  // already resolved in the full plan and travels via the source's offer).
+  // already resolved in the full plan and travels via the out end's offer).
   for (Component* c : pipe_->components()) {
     const auto s = shard_of_comp.find(c);
     if (s == shard_of_comp.end() || wanted.count(s->second) == 0) continue;
@@ -184,13 +242,13 @@ void ShardedRealization::realize_shard(int shard) {
 }
 
 void ShardedRealization::add_cut_collector(CutLink& link) {
-  const int cs = link.chan->to_shard();
-  ShardChannel* ch = link.chan.get();
-  run_on_shard(cs, [this, &link, ch, cs] {
+  const int cs = link.buffer->to_shard();
+  const Buffer* b = link.buffer;
+  run_on_shard(cs, [this, &link, b, cs] {
     link.collector = group_->runtime(cs).metrics().add_collector(
-        [ch](obs::MetricsSnapshot& out) {
+        [b](obs::MetricsSnapshot& out) {
           StatsSnapshot tmp;
-          tmp.channels.push_back(ch->stats());
+          tmp.channels.push_back(cut_stats(*b));
           publish(tmp, out);
         });
     link.collector_shard = cs;
@@ -224,7 +282,7 @@ void ShardedRealization::teardown() noexcept {
     op_lk.lock();
   } catch (...) {
   }
-  // Channel collectors first (they capture channel pointers), then the
+  // Cut collectors first (they capture buffer pointers), then the
   // realizations — each on its own shard thread so nothing races the
   // scheduler there. If a shard thread is gone, the runtime is parked and a
   // direct call is race-free.
@@ -296,8 +354,14 @@ void ShardedRealization::post_event_to_component(Component& c,
                                                  const Event& e) {
   const std::lock_guard<std::mutex> lk(ev_mu_);
   Realization* real = nullptr;
+  Component* target = &c;
+  const auto cut = std::find_if(cuts_.begin(), cuts_.end(),
+                                [&c](const auto& l) { return l->buffer == &c; });
   if (const auto it = section_of_.find(&c); it != section_of_.end()) {
     real = reals_[static_cast<std::size_t>(assign_[it->second])].get();
+  } else if (cut != cuts_.end()) {
+    target = (*cut)->out.get();
+    real = reals_[static_cast<std::size_t>(assign_[(*cut)->down_sec])].get();
   } else {
     for (const auto& r : reals_) {
       if (r && r->hosts(c)) {
@@ -307,7 +371,7 @@ void ShardedRealization::post_event_to_component(Component& c,
     }
   }
   if (real != nullptr) {
-    real->post_event_to_external(c, e);
+    real->post_event_to_external(*target, e);
   } else if (migrating_) {
     pending_.push_back(PendingEvent{-1, &c, e});
   }
@@ -374,31 +438,18 @@ ShardedRealization::Located ShardedRealization::find_component(
   return Located{};
 }
 
-ShardChannel* ShardedRealization::find_channel(std::string_view name) {
-  const std::lock_guard<std::mutex> lk(ev_mu_);
-  ShardChannel* retired = nullptr;
-  for (const auto& link : cuts_) {
-    if (link->chan->name() != name) continue;
-    if (!link->retired) return link->chan.get();
-    retired = link->chan.get();
-  }
-  return retired;
-}
-
-ShardChannel* ShardedRealization::find_live_channel(std::string_view name) {
+Buffer* ShardedRealization::find_channel(std::string_view name) {
   const std::lock_guard<std::mutex> lk(ev_mu_);
   for (const auto& link : cuts_) {
-    if (!link->retired && link->chan->name() == name) return link->chan.get();
+    if (link->buffer->name() == name) return link->buffer;
   }
   return nullptr;
 }
 
-std::vector<ShardChannel*> ShardedRealization::live_channels() {
+std::vector<Buffer*> ShardedRealization::live_channels() {
   const std::lock_guard<std::mutex> lk(ev_mu_);
-  std::vector<ShardChannel*> out;
-  for (const auto& link : cuts_) {
-    if (!link->retired) out.push_back(link->chan.get());
-  }
+  std::vector<Buffer*> out;
+  for (const auto& link : cuts_) out.push_back(link->buffer);
   return out;
 }
 
@@ -434,7 +485,7 @@ StatsSnapshot ShardedRealization::stats_snapshot() {
     for (DriverStats& d : part.drivers) out.drivers.push_back(std::move(d));
     for (BufferStats& b : part.buffers) out.buffers.push_back(std::move(b));
   }
-  for (ShardChannel* ch : live_channels()) out.channels.push_back(ch->stats());
+  for (const Buffer* b : live_channels()) out.channels.push_back(cut_stats(*b));
   return out;
 }
 
@@ -472,18 +523,16 @@ std::optional<double> ShardedRealization::try_sample_component(
 
 std::string ShardedRealization::describe() const {
   const std::lock_guard<std::mutex> lk(ev_mu_);
-  std::size_t live = 0;
-  for (const auto& link : cuts_) live += link->retired ? 0 : 1;
+  const std::size_t live = cuts_.size();
   std::string out = "sharded over " + std::to_string(group_->size()) +
                     " shards, " + std::to_string(live) +
                     " cross-shard channel" + (live == 1 ? "" : "s") + "\n";
   for (const auto& link : cuts_) {
-    if (link->retired) continue;
-    const ShardChannel& ch = *link->chan;
-    out += "  channel '" + ch.name() + "': shard " +
-           std::to_string(ch.from_shard()) + " -> shard " +
-           std::to_string(ch.to_shard()) + ", capacity " +
-           std::to_string(ch.capacity()) + "\n";
+    const Buffer& b = *link->buffer;
+    out += "  channel '" + b.name() + "': shard " +
+           std::to_string(b.from_shard()) + " -> shard " +
+           std::to_string(b.to_shard()) + ", capacity " +
+           std::to_string(b.capacity()) + "\n";
   }
   for (std::size_t s = 0; s < reals_.size(); ++s) {
     out += "shard " + std::to_string(s) + ":";
@@ -500,7 +549,7 @@ std::string ShardedRealization::describe() const {
 
 void ShardedRealization::adopt_new_shards_locked() {
   // Caller holds op_mu_. Growth only: a retired shard's slot (and whatever
-  // realization state it last held) is retained like a retired channel.
+  // realization state it last held) is retained.
   const auto n = static_cast<std::size_t>(group_->size());
   if (sub_pipes_.size() < n) sub_pipes_.resize(n);
   const std::lock_guard<std::mutex> lk(ev_mu_);
@@ -730,103 +779,56 @@ void ShardedRealization::Migration::transfer() {
     assign = sr.assign_;
   }
   const std::vector<Partition::Cut> new_cuts = cuts_for(sr.plan_, assign);
-  std::map<const Component*, const Partition::Cut*> new_by_buffer;
-  for (const Partition::Cut& c : new_cuts) new_by_buffer[c.buffer] = &c;
+  std::set<const Component*> still_cut;
+  for (const Partition::Cut& c : new_cuts) still_cut.insert(c.buffer);
 
   // 2a. Persisting and collapsing cuts. Because only one section moved,
-  // every changed cut touches the {from,to} pair — far sides keep flowing
-  // and never notice (their endpoint objects and waiter slots are
-  // untouched).
-  std::set<const Component*> kept;
+  // every changed cut touches the {from,to} pair — far ends keep flowing
+  // and never notice (their bindings and waiter slots are untouched). A
+  // collapsed cut's buffer is realized on `to_` as itself, its queue in
+  // place; only its link and end adapters go.
+  std::vector<const CutLink*> collapsed;
   for (const auto& link : sr.cuts_) {
-    if (link->retired) continue;
-    const auto it = new_by_buffer.find(link->buffer);
-    if (it != new_by_buffer.end()) {
-      kept.insert(link->buffer);
-      const int up = assign[link->up_sec];
-      const int down = assign[link->down_sec];
-      bool rebound = false;
-      if (link->chan->from_shard() != up) {
-        link->chan->bind_producer(sr.group_->runtime(up), up);
-        link->chan->clear_producer_waiter();
-        rebound = true;
-      }
-      if (link->chan->to_shard() != down) {
-        sr.remove_cut_collector(*link);
-        link->chan->bind_consumer(sr.group_->runtime(down), down);
-        link->chan->clear_consumer_waiter();
-        // Ring follows the consumer to its new node when possible —
-        // place_ring refuses (keeps the old storage) if items are queued,
-        // since moving live slots would race the far side.
-        link->chan->place_ring(sr.group_->node_of_shard(down));
-        sr.add_cut_collector(*link);
-        rebound = true;
-      }
-      if (rebound) ++out_.cuts_rebound;
+    if (still_cut.count(link->buffer) == 0) {
+      sr.remove_cut_collector(*link);
+      collapsed.push_back(link.get());
+      ++out_.cuts_collapsed;
       continue;
     }
-    // Collapse: both sections landed on `to_`; fold the ring back into the
-    // original buffer. The endpoints' waiter slots are clear (every wait
-    // return clears them) and both sides are quiesced, so a plain drain is
-    // race-free.
-    auto* b = dynamic_cast<Buffer*>(link->buffer);
-    while (std::optional<Item> x = link->chan->try_pop()) {
-      b->preload(std::move(*x));
-      ++out_.items_moved;
+    const Buffer& b = *link->buffer;
+    if (b.from_shard() != assign[link->up_sec] ||
+        b.to_shard() != assign[link->down_sec]) {
+      sr.remove_cut_collector(*link);
+      sr.bind_cut(*link);
+      sr.add_cut_collector(*link);
+      ++out_.cuts_rebound;
     }
-    if (link->chan->eos()) b->mark_eos();
-    sr.remove_cut_collector(*link);
-    {
-      const std::lock_guard<std::mutex> lk(sr.ev_mu_);
-      link->retired = true;
-    }
-    ++out_.cuts_collapsed;
   }
 
   // 2b. Created cuts: a buffer between two sections that used to share
-  // `from_` and are now split. Its queued items move into the fresh ring;
-  // the channel is sized to hold them all (a collapse may have left the
-  // buffer transiently over capacity).
+  // `from_` and are now split. Its queue stays where it is; its ends bind
+  // to the two shards.
+  const std::map<const Component*, std::size_t> live = sr.live_cut_of();
+  std::vector<std::unique_ptr<CutLink>> created;
   for (const Partition::Cut& cut : new_cuts) {
-    if (kept.count(cut.buffer) != 0) continue;
-    bool already_live = false;
-    for (const auto& link : sr.cuts_) {
-      if (!link->retired && link->buffer == cut.buffer) already_live = true;
-    }
-    if (already_live) continue;
-    auto* b = dynamic_cast<Buffer*>(cut.buffer);
-    if (b == nullptr) {
-      throw CompositionError("migrate: cut at '" + cut.buffer->name() +
-                             "' which is not a buffer");
-    }
-    auto link = std::make_unique<CutLink>();
-    link->buffer = cut.buffer;
-    link->up_sec = cut.upstream_section;
-    link->down_sec = cut.downstream_section;
-    const int up = assign[cut.upstream_section];
-    const int down = assign[cut.downstream_section];
-    link->chan = std::make_unique<ShardChannel>(
-        b->name(), std::max(b->capacity(), b->fill()), b->full_policy(),
-        b->empty_policy(), sr.group_->node_of_shard(down));
-    link->chan->bind_producer(sr.group_->runtime(up), up);
-    link->chan->bind_consumer(sr.group_->runtime(down), down);
-    link->sink = std::make_unique<ChannelSink>(*link->chan);
-    link->source =
-        std::make_unique<ChannelSource>(*link->chan, sr.cut_spec(*b));
-    std::deque<Item> carried = b->drain_for_migration();
-    for (Item& x : carried) {
-      (void)link->chan->force_push(x);
-      ++out_.items_moved;
-    }
-    if (b->saw_eos()) link->chan->set_eos();
-    CutLink* raw = link.get();
-    {
-      const std::lock_guard<std::mutex> lk(sr.ev_mu_);
-      sr.cuts_.push_back(std::move(link));
-    }
-    sr.add_cut_collector(*raw);
+    if (live.count(cut.buffer) != 0) continue;
+    created.push_back(sr.make_cut(cut));
+    sr.bind_cut(*created.back());
     ++out_.cuts_created;
   }
+  std::vector<CutLink*> fresh;
+  {
+    const std::lock_guard<std::mutex> lk(sr.ev_mu_);
+    std::erase_if(sr.cuts_, [&collapsed](const auto& l) {
+      return std::find(collapsed.begin(), collapsed.end(), l.get()) !=
+             collapsed.end();
+    });
+    for (auto& link : created) {
+      fresh.push_back(link.get());
+      sr.cuts_.push_back(std::move(link));
+    }
+  }
+  for (CutLink* link : fresh) sr.add_cut_collector(*link);
 
   // 3. Rebuild and re-realize exactly the affected shards (the cut-set
   // delta property above is what makes touching only two shards sound).

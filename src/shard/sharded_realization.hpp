@@ -2,12 +2,15 @@
 //
 // Takes the application's pipeline exactly as a single-runtime Realization
 // would, partitions its plan across a ShardGroup (whole sections only —
-// partition() cuts exclusively at passive buffer boundaries), replaces each
-// cut buffer with a ShardChannel's sink/source endpoint pair, and realizes
-// one ordinary Realization per non-empty shard on that shard's runtime. All
-// single-runtime machinery — planning, coroutine glue, section locks,
-// control dispatch while blocked — runs unchanged inside every shard; the
-// only new mechanics are the channels between them.
+// partition() cuts exclusively at passive buffer boundaries), and realizes
+// one ordinary Realization per non-empty shard on that shard's runtime. A
+// cut buffer stays the one queue it is: its producer end binds to the
+// upstream shard's runtime, its consumer end to the downstream shard's, and
+// each shard's sub-pipeline reaches it through a small end adapter (a
+// passive sink upstream, a passive source downstream). All single-runtime
+// machinery — planning, coroutine glue, section locks, control dispatch
+// while blocked — runs unchanged inside every shard; the only new mechanics
+// are the cross-runtime wakes of a cut buffer's ends.
 //
 // Control events stay global: a broadcast posted on any shard (a component's
 // broadcast(), end-of-stream, a start/stop from outside) is forwarded to
@@ -18,10 +21,10 @@
 // Live migration (ip_balance): a migratable section can be moved to another
 // shard while the rest of the flow keeps running. The protocol quiesces the
 // two affected shards at their passive-buffer boundaries (every in-flight
-// item lands in a Buffer or ShardChannel, which both survive realization
-// teardown), re-partitions the cut set for the new assignment — creating,
-// re-binding or collapsing channels as sections separate or co-land — and
-// re-realizes the affected shards. Control events posted at the affected
+// item lands in a Buffer, which survives realization teardown),
+// re-partitions the cut set for the new assignment — a buffer's ends are
+// rebound as sections separate or co-land, its queue stays where it is —
+// and re-realizes the affected shards. Control events posted at the affected
 // shards during the move are queued and replayed after the restart, in
 // order. See begin_migration() and docs/ARCHITECTURE.md §13.
 #pragma once
@@ -43,7 +46,6 @@
 #include "core/pipeline.hpp"
 #include "core/planner.hpp"
 #include "core/realization.hpp"
-#include "shard/channel.hpp"
 #include "shard/shard_group.hpp"
 
 namespace infopipe::shard {
@@ -53,10 +55,9 @@ struct MigrationOutcome {
   std::size_t section = 0;
   int from = -1;
   int to = -1;
-  std::uint64_t items_moved = 0;   ///< items carried across storage kinds
-  std::size_t cuts_collapsed = 0;  ///< channels folded back into buffers
-  std::size_t cuts_created = 0;    ///< buffers newly split into channels
-  std::size_t cuts_rebound = 0;    ///< persisting channels with a moved end
+  std::size_t cuts_collapsed = 0;  ///< cut buffers whose ends now share a shard
+  std::size_t cuts_created = 0;    ///< buffers whose ends now span two shards
+  std::size_t cuts_rebound = 0;    ///< persisting cuts with a moved end
 };
 
 class ShardedRealization : public RealizationHandle {
@@ -74,16 +75,17 @@ class ShardedRealization : public RealizationHandle {
   [[nodiscard]] const Plan& plan() const noexcept { return plan_; }
   [[nodiscard]] const Partition& partition() const noexcept { return part_; }
 
-  /// Cuts ever created (live + retired); retired entries keep their channel
-  /// object alive so stale pointers held by samplers stay valid.
-  [[nodiscard]] std::size_t channel_count() const noexcept {
+  /// Buffers currently cut across two shards (a cut buffer is still the
+  /// application's Buffer object, bound to two runtimes).
+  [[nodiscard]] std::size_t channel_count() const {
+    const std::lock_guard<std::mutex> lk(ev_mu_);
     return cuts_.size();
   }
-  [[nodiscard]] const ShardChannel& channel(std::size_t i) const {
-    return *cuts_.at(i)->chan;
+  [[nodiscard]] const Buffer& channel(std::size_t i) const {
+    const std::lock_guard<std::mutex> lk(ev_mu_);
+    return *cuts_.at(i)->buffer;
   }
-  /// Channels currently carrying the flow (excludes retired ones).
-  [[nodiscard]] std::vector<ShardChannel*> live_channels();
+  [[nodiscard]] std::vector<Buffer*> live_channels();
 
   /// The per-shard realization; nullptr for a shard that got no sections.
   /// The pointer is invalidated by migrations touching that shard — cache
@@ -105,16 +107,10 @@ class ShardedRealization : public RealizationHandle {
   };
   [[nodiscard]] Located find_component(std::string_view name);
 
-  /// The cross-shard channel that replaced the cut buffer `name` (channels
-  /// keep the buffer's name), or nullptr. Prefers a live channel; falls
-  /// back to a retired one so stats of a collapsed cut remain readable.
-  [[nodiscard]] ShardChannel* find_channel(std::string_view name);
-
-  /// Like find_channel(), but only a channel currently carrying the flow:
-  /// nullptr when no live cut has that name (never a retired channel).
-  /// Sensors re-resolve through this on every read so they keep tracking
-  /// the cut as migrations collapse and re-create it.
-  [[nodiscard]] ShardChannel* find_live_channel(std::string_view name);
+  /// The buffer `name` while it is cut across shards, else nullptr. The
+  /// object is the same before, during and after any cut, so a caller may
+  /// keep the pointer; only its binding (from_shard/to_shard) changes.
+  [[nodiscard]] Buffer* find_channel(std::string_view name);
 
   // -- lifecycle (thread-safe: events enqueue onto every shard) ---------------
 
@@ -138,9 +134,10 @@ class ShardedRealization : public RealizationHandle {
 
   /// Thread-safe targeted delivery that survives migrations: resolves which
   /// shard currently hosts `c` under the event lock, so an actuator can keep
-  /// steering a component the rebalancer is moving around. Queued and
-  /// replayed like post_event() while the hosting shard is mid-migration;
-  /// dropped (like rt sends to dead threads) if no shard hosts `c`.
+  /// steering a component the rebalancer is moving around. A cut buffer's
+  /// events go to its consumer end. Queued and replayed like post_event()
+  /// while the hosting shard is mid-migration; dropped (like rt sends to
+  /// dead threads) if no shard hosts `c`.
   void post_event_to_component(Component& c, const Event& e);
 
   /// Observer for broadcast events originating on any shard. Runs on the
@@ -172,8 +169,9 @@ class ShardedRealization : public RealizationHandle {
     /// the destructor then restarts the affected shards, so a failed move
     /// leaves the flow running in its old placement.
     void quiesce(std::chrono::milliseconds timeout);
-    /// Tears down the affected realizations, re-cuts, moves storage, and
-    /// re-realizes. No data flows on the affected shards until resume().
+    /// Tears down the affected realizations, rebinds the ends of the
+    /// buffers whose cut changed, and re-realizes. No item is copied; no
+    /// data flows on the affected shards until resume().
     void transfer();
     /// Restarts the affected shards (if the flow was started) and replays
     /// control events queued during the move.
@@ -217,7 +215,7 @@ class ShardedRealization : public RealizationHandle {
   /// ShardGroup::add_shard(); migrate_section()/begin_migration() also
   /// self-adopt, so this is only needed when code indexes the new shard
   /// before any move lands on it. Never shrinks — retired shards keep their
-  /// slots (and any final realization state) like retired channels do.
+  /// slots (and any final realization state).
   void sync_topology();
 
   /// Moves every section off `shard` onto the other live shards, placed by
@@ -267,21 +265,20 @@ class ShardedRealization : public RealizationHandle {
   /// plan — so one PlanInfo can be shared by everything stamped from it.
   [[nodiscard]] PlanInfo plan_info() const override;
 
-  /// Merged snapshot: drivers and buffers from every shard plus one
-  /// ChannelStats row per live cross-shard channel; `when` is the latest
-  /// shard clock. Each shard's counters are read on that shard's kernel
-  /// thread.
+  /// Merged snapshot: drivers and uncut buffers from every shard plus one
+  /// ChannelStats row per cut buffer; `when` is the latest shard clock. Each
+  /// shard's counters are read on that shard's kernel thread.
   [[nodiscard]] StatsSnapshot stats_snapshot() override;
 
-  /// Every shard's registry rows prefixed `shard<i>.` (the channel rows
-  /// appear under their consumer shard as `shard<i>.chan.<name>.*`).
+  /// Every shard's registry rows prefixed `shard<i>.` (a cut buffer's rows
+  /// appear under its consumer shard as `shard<i>.chan.<name>.*`).
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() override;
 
   /// Samples a component's state on whichever shard currently hosts it,
   /// without blocking behind a migration: returns nullopt when a structural
   /// operation is in flight (callers keep their previous value) or when no
   /// shard hosts the component. This — not call_on on a cached shard — is
-  /// how the feedback endpoints read fill/stall counters, which also makes
+  /// how the feedback endpoints read probe components, which also makes
   /// opposite-direction loops across one shard pair deadlock-free.
   std::optional<double> try_sample_component(
       std::string_view name, const std::function<double(Component&)>& fn);
@@ -290,19 +287,17 @@ class ShardedRealization : public RealizationHandle {
   [[nodiscard]] std::string describe() const override;
 
  private:
-  /// One cut: the buffer it replaced, its channel and endpoints, and the
-  /// shard-side metrics collector. Retired entries (cut collapsed by a
-  /// migration) stay allocated so pointers handed out earlier never dangle.
+  /// One live cut: the buffer, the end adapters that stand in for it in
+  /// the two shards' sub-pipelines, and the consumer-shard metrics
+  /// collector.
   struct CutLink {
-    Component* buffer = nullptr;
+    Buffer* buffer = nullptr;
     std::size_t up_sec = 0;
     std::size_t down_sec = 0;
-    std::unique_ptr<ShardChannel> chan;
-    std::unique_ptr<ChannelSink> sink;
-    std::unique_ptr<ChannelSource> source;
+    std::unique_ptr<PassiveSink> in;     ///< producer shard's end
+    std::unique_ptr<PassiveSource> out;  ///< consumer shard's end
     int collector_shard = -1;
     obs::MetricsRegistry::CollectorId collector = 0;
-    bool retired = false;
   };
 
   /// A control event that arrived while its destination shard was
@@ -324,6 +319,12 @@ class ShardedRealization : public RealizationHandle {
   [[nodiscard]] std::map<const Component*, int> compute_shard_of_comp() const;
   /// Live cut buffer -> index into cuts_.
   [[nodiscard]] std::map<const Component*, std::size_t> live_cut_of() const;
+  /// A link (and end adapters) for the buffer of `cut`; binds nothing.
+  [[nodiscard]] std::unique_ptr<CutLink> make_cut(
+      const Partition::Cut& cut) const;
+  /// Binds both ends of a cut to their shards' runtimes and places the
+  /// ring on the consumer shard's node.
+  void bind_cut(CutLink& link);
   /// Typespec the full plan propagated onto the buffer's out-edge.
   [[nodiscard]] Typespec cut_spec(const Component& buffer) const;
   /// (Re)builds sub_pipes_[s] for every shard in `shards` from the current
@@ -350,7 +351,7 @@ class ShardedRealization : public RealizationHandle {
   std::vector<std::unique_ptr<Realization>> reals_;   // per shard
   std::vector<std::unique_ptr<CutLink>> cuts_;
 
-  /// Guards reals_ pointers, cuts_ vector shape, assign_, pending_,
+  /// Guards reals_ pointers, the cuts_ vector, assign_, pending_,
   /// started_, migrating_, listener_. Never held across run_on (a shard
   /// thread may need it to deliver an event).
   mutable std::mutex ev_mu_;

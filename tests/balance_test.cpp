@@ -574,6 +574,36 @@ TEST(Rebalancer, ImbalanceGaugeReadsTheLiveSpread) {
   EXPECT_TRUE(sr.finished());
 }
 
+// --- accountant ----------------------------------------------------------------
+
+TEST(Accountant, RuntimeThatNeverParksReadsBusy) {
+  // The busy/idle split moves only at park entry and exit, so a shard whose
+  // one thread yields in a loop reports no time at all; the accountant must
+  // read such an interval as busy, not skip it.
+  shard::ShardGroup group(1);
+  group.launch();
+  std::atomic<bool> spin{true};
+  group.run_on(0, [&group, &spin] {
+    rt::Runtime& rtm = group.runtime(0);
+    const rt::ThreadId t = rtm.spawn(
+        "spin", rt::kPriorityData, [&spin](rt::Runtime& r, rt::Message) {
+          while (spin.load(std::memory_order_relaxed)) r.yield();
+          return rt::CodeResult::kTerminate;
+        });
+    rtm.send(t, rt::Message{});
+  });
+  LoadAccountant acc(group);
+  for (int i = 0; i < 6; ++i) {
+    acc.sample();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  spin.store(false, std::memory_order_relaxed);
+  const LoadSnapshot snap = acc.snapshot();
+  ASSERT_EQ(snap.busy.size(), 1u);
+  EXPECT_GE(snap.busy[0], 0.9);
+  group.stop();
+}
+
 // --- topology ----------------------------------------------------------------
 
 TEST(Topology, ParsesCpulistsAndMapsShards) {

@@ -29,10 +29,10 @@ namespace {
 /// A pump's max_batch: `n` on the batched run, 1 on the per-item one.
 std::size_t batch_of(bool batched, std::size_t n) { return batched ? n : 1; }
 
-// ---------- ShardChannel span primitives ------------------------------------
+// ---------- buffer ring span primitives -------------------------------------
 
 TEST(BatchChannel, SpanOpsReserveCapacityBoundedBursts) {
-  shard::ShardChannel ch("x", 8);
+  Buffer ch("x", 8);
   std::vector<Item> in(12);
   for (std::size_t i = 0; i < in.size(); ++i) {
     in[i] = Item::token();
@@ -40,31 +40,31 @@ TEST(BatchChannel, SpanOpsReserveCapacityBoundedBursts) {
   }
   // One reservation claims min(space, span) slots — never the overflow
   // reserve.
-  EXPECT_EQ(ch.try_push_span(ItemSpan(in.data(), in.size())), 8u);
-  EXPECT_EQ(ch.depth(), 8u);
-  EXPECT_EQ(ch.try_push_span(ItemSpan(in.data() + 8, 4)), 0u);
+  EXPECT_EQ(ch.try_put_span(ItemSpan(in.data(), in.size())), 8u);
+  EXPECT_EQ(ch.fill(), 8u);
+  EXPECT_EQ(ch.try_put_span(ItemSpan(in.data() + 8, 4)), 0u);
 
   std::vector<Item> out(16);
-  EXPECT_EQ(ch.try_pop_span(ItemSpan(out.data(), out.size())), 8u);
+  EXPECT_EQ(ch.try_take_span(ItemSpan(out.data(), out.size())), 8u);
   for (std::uint64_t i = 0; i < 8; ++i) EXPECT_EQ(out[i].seq, i);
-  EXPECT_EQ(ch.try_pop_span(ItemSpan(out.data(), out.size())), 0u);
-  EXPECT_EQ(ch.depth(), 0u);
+  EXPECT_EQ(ch.try_take_span(ItemSpan(out.data(), out.size())), 0u);
+  EXPECT_EQ(ch.fill(), 0u);
 }
 
 TEST(BatchChannel, EosDrainsQueuedItemsFirst) {
-  shard::ShardChannel ch("x", 8);
+  Buffer ch("x", 8);
   std::vector<Item> in(3);
   for (std::size_t i = 0; i < in.size(); ++i) {
     in[i] = Item::token();
     in[i].seq = i;
   }
-  ASSERT_EQ(ch.try_push_span(ItemSpan(in.data(), in.size())), 3u);
+  ASSERT_EQ(ch.try_put_span(ItemSpan(in.data(), in.size())), 3u);
   ch.set_eos();
   // The sticky flag never hides queued data: the burst drains first.
   std::vector<Item> out(8);
-  EXPECT_EQ(ch.try_pop_span(ItemSpan(out.data(), out.size())), 3u);
+  EXPECT_EQ(ch.try_take_span(ItemSpan(out.data(), out.size())), 3u);
   EXPECT_EQ(out[2].seq, 2u);
-  EXPECT_EQ(ch.try_pop_span(ItemSpan(out.data(), out.size())), 0u);
+  EXPECT_EQ(ch.try_take_span(ItemSpan(out.data(), out.size())), 0u);
   EXPECT_TRUE(ch.eos());
 }
 
@@ -421,28 +421,57 @@ int live_after_buffer_drop(FullPolicy full) {
   return Tracked::live;
 }
 
+/// live_after_buffer_drop() with the buffer cut across two shards, so its
+/// ends are bound to two runtimes.
+int live_after_cut_drop() {
+  shard::ShardGroup::GroupOptions opt;
+  opt.clock_factory = [] { return std::make_unique<rt::VirtualClock>(); };
+  opt.manual = true;
+  shard::ShardGroup group(2, std::move(opt));
+  TrackedSource src("src", 64);
+  ClockedPump fill(PumpSpec{.name = "fill", .rate_hz = 1.0, .max_batch = 64});
+  Buffer buf("buf", 8, FullPolicy::kDropNewest, EmptyPolicy::kNil);
+  ClockedPump drain("drain", 1000.0);
+  CountingSink sink("sink");
+  auto ch = src >> fill >> buf >> drain >> sink;
+  {
+    shard::ShardedRealization sr(group, ch.pipeline());
+    EXPECT_TRUE(buf.two_runtimes());
+    sr.start();
+    group.step_until(rt::milliseconds(500));
+    sr.shutdown();
+    group.step_until(rt::seconds(1));
+  }
+  EXPECT_EQ(sink.count(), 8u);
+  EXPECT_EQ(buf.stats().drops, 56u);
+  return Tracked::live;
+}
+
 TEST(Batch, DroppedItemsDieAtTheirDrop) {
   // A dropped item is released at the drop decision, as a dropped one-item
   // put releases it, not kept alive by the pump's burst scratch.
   EXPECT_EQ(live_after_buffer_drop(FullPolicy::kDropNewest), 0);
   EXPECT_EQ(live_after_buffer_drop(FullPolicy::kDropOldest), 0);
 
-  // The same for a full shard channel under kDropNewest: only the 8 items
-  // in its ring stay alive.
+  // The same for a buffer cut across two shards under kDropNewest.
+  EXPECT_EQ(live_after_cut_drop(), 0);
+}
+
+TEST(Batch, BurstOverrunningABufferWakesItsWaitingReader) {
+  // The drain waits on the empty buffer when a 3-item burst meets a
+  // 2-item buffer: the reader must be woken as soon as items land, before
+  // the pusher blocks on the rest, or both wait for ever.
   rt::Runtime rtm;
-  shard::ShardChannel chan("cut", 8, FullPolicy::kDropNewest);
-  TrackedSource src("src", 64);
-  FreeRunningPump fill(PumpSpec{.name = "fill", .max_batch = 64});
-  shard::ChannelSink tx(chan);
-  auto ch = src >> fill >> tx;
-  {
-    Realization real(rtm, ch.pipeline());
-    real.start();
-    rtm.run();
-  }
-  EXPECT_EQ(chan.depth(), 8u);
-  EXPECT_EQ(chan.stats().flow.drops, 56u);
-  EXPECT_EQ(Tracked::live, 8);
+  CountingSource src("src", 100);
+  FreeRunningPump fill(PumpSpec{.name = "fill", .max_batch = 3});
+  Buffer buf("buf", 2);
+  ClockedPump drain("drain", 1000.0);
+  CountingSink sink("sink");
+  auto ch = src >> fill >> buf >> drain >> sink;
+  Realization real(rtm, ch.pipeline());
+  real.start();
+  rtm.run();
+  EXPECT_EQ(sink.count(), 100u);
 }
 
 TEST(Batch, EosArrivesOnlyAtBurstBoundaries) {
@@ -592,9 +621,20 @@ class BufferScript : public ClockedSourceBase {
   int step_ = 0;
 };
 
-void run_buffer_script(FullPolicy full, std::uint64_t salt) {
+/// `two_runtimes` binds the consumer end to a second runtime, as a cut
+/// does: the same script must then match the model on the cross-thread
+/// handshake path.
+void run_buffer_script(FullPolicy full, std::uint64_t salt, bool two_runtimes) {
   rt::Runtime rtm(std::make_unique<rt::VirtualClock>());
+  rt::Runtime far(std::make_unique<rt::VirtualClock>());
   Buffer buf("buf", 8, full, EmptyPolicy::kNil);
+  buf.bind_producer(rtm, 0);
+  if (two_runtimes) {
+    buf.bind_consumer(far, 1);
+  } else {
+    buf.bind_consumer(rtm, 0);
+  }
+  EXPECT_EQ(buf.two_runtimes(), two_runtimes);
   CollectorSink sink("sink");
   BufferScript script(buf, sink, config().seed * 1000 + salt, 2000);
   auto ch = script >> sink;
@@ -606,15 +646,27 @@ void run_buffer_script(FullPolicy full, std::uint64_t salt) {
 }
 
 TEST(BufferModel, DropNewestMatchesSequentialModel) {
-  run_buffer_script(FullPolicy::kDropNewest, 1);
+  run_buffer_script(FullPolicy::kDropNewest, 1, false);
 }
 
 TEST(BufferModel, DropOldestMatchesSequentialModel) {
-  run_buffer_script(FullPolicy::kDropOldest, 2);
+  run_buffer_script(FullPolicy::kDropOldest, 2, false);
 }
 
 TEST(BufferModel, BlockWithoutWaitsMatchesSequentialModel) {
-  run_buffer_script(FullPolicy::kBlock, 3);
+  run_buffer_script(FullPolicy::kBlock, 3, false);
+}
+
+TEST(BufferModel, DropNewestMatchesSequentialModelOnTwoRuntimes) {
+  run_buffer_script(FullPolicy::kDropNewest, 1, true);
+}
+
+TEST(BufferModel, DropOldestMatchesSequentialModelOnTwoRuntimes) {
+  run_buffer_script(FullPolicy::kDropOldest, 2, true);
+}
+
+TEST(BufferModel, BlockWithoutWaitsMatchesSequentialModelOnTwoRuntimes) {
+  run_buffer_script(FullPolicy::kBlock, 3, true);
 }
 
 // ---------- BatchFilter and the per-item adapter -----------------------------

@@ -69,7 +69,7 @@ RunResult run_congestion_scenario() {
   auto ch = src >> fill >> buf >> drain >> sink;
 
   shard::ShardedRealization sr(group, ch.pipeline());
-  shard::ShardChannel* chan = sr.find_channel("buf");
+  Buffer* chan = sr.find_channel("buf");
   EXPECT_NE(chan, nullptr);
   EXPECT_NE(chan->from_shard(), chan->to_shard());
   // The pump lives on the producer shard; the loop will home on the other.
@@ -98,7 +98,7 @@ RunResult run_congestion_scenario() {
        t += rt::milliseconds(100)) {
     group.step_until(t);
   }
-  EXPECT_GT(chan->depth(), chan->capacity() * 3 / 4);
+  EXPECT_GT(chan->fill(), chan->capacity() * 3 / 4);
   EXPECT_GT(prod_stalls(), 0.0);
 
   // Phase 2: the loop engages and steers the congested channel back to its
@@ -111,7 +111,7 @@ RunResult run_congestion_scenario() {
 
   RunResult r;
   r.pump_rate = fill.rate_hz();
-  r.fill_frac = static_cast<double>(chan->depth()) /
+  r.fill_frac = static_cast<double>(chan->fill()) /
                 static_cast<double>(chan->capacity());
   r.loop_error = loop->last_error();
   r.hints = fill.hints();
@@ -221,7 +221,7 @@ TEST(FeedbackEndpoint, ForeignProbeIsCachedAndPushedAsSensorReports) {
   CountingSink sink("sink");
   auto ch = src >> fill >> buf >> drain >> sink;
   shard::ShardedRealization sr(group, ch.pipeline());
-  shard::ShardChannel* chan = sr.find_channel("buf");
+  Buffer* chan = sr.find_channel("buf");
   ASSERT_NE(chan, nullptr);
   const int consumer = chan->to_shard();  // foreign to the pump
 
@@ -252,11 +252,9 @@ TEST(FeedbackEndpoint, ForeignProbeIsCachedAndPushedAsSensorReports) {
 }
 
 TEST(FeedbackEndpoint, ChannelSensorFollowsCutCollapseAndResplit) {
-  // A channel sensor must not latch the channel OBJECT: when a migration
-  // collapses the cut, the retired channel's stats freeze (depth drains to
-  // zero) and a loop steering on them would steer on dead data. The sensor
-  // re-resolves per read — live channel, then the underlying buffer, then
-  // the fresh channel of a re-created cut.
+  // A buffer sensor must keep reading the live queue while migrations
+  // collapse and re-create the cut: the buffer is one object throughout,
+  // so the sensor binds to it once and its counters never restart.
   shard::ShardGroup::GroupOptions opt;
   opt.clock_factory = [] { return std::make_unique<rt::VirtualClock>(); };
   opt.manual = true;
@@ -270,7 +268,7 @@ TEST(FeedbackEndpoint, ChannelSensorFollowsCutCollapseAndResplit) {
   auto ch = src >> fill >> buf >> drain >> sink;
 
   shard::ShardedRealization sr(group, ch.pipeline());
-  shard::ShardChannel* chan = sr.find_channel("buf");
+  Buffer* chan = sr.find_channel("buf");
   ASSERT_NE(chan, nullptr);
   const int prod = chan->from_shard();
   const int cons = chan->to_shard();
@@ -293,14 +291,14 @@ TEST(FeedbackEndpoint, ChannelSensorFollowsCutCollapseAndResplit) {
   EXPECT_GT(fill_read(), 0.5);
   EXPECT_GT(stall_read(), 0.0);
 
-  // Collapse: the consumer section joins the producer shard, the channel
-  // retires and its queued items land back in the buffer. The sensor must
-  // read the buffer now, not the retired channel's drained ring.
+  // Collapse: the consumer section joins the producer shard and the buffer
+  // is no longer cut; its queued items never moved, and the sensor still
+  // reads them.
   (void)sr.migrate_section(cons_sec, prod);
-  ASSERT_EQ(sr.find_live_channel("buf"), nullptr);
+  ASSERT_EQ(sr.find_channel("buf"), nullptr);
   EXPECT_GT(fill_read(), 0.3);
-  // The rate window re-primes across the counter-source switch instead of
-  // differencing unrelated counters into a nonsense spike.
+  // The rate window keeps differencing the same monotonic counter: no
+  // nonsense spike across the collapse.
   double r = stall_read();
   EXPECT_GE(r, 0.0);
   EXPECT_LT(r, 1e9);
@@ -310,11 +308,11 @@ TEST(FeedbackEndpoint, ChannelSensorFollowsCutCollapseAndResplit) {
   }
   EXPECT_GT(fill_read(), 0.3);
 
-  // Re-split: a FRESH channel object carries the cut; the sensor follows.
+  // Re-split: the same buffer object carries the cut again.
   (void)sr.migrate_section(cons_sec, cons);
-  shard::ShardChannel* fresh = sr.find_live_channel("buf");
+  Buffer* fresh = sr.find_channel("buf");
   ASSERT_NE(fresh, nullptr);
-  EXPECT_NE(fresh, chan);
+  EXPECT_EQ(fresh, chan);
   EXPECT_GT(fill_read(), 0.3);
   for (rt::Time t = rt::seconds(3); t <= rt::seconds(4);
        t += rt::milliseconds(100)) {
@@ -348,7 +346,7 @@ TEST(FeedbackEndpoint, RemoteProbeRehomesAfterMigration) {
   auto ch = src >> fill >> buf >> drain >> sink;
 
   shard::ShardedRealization sr(group, ch.pipeline());
-  shard::ShardChannel* chan = sr.find_channel("buf");
+  Buffer* chan = sr.find_channel("buf");
   ASSERT_NE(chan, nullptr);
   const int consumer = chan->to_shard();
   std::size_t pump_sec = sr.section_count();
@@ -414,7 +412,7 @@ TEST(FeedbackEndpoint, LoopRehomesWhenConsumerSectionMigrates) {
   auto ch = src >> fill >> buf >> drain >> sink;
 
   shard::ShardedRealization sr(group, ch.pipeline());
-  shard::ShardChannel* chan = sr.find_channel("buf");
+  Buffer* chan = sr.find_channel("buf");
   ASSERT_NE(chan, nullptr);
   const int old_home = chan->to_shard();
   std::size_t cons_sec = sr.section_count();
@@ -449,7 +447,7 @@ TEST(FeedbackEndpoint, LoopRehomesWhenConsumerSectionMigrates) {
 
   // Migrate the consumer section: the cut persists, rebound to `fresh`.
   (void)sr.migrate_section(cons_sec, fresh);
-  shard::ShardChannel* live = sr.find_live_channel("buf");
+  Buffer* live = sr.find_channel("buf");
   ASSERT_NE(live, nullptr);
   ASSERT_EQ(live->to_shard(), fresh);
 
@@ -513,7 +511,7 @@ TEST(FeedbackEndpoint, LaunchedGroupStillConvergesLoosely) {
   // delivered count may trail the step count by the pipeline depth.
   EXPECT_GT(fill.hints(), 0);
   const obs::MetricsSnapshot ms = sr.metrics_snapshot();
-  shard::ShardChannel* chan = sr.find_channel("buf");
+  Buffer* chan = sr.find_channel("buf");
   ASSERT_NE(chan, nullptr);
   EXPECT_NE(ms.find("shard" + std::to_string(chan->to_shard()) +
                     ".fb.loop.congestion.output"),

@@ -227,17 +227,18 @@ TEST(MemItem, BytesRoundTripInBothRepresentations) {
 // ============================ NUMA placement ================================
 
 TEST(MemNuma, ChannelRingPlacementFollowsRequests) {
-  shard::ShardChannel ch("x", 4, FullPolicy::kBlock, EmptyPolicy::kBlock,
-                         /*numa_node=*/1);
+  Buffer ch("x", 4);
+  EXPECT_EQ(ch.ring_node(), -1);  // no preference until a cut places it
+  ch.place_ring(1);
   EXPECT_EQ(ch.ring_node(), 1);
   ch.place_ring(0);  // empty ring: re-placement allowed
   EXPECT_EQ(ch.ring_node(), 0);
 
   Item x = Item::token();
-  ASSERT_TRUE(ch.try_push(x));
+  ASSERT_TRUE(ch.try_put(x));
   ch.place_ring(1);  // non-empty: must keep the old storage
   EXPECT_EQ(ch.ring_node(), 0);
-  (void)ch.try_pop();
+  (void)ch.try_take();
   ch.place_ring(1);
   EXPECT_EQ(ch.ring_node(), 1);
 }
@@ -266,7 +267,7 @@ TEST(MemNuma, PoolsAndRingsLandOnConsumerNodeUnderInjectedTopology) {
   auto ch = src >> fill >> buf >> drain >> sink;
   shard::ShardedRealization sr(group, ch.pipeline());
 
-  shard::ShardChannel* chan = sr.find_channel("buf");
+  Buffer* chan = sr.find_channel("buf");
   ASSERT_NE(chan, nullptr);
   // The cut's ring storage was requested on the CONSUMER shard's node.
   EXPECT_EQ(chan->ring_node(), group.node_of_shard(chan->to_shard()));
@@ -300,7 +301,7 @@ TEST(MemNuma, RingFollowsConsumerAcrossMigrationWhenEmpty) {
   auto ch = src >> fill >> buf >> drain >> sink;
   shard::ShardedRealization sr(group, ch.pipeline());
 
-  shard::ShardChannel* chan = sr.find_channel("buf");
+  Buffer* chan = sr.find_channel("buf");
   ASSERT_NE(chan, nullptr);
   const int old_cons = chan->to_shard();
   ASSERT_NE(old_cons, 2);
@@ -316,10 +317,10 @@ TEST(MemNuma, RingFollowsConsumerAcrossMigrationWhenEmpty) {
     group.step_until(t);
   }
   ASSERT_TRUE(sr.finished());  // all 50 items delivered; ring empty
-  ASSERT_EQ(chan->depth(), 0u);
+  ASSERT_EQ(chan->fill(), 0u);
 
   (void)sr.migrate_section(cons_sec, 2);
-  shard::ShardChannel* live = sr.find_live_channel("buf");
+  Buffer* live = sr.find_channel("buf");
   ASSERT_NE(live, nullptr);
   EXPECT_EQ(live->to_shard(), 2);
   EXPECT_EQ(live->ring_node(), 1);  // storage followed the consumer's node
@@ -335,7 +336,7 @@ TEST(MemNuma, RingFollowsConsumerAcrossMigrationWhenEmpty) {
 struct LockstepResult {
   std::vector<std::uint64_t> seqs;
   std::uint64_t payload_sum = 0;
-  std::uint64_t items_moved = 0;
+  std::vector<std::size_t> fill_at_moves;  ///< queued in the cut buffer
   bool eos = false;
 };
 
@@ -354,7 +355,7 @@ LockstepResult run_lockstep_scenario(bool pooled) {
   CollectorSink sink("sink");
   auto ch = src >> fill >> buf >> drain >> sink;
   shard::ShardedRealization sr(group, ch.pipeline());
-  shard::ShardChannel* chan = sr.find_channel("buf");
+  Buffer* chan = sr.find_channel("buf");
   EXPECT_NE(chan, nullptr);
   const int prod = chan->from_shard();
   const int cons = chan->to_shard();
@@ -369,15 +370,27 @@ LockstepResult run_lockstep_scenario(bool pooled) {
        t += rt::milliseconds(100)) {
     group.step_until(t);
   }
-  // Live migration mid-flow: collapse the cut (consumer joins the producer
-  // shard, queued ring items fold back into the buffer) ...
-  r.items_moved += sr.migrate_section(cons_sec, prod).items_moved;
+  // A move rebinds the buffer's ends and nothing else: the queue it held
+  // is still there afterwards, and no item was taken out to be carried.
+  const auto move = [&](int to) {
+    const std::size_t held = buf.fill();
+    const std::uint64_t takes = buf.stats().takes;
+    r.fill_at_moves.push_back(held);
+    (void)sr.migrate_section(cons_sec, to);
+    EXPECT_GE(buf.fill(), held);
+    EXPECT_EQ(buf.stats().takes, takes);
+  };
+  // Live migration mid-flow: collapse the cut (the consumer joins the
+  // producer shard; the buffer is realized there as itself) ...
+  move(prod);
+  EXPECT_EQ(sr.find_channel("buf"), nullptr);
   for (rt::Time t = rt::seconds(1); t <= rt::seconds(2);
        t += rt::milliseconds(100)) {
     group.step_until(t);
   }
-  // ... and re-split it (fresh channel, buffer contents carried over).
-  r.items_moved += sr.migrate_section(cons_sec, cons).items_moved;
+  // ... and re-split it: the same Buffer object carries the cut again.
+  move(cons);
+  EXPECT_EQ(sr.find_channel("buf"), &buf);
   for (rt::Time t = rt::seconds(2); t <= rt::seconds(3);
        t += rt::milliseconds(100)) {
     group.step_until(t);
@@ -402,12 +415,15 @@ TEST(MemLockstep, PooledAndInlineRunsAreBitIdenticalAcrossMigration) {
   const LockstepResult inlined = run_lockstep_scenario(false);
   // The flow delivered real work in both runs...
   EXPECT_GT(pooled.seqs.size(), 100u);
-  EXPECT_GT(pooled.items_moved, 0u);
+  // The cut buffer held items at each migration.
+  ASSERT_EQ(pooled.fill_at_moves.size(), 2u);
+  EXPECT_GT(pooled.fill_at_moves[0], 0u);
+  EXPECT_GT(pooled.fill_at_moves[1], 0u);
   // ... and the representation is a pure storage choice: identical delivery
   // order, identical payloads, identical migration behaviour.
   EXPECT_EQ(pooled.seqs, inlined.seqs);
   EXPECT_EQ(pooled.payload_sum, inlined.payload_sum);
-  EXPECT_EQ(pooled.items_moved, inlined.items_moved);
+  EXPECT_EQ(pooled.fill_at_moves, inlined.fill_at_moves);
   EXPECT_EQ(pooled.eos, inlined.eos);
 }
 

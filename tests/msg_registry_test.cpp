@@ -52,8 +52,6 @@ static_assert(in_band(kIoEof, kIoBandFirst, kIoBandLast));
 static_assert(in_band(kIoReadable, kIoBandFirst, kIoBandLast));
 static_assert(in_band(kIoWritable, kIoBandFirst, kIoBandLast));
 
-static_assert(in_band(kChanData, kShardBandFirst, kShardBandLast));
-static_assert(in_band(kChanSpace, kShardBandFirst, kShardBandLast));
 static_assert(in_band(kRunFn, kShardBandFirst, kShardBandLast));
 
 static_assert(in_band(kReplayStep, kReplayBandFirst, kReplayBandLast));
@@ -73,7 +71,7 @@ TEST(MsgRegistry, AllConstantsAreDistinct) {
       kNetSocketFlush,
       kFeedbackLoopTick, kIoData,          kIoSignal,
       kIoEof,           kIoReadable,       kIoWritable,
-      kChanData,        kChanSpace,        kRunFn,
+      kRunFn,
       kReplayStep,      kReplayMark,       kBalanceScaleUp,
       kBalanceScaleDown, kBalanceApplyPlan,
   };

@@ -29,7 +29,6 @@
 #include "replay/recorder.hpp"
 #include "replay/replayer.hpp"
 #include "replay/trace.hpp"
-#include "shard/channel.hpp"
 #include "shard/shard_group.hpp"
 #include "shard/sharded_realization.hpp"
 
@@ -460,23 +459,23 @@ TEST(HappensBefore, ReadsNeverRaceAndPartialPopsStayPending) {
   EXPECT_FALSE(hb.violations().empty()) << hb.report();
 }
 
-TEST(HappensBefore, LiveShardChannelTrafficIsRaceFreeByConstruction) {
+TEST(HappensBefore, LiveCutBufferTrafficIsRaceFreeByConstruction) {
   HBChecker hb;
   hb.install();
   {
     shard::ShardGroup group(2);
     group.launch();
-    shard::ShardChannel ch("hb.live", 8);
+    Buffer ch("hb.live", 8);
     ch.bind_producer(group.runtime(0), 0);
     ch.bind_consumer(group.runtime(1), 1);
     int obj = 0;
     group.run_on(0, [&] {
       note_shared_access(&obj, true);
       Item x = Item::token(1);
-      ASSERT_TRUE(ch.try_push(x));
+      ASSERT_TRUE(ch.try_put(x));
     });
     group.run_on(1, [&] {
-      ASSERT_TRUE(ch.try_pop().has_value());
+      ASSERT_TRUE(ch.try_take().has_value());
       note_shared_access(&obj, true);
     });
     group.stop();

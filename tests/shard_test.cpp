@@ -1,5 +1,5 @@
-// ip_shard tests: the SPSC channel, the shard group, and whole pipelines
-// realized across kernel threads.
+// ip_shard tests: the buffer ring across kernel threads, the shard group,
+// and whole pipelines realized across kernel threads.
 //
 // Everything here runs under RealClock (shards need a common wall clock) and
 // is written to be TSan-clean: live shard state is only read through
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/infopipes.hpp"
-#include "shard/channel.hpp"
 #include "shard/shard_group.hpp"
 #include "shard/sharded_realization.hpp"
 
@@ -25,14 +24,21 @@ using namespace std::chrono_literals;
 
 // --- the raw ring -----------------------------------------------------------
 
-TEST(ShardChannel, SpscRingAcrossKernelThreads) {
-  shard::ShardChannel ch("ring", 8);
+TEST(BufferRing, SpscRingAcrossKernelThreads) {
+  // Bound to two runtimes, as a cut is: the seq_cst handshake path. The
+  // runtimes never run; the ends are driven by two plain kernel threads.
+  rt::Runtime r0;
+  rt::Runtime r1;
+  Buffer ch("ring", 8);
+  ch.bind_producer(r0, 0);
+  ch.bind_consumer(r1, 1);
+  ASSERT_TRUE(ch.two_runtimes());
   constexpr std::uint64_t kN = 200000;
   std::thread producer([&ch] {
     for (std::uint64_t i = 0; i < kN;) {
       Item x = Item::token();
       x.seq = i;
-      if (ch.try_push(x)) {
+      if (ch.try_put(x)) {
         ++i;
       } else {
         std::this_thread::yield();
@@ -43,7 +49,7 @@ TEST(ShardChannel, SpscRingAcrossKernelThreads) {
   std::uint64_t expect = 0;
   bool ordered = true;
   for (;;) {
-    if (std::optional<Item> x = ch.try_pop()) {
+    if (std::optional<Item> x = ch.try_take()) {
       ordered = ordered && x->seq == expect;
       ++expect;
     } else if (ch.eos() && expect == kN) {
@@ -55,26 +61,39 @@ TEST(ShardChannel, SpscRingAcrossKernelThreads) {
   producer.join();
   EXPECT_TRUE(ordered);
   EXPECT_EQ(expect, kN);
-  const ChannelStats s = ch.stats();
-  EXPECT_EQ(s.flow.puts, kN);
-  EXPECT_EQ(s.flow.takes, kN);
-  EXPECT_EQ(s.flow.fill, 0u);
-  EXPECT_GE(s.flow.max_fill, 1u);
+  const BufferStats s = ch.flow_stats();
+  EXPECT_EQ(s.puts, kN);
+  EXPECT_EQ(s.takes, kN);
+  EXPECT_EQ(s.fill, 0u);
+  EXPECT_GE(s.max_fill, 1u);
 }
 
-TEST(ShardChannel, CapacityBoundsAndForcePushReserve) {
-  shard::ShardChannel ch("small", 2);
-  Item a = Item::token();
-  EXPECT_TRUE(ch.try_push(a));
-  Item b = Item::token();
-  EXPECT_TRUE(ch.try_push(b));
+TEST(BufferRing, CapacityBoundsAndStoppedFlowReserve) {
+  // The reserve is reached the way the flow reaches it: a burst in flight
+  // when its section stops goes past capacity instead of being lost.
+  rt::Runtime rtm;
+  CountingSource src("src", 100);
+  FreeRunningPump pump(PumpSpec{.name = "pump", .max_batch = 3});
+  Buffer ch("small", 2);
+  ClockedPump drain("drain", 1.0);
+  CountingSink sink("sink");
+  auto flow = src >> pump >> ch >> drain >> sink;
+  Realization real(rtm, flow.pipeline());
+  real.start();
+  rtm.run_until(rt::milliseconds(100));
+  ASSERT_EQ(ch.fill(), 2u);  // the pump blocked mid-burst
   Item c = Item::token();
-  EXPECT_FALSE(ch.try_push(c));  // at capacity
-  EXPECT_TRUE(ch.force_push(c)); // overflow reserve takes it
-  EXPECT_EQ(ch.depth(), 3u);
-  EXPECT_TRUE(ch.try_pop().has_value());
+  EXPECT_FALSE(ch.try_put(c));  // at capacity
+  real.stop();
+  rtm.run_until(rt::milliseconds(200));
+  const std::size_t depth = ch.fill();
+  EXPECT_GT(depth, 2u);  // the reserve took the stopped burst's rest
+  EXPECT_TRUE(ch.try_take().has_value());
+  EXPECT_EQ(ch.fill(), depth - 1);
   Item d = Item::token();
-  EXPECT_FALSE(ch.try_push(d));  // still >= capacity
+  EXPECT_FALSE(ch.try_put(d));  // still >= capacity
+  real.shutdown();
+  rtm.run();
 }
 
 // --- the group --------------------------------------------------------------
@@ -160,6 +179,7 @@ TEST(ShardedRealization, TwoShardsPreserveOrderCountAndEos) {
   shard::ShardedRealization sr(group, ch.pipeline());
   ASSERT_EQ(sr.channel_count(), 1u);
   EXPECT_EQ(sr.channel(0).from_shard() == sr.channel(0).to_shard(), false);
+  EXPECT_EQ(&sr.channel(0), &buf);  // the cut is the buffer itself
 
   sr.start();
   ASSERT_TRUE(sr.wait_finished(30000ms));
@@ -305,6 +325,46 @@ TEST(ShardedRealization, StopAndRestartLosesNothing) {
   ASSERT_EQ(sink.seqs.size(), kN);
   for (std::uint64_t i = 0; i < kN; ++i) EXPECT_EQ(sink.seqs[i], i);
   EXPECT_TRUE(sink.eos);
+}
+
+/// FLUSH reaches a buffer wherever its ends run: the consumer end discards
+/// the queue, counts every item as a drop and wakes the blocked producer,
+/// which refills the buffer at once.
+void expect_flush_drops_queue(int shards) {
+  SCOPED_TRACE(shards);
+  CountingSource src{"src", 1000000};
+  FreeRunningPump pump{"pump"};
+  Buffer buf{"buf", 16};
+  ClockedPump drain{"drain", 2.0};
+  EventRecordingSink sink{"sink"};
+  auto ch = src >> pump >> buf >> drain >> sink;
+
+  shard::ShardGroup group(shards);
+  shard::ShardedRealization sr(group, ch.pipeline());
+  ASSERT_EQ(sr.channel_count(), shards == 1 ? 0u : 1u);
+  sr.start();
+  const auto until = [](auto done) {
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+    return done();
+  };
+  // Buffer counters and fill are atomics: readable while the shards run.
+  ASSERT_TRUE(until([&buf] { return buf.fill() == 16; }));
+  const std::uint64_t puts = buf.stats().puts;
+  sr.post_event(Event{kEventFlush});
+  EXPECT_TRUE(until([&buf] { return buf.stats().drops >= 15; }));
+  EXPECT_LE(buf.stats().drops, 16u);
+  EXPECT_TRUE(until([&buf, puts] { return buf.stats().puts >= puts + 15; }));
+  sr.shutdown();
+  ASSERT_TRUE(sr.wait_finished(30000ms));
+  group.stop();
+}
+
+TEST(ShardedRealization, FlushReachesTheBufferOnOneShardOrTwo) {
+  expect_flush_drops_queue(1);
+  expect_flush_drops_queue(2);
 }
 
 TEST(ShardedRealization, ShutdownMidFlowTearsDownCleanly) {
