@@ -52,6 +52,8 @@ void LoadAccountant::sample() {
   // first sample after launch just primes the counters.
   if (group_->running()) {
     for (std::size_t s = 0; s < shards_.size(); ++s) {
+      // A retired shard's EWMA freezes at its last live value.
+      if (!group_->is_live(static_cast<int>(s))) continue;
       rt::Runtime& rtm = group_->runtime(static_cast<int>(s));
       const std::uint64_t busy = rtm.service_busy_ns();
       const std::uint64_t idle = rtm.service_idle_ns();

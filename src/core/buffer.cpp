@@ -1,6 +1,7 @@
 #include "core/buffer.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <new>
 
 #include "core/realization.hpp"
@@ -23,6 +24,13 @@ void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) noexcept {
 
 std::uint64_t read(const std::atomic<std::uint64_t>& c) noexcept {
   return c.load(std::memory_order_relaxed);
+}
+
+/// The order of a waiter's recheck of the positions: seq_cst on a
+/// two-runtime binding (it follows the seq_cst waiter store in the Dekker),
+/// acquire on one runtime.
+constexpr std::memory_order recheck_order(bool cross) noexcept {
+  return cross ? std::memory_order_seq_cst : std::memory_order_acquire;
 }
 
 }  // namespace
@@ -199,7 +207,7 @@ void Buffer::wake(End& e, End& by, bool cross) {
     const rt::ThreadId w = e.waiter.load(std::memory_order_relaxed);
     if (w == rt::kNoThread) return;
     e.waiter.store(rt::kNoThread, std::memory_order_relaxed);
-    // A listed waiter has bound its end (wait() binds an unbound one).
+    // A listed waiter's end is bound (wait() asserts it).
     e.rt.load(std::memory_order_relaxed)->unpark(w);
     return;
   }
@@ -215,9 +223,9 @@ void Buffer::wake(End& e, End& by, bool cross) {
 
 template <typename Ready>
 void Buffer::wait(End& e, HostContext& host, bool cross, Ready ready) {
-  if (e.rt.load(std::memory_order_relaxed) == nullptr) {
-    e.rt.store(&host.runtime(), std::memory_order_relaxed);
-  }
+  // The realization binds both ends before any flow runs; wake() unparks
+  // through the binding.
+  assert(e.rt.load(std::memory_order_relaxed) == &host.runtime());
   const rt::ThreadId me = host.tid();
   if (cross) {
     e.waiter.store(me, std::memory_order_seq_cst);
@@ -226,6 +234,7 @@ void Buffer::wait(End& e, HostContext& host, bool cross, Ready ready) {
   }
   // The Dekker recheck: the other end may have moved, and missed the
   // listing, between the caller's failed attempt and the store above.
+  // `ready` reads the positions seq_cst when `cross` is set.
   if (!ready()) {
     host.await(
         [&] { return e.waiter.load(std::memory_order_acquire) != me; },
@@ -258,6 +267,7 @@ Item Buffer::take(HostContext& host) {
 
 void Buffer::put_span(ItemSpan xs, HostContext& host) {
   const bool cross = two_runtimes();
+  const std::memory_order seen = recheck_order(cross);
   rt::Runtime& rtm = host.runtime();
   const std::size_t n = xs.size();
   std::size_t i = 0;
@@ -326,7 +336,7 @@ void Buffer::put_span(ItemSpan xs, HostContext& host) {
     IP_OBS_TRACE(rtm.tracer(), obs::Hop::kBufferBlock, name().c_str(), 0,
                  static_cast<std::int64_t>(fill()));
     const rt::Time t0 = rtm.now();
-    wait(prod_, host, cross, [&] { return fill() < limit; });
+    wait(prod_, host, cross, [&] { return fill(seen) < limit; });
     block_hist(prod_, rtm)->record(rtm.now() - t0);
     IP_OBS_TRACE(rtm.tracer(), obs::Hop::kBufferUnblock, name().c_str(), 0,
                  static_cast<std::int64_t>(fill()));
@@ -335,6 +345,7 @@ void Buffer::put_span(ItemSpan xs, HostContext& host) {
 
 std::size_t Buffer::take_span(ItemSpan out, HostContext& host) {
   const bool cross = two_runtimes();
+  const std::memory_order seen = recheck_order(cross);
   rt::Runtime& rtm = host.runtime();
   for (;;) {
     std::size_t n = pop(out, cross);
@@ -364,7 +375,7 @@ std::size_t Buffer::take_span(ItemSpan out, HostContext& host) {
     bump(cons_.blocks);
     IP_OBS_TRACE(rtm.tracer(), obs::Hop::kBufferBlock, name().c_str(), 1, 0);
     const rt::Time t0 = rtm.now();
-    wait(cons_, host, cross, [&] { return fill() > 0 || eos(); });
+    wait(cons_, host, cross, [&] { return fill(seen) > 0 || eos(); });
     block_hist(cons_, rtm)->record(rtm.now() - t0);
     IP_OBS_TRACE(rtm.tracer(), obs::Hop::kBufferUnblock, name().c_str(), 1,
                  static_cast<std::int64_t>(fill()));

@@ -26,8 +26,9 @@
 // Only a two-runtime binding pays for the cross-thread handshake, a Dekker
 // pattern on (position, waiter slot): the waiter stores its id and THEN
 // re-checks the ring; the other end moves its position and THEN exchanges
-// the waiter slot. With all four accesses seq_cst one side always observes
-// the other's write, so no wakeup is lost. A one-runtime binding needs no
+// the waiter slot. All four accesses are seq_cst — the recheck reads the
+// positions through fill(seq_cst) and eos() — so one side always observes
+// the other's write and no wakeup is lost. A one-runtime binding needs no
 // such ordering — both ends run on one kernel thread — and uses
 // release/acquire positions and a plain slot update. The binding decides;
 // nothing else selects the handshake.
@@ -83,9 +84,13 @@ class Buffer : public Component {
   /// Queued items. Exact when neither end is mid-operation; any thread may
   /// read it (two atomic loads, head first, so it never underflows).
   [[nodiscard]] std::size_t fill() const noexcept {
-    const std::uint64_t h = head_.load(std::memory_order_acquire);
-    return static_cast<std::size_t>(tail_.load(std::memory_order_acquire) -
-                                    h);
+    return fill(std::memory_order_acquire);
+  }
+  /// The same read with both loads at `order`: a waiter's recheck on a
+  /// two-runtime binding reads seq_cst, its half of the handshake.
+  [[nodiscard]] std::size_t fill(std::memory_order order) const noexcept {
+    const std::uint64_t h = head_.load(order);
+    return static_cast<std::size_t>(tail_.load(order) - h);
   }
   [[nodiscard]] FullPolicy full_policy() const noexcept { return full_; }
   [[nodiscard]] EmptyPolicy empty_policy() const noexcept { return empty_; }

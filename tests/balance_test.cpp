@@ -604,6 +604,32 @@ TEST(Accountant, RuntimeThatNeverParksReadsBusy) {
   group.stop();
 }
 
+TEST(Accountant, RetiredShardKeepsItsLastEstimate) {
+  // A retired runtime's busy/idle split never moves again and it no longer
+  // parks; its EWMA must freeze at the last live value, not read as busy.
+  shard::ShardGroup group(2);
+  group.launch();
+  LoadAccountant acc(group);
+  for (int i = 0; i < 3; ++i) {
+    acc.sample();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  group.retire_shard(1);
+  // A known last estimate: what the live intervals read depends on when the
+  // host thread first parked.
+  for (int i = 0; i < 30; ++i) acc.note_busy_sample(1, 0.2);
+  const double frozen = acc.snapshot().busy[1];
+  EXPECT_LT(frozen, 0.5);
+  for (int i = 0; i < 4; ++i) {
+    acc.sample();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  const LoadSnapshot snap = acc.snapshot();
+  ASSERT_EQ(snap.busy.size(), 2u);
+  EXPECT_EQ(snap.busy[1], frozen);
+  group.stop();
+}
+
 // --- topology ----------------------------------------------------------------
 
 TEST(Topology, ParsesCpulistsAndMapsShards) {

@@ -70,7 +70,8 @@ TEST(BufferRing, SpscRingAcrossKernelThreads) {
 
 TEST(BufferRing, CapacityBoundsAndStoppedFlowReserve) {
   // The reserve is reached the way the flow reaches it: a burst in flight
-  // when its section stops goes past capacity instead of being lost.
+  // when its section stops goes past capacity instead of being lost. One
+  // runtime on the default VirtualClock, so every depth is exact.
   rt::Runtime rtm;
   CountingSource src("src", 100);
   FreeRunningPump pump(PumpSpec{.name = "pump", .max_batch = 3});
@@ -87,7 +88,9 @@ TEST(BufferRing, CapacityBoundsAndStoppedFlowReserve) {
   real.stop();
   rtm.run_until(rt::milliseconds(200));
   const std::size_t depth = ch.fill();
-  EXPECT_GT(depth, 2u);  // the reserve took the stopped burst's rest
+  // The two queued items plus the whole 3-item burst in flight at the stop
+  // (the drain's t=0 take let the first burst finish).
+  EXPECT_EQ(depth, 5u);
   EXPECT_TRUE(ch.try_take().has_value());
   EXPECT_EQ(ch.fill(), depth - 1);
   Item d = Item::token();
@@ -322,6 +325,47 @@ TEST(ShardedRealization, StopAndRestartLosesNothing) {
   group.stop();
   // Every item exactly once, in order — including any item that was in
   // flight into the channel when the stop hit (the overflow-reserve stash).
+  ASSERT_EQ(sink.seqs.size(), kN);
+  for (std::uint64_t i = 0; i < kN; ++i) EXPECT_EQ(sink.seqs[i], i);
+  EXPECT_TRUE(sink.eos);
+}
+
+TEST(BufferRing, CutStoppedFlowReserveIsBoundedAndWaits) {
+  // The same stop on a buffer cut across two shards: the stopped burst
+  // fills the reserve to capacity + 4 and the producer then waits for the
+  // consumer instead of growing the ring under it. Nothing is lost.
+  shard::ShardGroup::GroupOptions opt;
+  opt.clock_factory = [] { return std::make_unique<rt::VirtualClock>(); };
+  opt.manual = true;
+  shard::ShardGroup group(2, std::move(opt));
+  constexpr std::uint64_t kN = 40;
+  CountingSource src("src", kN);
+  FreeRunningPump pump(PumpSpec{.name = "pump", .max_batch = 16});
+  Buffer ch("small", 2);
+  ClockedPump drain("drain", 1.0);
+  EventRecordingSink sink("sink");
+  auto flow = src >> pump >> ch >> drain >> sink;
+  shard::ShardedRealization sr(group, flow.pipeline());
+  ASSERT_TRUE(ch.two_runtimes());
+  sr.start();
+  group.step_until(rt::milliseconds(100));
+  ASSERT_EQ(ch.fill(), 2u);  // the pump blocked mid-burst
+  const std::uint64_t blocks = ch.stats().put_blocks;
+  sr.stop();
+  group.step_until(rt::milliseconds(200));
+  EXPECT_EQ(ch.fill(), ch.capacity() + 4);  // the reserve, and no more
+  EXPECT_EQ(ch.stats().put_blocks, blocks + 1);  // then the producer waits
+  group.step_until(rt::seconds(2));
+  EXPECT_EQ(ch.fill(), ch.capacity() + 4);
+  sr.start();
+  // The restart is dispatched at the next step, so step before polling.
+  for (rt::Time t = rt::seconds(3); t <= rt::seconds(120);
+       t += rt::seconds(1)) {
+    group.step_until(t);
+    EXPECT_LE(ch.fill(), ch.capacity() + 4);
+    if (sr.finished()) break;
+  }
+  ASSERT_TRUE(sr.finished());
   ASSERT_EQ(sink.seqs.size(), kN);
   for (std::uint64_t i = 0; i < kN; ++i) EXPECT_EQ(sink.seqs[i], i);
   EXPECT_TRUE(sink.eos);
