@@ -9,9 +9,11 @@
 //   raw user-level context switch         (Context::switch_to round trip)
 //   scheduled thread switch               (yield to the scheduler's pick)
 //   message send + dispatch               (one rt message)
-//   full coroutine data hand-off          (channel push: 2 messages, one
+//   full coroutine data hand-off          (channel push: 2 wakes, one
 //                                          switch each, what one adapted
 //                                          component costs per item)
+//   the same hand-off in bursts           (one hand-off per platform-chosen
+//                                          burst of up to kBurstCap items)
 //
 // The paper's *shape* to check: switch >> call (about two orders of
 // magnitude), and the hand-off a small multiple of the raw switch.
@@ -140,13 +142,16 @@ BENCHMARK(BM_MessageSendDispatch)->Unit(benchmark::kMicrosecond);
 
 // -- full coroutine hand-off per item ----------------------------------------------
 
-void BM_CoroutineHandoffPerItem(benchmark::State& state) {
+/// src -> pump -> active -> sink, kItems items per iteration: one coroutine
+/// on the push side, fed by a pump with the given burst bound.
+void run_handoff(benchmark::State& state, std::size_t max_batch,
+                 const char* label) {
   for (auto _ : state) {
     state.PauseTiming();
     constexpr std::uint64_t kItems = 2000;
     rt::Runtime rtm;
     CountingSource src("src", kItems);
-    FreeRunningPump pump("pump");
+    FreeRunningPump pump(PumpSpec{.name = "pump", .max_batch = max_batch});
     // Active component: forces exactly one coroutine on the push side.
     LambdaActive noop("noop", [](const auto& pull, const auto& push) {
       for (;;) push(pull());
@@ -158,13 +163,25 @@ void BM_CoroutineHandoffPerItem(benchmark::State& state) {
     state.ResumeTiming();
     rtm.run();
     state.PauseTiming();
-    obsbench::capture(rtm, "BM_CoroutineHandoffPerItem");
+    obsbench::capture(rtm, label);
     state.SetItemsProcessed(state.items_processed() +
                             static_cast<std::int64_t>(kItems));
     state.ResumeTiming();
   }
 }
+
+/// The paper's E1 row: one item per fire, so every item is one hand-off.
+void BM_CoroutineHandoffPerItem(benchmark::State& state) {
+  run_handoff(state, 1, "BM_CoroutineHandoffPerItem");
+}
 BENCHMARK(BM_CoroutineHandoffPerItem)->Unit(benchmark::kMicrosecond);
+
+/// The same pipeline with the platform choosing the burst: one hand-off
+/// carries up to kBurstCap items.
+void BM_CoroutineHandoffBurst(benchmark::State& state) {
+  run_handoff(state, 0, "BM_CoroutineHandoffBurst");
+}
+BENCHMARK(BM_CoroutineHandoffBurst)->Unit(benchmark::kMicrosecond);
 
 // -- the same pipeline with zero coroutines (direct calls) --------------------------
 
@@ -174,7 +191,8 @@ void BM_DirectCallPipelinePerItem(benchmark::State& state) {
     constexpr std::uint64_t kItems = 2000;
     rt::Runtime rtm;
     CountingSource src("src", kItems);
-    FreeRunningPump pump("pump");
+    // One item per fire, like the per-item hand-off row it is compared to.
+    FreeRunningPump pump(PumpSpec{.name = "pump", .max_batch = 1});
     IdentityFunction noop("noop");  // function style: direct call
     CountingSink sink("sink");
     auto ch = src >> pump >> noop >> sink;

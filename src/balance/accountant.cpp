@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 namespace infopipe::balance {
 
@@ -56,11 +57,20 @@ void LoadAccountant::sample() {
       if (!group_->is_live(static_cast<int>(s))) continue;
       rt::Runtime& rtm = group_->runtime(static_cast<int>(s));
       const std::uint64_t busy = rtm.service_busy_ns();
-      const std::uint64_t idle = rtm.service_idle_ns();
+      std::uint64_t idle = rtm.service_idle_ns();
+      // A park in progress counted its busy time at entry but adds its idle
+      // time only at exit: the time parked so far is idle too.
+      if (const std::optional<rt::Time> since = rtm.parked_since()) {
+        const rt::Time t = rtm.now();
+        if (t > *since) idle += static_cast<std::uint64_t>(t - *since);
+      }
       ShardAcc& acc = shards_[s];
       if (acc.primed) {
+        // A park that ends between the reads above may make the idle sum
+        // run ahead by a moment; the next interval then reads no idle time
+        // instead of a negative one.
         const std::uint64_t dbusy = busy - acc.busy_ns;
-        const std::uint64_t didle = idle - acc.idle_ns;
+        const std::uint64_t didle = idle > acc.idle_ns ? idle - acc.idle_ns : 0;
         if (dbusy + didle > 0) {
           ewma_update(acc, static_cast<double>(dbusy) /
                                static_cast<double>(dbusy + didle));
@@ -72,7 +82,7 @@ void LoadAccountant::sample() {
         }
       }
       acc.busy_ns = busy;
-      acc.idle_ns = idle;
+      acc.idle_ns = std::max(acc.idle_ns, idle);
       acc.primed = true;
     }
   }

@@ -266,6 +266,14 @@ Item Buffer::take(HostContext& host) {
 }
 
 void Buffer::put_span(ItemSpan xs, HostContext& host) {
+  // What a stopped burst left with the buffer goes in first, and this
+  // burst queues behind it.
+  std::vector<Item> pending;
+  if (!stash_.empty()) {
+    pending.swap(stash_);
+    for (Item& x : xs) pending.push_back(std::move(x));
+    xs = ItemSpan(pending);
+  }
   const bool cross = two_runtimes();
   const std::memory_order seen = recheck_order(cross);
   rt::Runtime& rtm = host.runtime();
@@ -319,8 +327,7 @@ void Buffer::put_span(ItemSpan xs, HostContext& host) {
       // The section was stopped while this thread was blocked in the push.
       // The burst is already in flight — dropping it would lose data across
       // a stop/restart — so it goes into the reserve; the drain recovers on
-      // restart. One runtime grows the ring when the reserve is short; two
-      // wait for the consumer to make room.
+      // restart. One runtime grows the ring when the reserve is short.
       if (const std::size_t moved = push(xs.subspan(i), n_slots_, cross)) {
         wake(cons_, prod_, cross);
         i += moved;
@@ -330,6 +337,12 @@ void Buffer::put_span(ItemSpan xs, HostContext& host) {
         resize_ring(2 * n_slots_, ring_node());
         continue;
       }
+      // Two runtimes: the ring cannot grow under a running consumer. The
+      // rest of the burst becomes the buffer's before this thread waits,
+      // so a teardown of the stopped section (a migration) that kills it
+      // loses nothing; the next put_span moves it in first.
+      for (Item& x : xs.subspan(i)) stash_.push_back(std::move(x));
+      i = n;
       limit = n_slots_;
     }
     bump(prod_.blocks);

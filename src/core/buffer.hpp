@@ -43,6 +43,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "core/component.hpp"
 #include "core/introspect.hpp"
@@ -133,7 +134,10 @@ class Buffer : public Component {
   /// space (one put_blocks tick per wait), or, when the flow was stopped
   /// meanwhile, moves the burst into the reserve. Items of `xs` that are
   /// dropped are reset to nil at the drop, so their payloads die there and
-  /// not with the caller's span.
+  /// not with the caller's span. On a two-runtime binding a stopped burst
+  /// that overruns the reserve is stashed by the producer end before it
+  /// waits, so a migration that tears the stopped section down loses
+  /// nothing; the next put_span moves the stash in ahead of its own burst.
   void put_span(ItemSpan xs, HostContext& host);
 
   /// Move up to out.size() queued items into `out` and return how many,
@@ -265,6 +269,9 @@ class Buffer : public Component {
   alignas(64) std::atomic<std::uint64_t> tail_{0};  ///< next put position
   std::atomic<std::uint64_t> max_fill_{0};
   End prod_;
+  /// Producer end only: the rest of a stopped burst on a two-runtime
+  /// binding, in order, ahead of any later put.
+  std::vector<Item> stash_;
 };
 
 }  // namespace infopipe

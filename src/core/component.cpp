@@ -105,17 +105,6 @@ void Component::control_upstream(const Event& e, int in_port) {
       *upstream_neighbor_[static_cast<std::size_t>(in_port)], e);
 }
 
-void Component::control_downstream(const Event& e, int out_port) {
-  if (realization_ == nullptr ||
-      out_port >= static_cast<int>(downstream_neighbor_.size()) ||
-      downstream_neighbor_[static_cast<std::size_t>(out_port)] == nullptr) {
-    throw NotWired(name() + ": no downstream neighbor on port " +
-                   std::to_string(out_port));
-  }
-  realization_->post_event_to(
-      *downstream_neighbor_[static_cast<std::size_t>(out_port)], e);
-}
-
 void Component::broadcast(const Event& e) {
   if (realization_ == nullptr) {
     throw NotWired(name() + ": not part of a realized pipeline");

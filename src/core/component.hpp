@@ -56,13 +56,15 @@ enum class Style {
 /// upstream is empty under the nil policy; end-of-stream is reported by
 /// throwing EndOfStream. Every link is a span link: a per-item style adapts
 /// at its own edge (a Consumer is handed a burst one item at a time, a
-/// Producer or coroutine answers a pull with one item).
+/// Producer answers a pull with one item), and a coroutine takes a whole
+/// span in one hand-off.
 using PushSpanFn = std::function<void(ItemSpan)>;
 using PullSpanFn = std::function<std::size_t(ItemSpan)>;
 
 /// The per-item links behind push_next() / pull_prev() in component code:
-/// one-item spans over the links above, or a coroutine's channel. Pull
-/// links throw EndOfStream when the flow has ended.
+/// one-item spans over the links above, or a coroutine's slot (items taken
+/// from the span in hand, outputs gathered into the next). Pull links throw
+/// EndOfStream when the flow has ended.
 using PushFn = std::function<void(Item)>;
 using PullFn = std::function<Item()>;
 
@@ -149,9 +151,9 @@ class Component {
   // -- helpers available to component code once realized ------------------------
  protected:
   /// Sends a control event to the adjacent component connected to the given
-  /// port (local control interaction, e.g. display → resizer window size).
+  /// input port (local control interaction, e.g. display → resizer window
+  /// size).
   void control_upstream(const Event& e, int in_port = 0);
-  void control_downstream(const Event& e, int out_port = 0);
   /// Broadcasts a control event to every component of the pipeline through
   /// the platform's event service.
   void broadcast(const Event& e);
@@ -179,9 +181,8 @@ class Component {
   /// Serializes access when the component sits in a shared (merge/balance)
   /// region; nullptr otherwise.
   class SectionLock* shared_lock_ = nullptr;
-  /// Adjacent components, filled in at realization (for local control).
+  /// Upstream neighbours, filled in at realization (for local control).
   std::vector<Component*> upstream_neighbor_;
-  std::vector<Component*> downstream_neighbor_;
 };
 
 // ---- The four mid-pipeline activity styles (§3.3) -----------------------------

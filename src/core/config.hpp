@@ -1,8 +1,8 @@
 // Process-wide platform configuration (ipcore).
 //
 // The platform, not the programmer, picks every mechanism: payload
-// representation by payload type and size, batched movement by each
-// Driver's max_batch, shared session engines, elastic topology and the
+// representation by payload type and size, the burst a free-running pump
+// moves by what is ready, shared session engines, elastic topology and the
 // replay taps are always on. What is left to set is the one value that
 // changes which schedules are explored, never what a pipeline delivers.
 #pragma once

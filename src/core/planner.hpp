@@ -22,8 +22,8 @@
 // Batching (PumpSpec::max_batch, ARCHITECTURE §15) is orthogonal to
 // everything decided here: spans ride the same sections, drivers and
 // coroutine assignments, every link the wiring builds is a span link, and
-// the burst size is the driver's max_batch at run time, never in the Plan.
-// A batched pump plans identically to a per-item one.
+// the burst size is the driver's choice at run time (bounded by max_batch),
+// never in the Plan. A batched pump plans identically to a per-item one.
 #pragma once
 
 #include <map>

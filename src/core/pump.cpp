@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/buffer.hpp"
 #include "core/realization.hpp"
 
 namespace infopipe {
@@ -33,8 +34,9 @@ void Driver::push_next_span(ItemSpan xs) {
 
 ItemSpan Driver::pull_burst() {
   if (!pull_link_) throw NotWired(name() + ": pull side not wired");
-  if (batch_.size() < max_batch_) batch_.resize(max_batch_);
-  ItemSpan scratch(batch_.data(), max_batch_);
+  const std::size_t room = burst_room();
+  if (batch_.size() < room) batch_.resize(room);
+  ItemSpan scratch(batch_.data(), room);
   return admit(scratch.first(pull_link_(scratch)));
 }
 
@@ -83,6 +85,15 @@ rt::Time ClockedPump::next_fire(rt::Time now) {
 
 FreeRunningPump::FreeRunningPump(std::string name, rt::Priority priority)
     : Pump(std::move(name), priority) {}
+
+std::size_t FreeRunningPump::burst_room() const {
+  if (max_batch() != 0) return max_batch();
+  const Buffer* b = downstream_buffer();
+  if (b == nullptr) return kBurstCap;
+  const std::size_t fill = b->fill();
+  const std::size_t space = fill < b->capacity() ? b->capacity() - fill : 0;
+  return std::clamp<std::size_t>(space, 1, kBurstCap);
+}
 
 AdaptivePump::AdaptivePump(std::string name, double initial_rate_hz,
                            rt::Priority priority)

@@ -27,24 +27,34 @@
 
 namespace infopipe {
 
+class Buffer;
+
+/// The most items a fire moves when the platform picks the burst size, and
+/// the most a coroutine gathers or takes for one hand-off. A constant: the
+/// platform bounds its bursts by what is ready, not by a tuning knob.
+inline constexpr std::size_t kBurstCap = 64;
+
 /// Everything that parameterizes a pump in one value. The named
-/// constructors still exist; the spec form is how batch-aware pumps are
+/// constructors still exist; the spec form is how a burst bound is
 /// declared:
 ///
 ///     FreeRunningPump mover(PumpSpec{.name = "mover", .max_batch = 32});
 ///
-/// `max_batch` bounds how many items one fire may move. Every fire goes
-/// through the same span links; 1 (the default) moves one-item spans, the
-/// per-item reference every batched flow is compared against. Per-item
-/// members (consumers, producers, coroutines, tees) take a burst one item
-/// at a time at their own edge. Clock-driven pumps default to 1
-/// deliberately — bursting a clocked pump changes its rate semantics, so
-/// opting in is an explicit per-pump decision.
+/// `max_batch` bounds how many items one fire may move. Left at 0, the
+/// platform chooses: a free-running pump moves what is ready in one fire —
+/// the least of the upstream fill, the downstream buffer's space and
+/// kBurstCap — while clock-driven and adaptive pumps move one item per
+/// fire, because their rate is their meaning. An explicit value is an
+/// upper bound (a pump moves at most what the upstream has ready); 1 is
+/// the per-item reference every burst is compared against. Every fire goes
+/// through the same span links; per-item members (consumers, producers,
+/// tees) take a burst one item at a time at their own edge, and a
+/// coroutine takes the whole span in one hand-off.
 struct PumpSpec {
   std::string name;
   double rate_hz = 0.0;  ///< required by clocked/adaptive pumps, else unused
   rt::Priority priority = rt::kPriorityData;
-  std::size_t max_batch = 1;
+  std::size_t max_batch = 0;  ///< 0: the platform chooses
 };
 
 /// Base for all components that own a thread and drive a pipeline section.
@@ -87,18 +97,17 @@ class Driver : public Component {
   void set_nil_policy(NilPolicy p) noexcept { nil_policy_ = p; }
   [[nodiscard]] NilPolicy nil_policy() const noexcept { return nil_policy_; }
 
-  /// Upper bound on items moved per fire (PumpSpec::max_batch); 1 moves
-  /// one item per fire.
-  void set_max_batch(std::size_t n) noexcept { max_batch_ = n == 0 ? 1 : n; }
+  /// The declared bound on items moved per fire (PumpSpec::max_batch);
+  /// 0 when the platform chooses.
   [[nodiscard]] std::size_t max_batch() const noexcept { return max_batch_; }
 
  protected:
   Driver(std::string name, rt::Priority priority)
       : Component(std::move(name)), priority_(priority) {}
   explicit Driver(const PumpSpec& spec)
-      : Component(spec.name), priority_(spec.priority) {
-    set_max_batch(spec.max_batch);
-  }
+      : Component(spec.name),
+        priority_(spec.priority),
+        max_batch_(spec.max_batch) {}
 
   // -- the driver protocol, executed on the driver's thread -------------------
 
@@ -110,9 +119,22 @@ class Driver : public Component {
   /// events.
   [[nodiscard]] virtual rt::Time next_fire(rt::Time now) = 0;
 
-  /// One fire: move up to max_batch() items. Implemented by the driver kind
-  /// (pump / source / sink); throws EndOfStream to end the flow.
+  /// One fire: move up to burst_room() items. Implemented by the driver
+  /// kind (pump / source / sink); throws EndOfStream to end the flow.
   virtual void cycle() = 0;
+
+  /// The most items the next fire may move: max_batch() when declared, else
+  /// one. A free-running pump chooses more (FreeRunningPump).
+  [[nodiscard]] virtual std::size_t burst_room() const {
+    return max_batch_ == 0 ? 1 : max_batch_;
+  }
+
+  /// The buffer this driver's pushes reach through filters and push-mode
+  /// coroutines, if any (set at realization): its space bounds a
+  /// platform-chosen burst.
+  [[nodiscard]] const Buffer* downstream_buffer() const noexcept {
+    return downstream_;
+  }
 
   /// Observation hook: every item that passes through. Feedback pumps use
   /// this to measure.
@@ -122,7 +144,7 @@ class Driver : public Component {
   [[nodiscard]] Item pull_prev();
   void push_next(Item x);
 
-  /// One fire's upstream burst: pulls up to max_batch() items into the
+  /// One fire's upstream burst: pulls up to burst_room() items into the
   /// driver's scratch and admit()s them. EndOfStream from the pull link
   /// propagates — an EOS ends a flow between bursts, never inside one.
   [[nodiscard]] ItemSpan pull_burst();
@@ -144,7 +166,8 @@ class Driver : public Component {
   rt::Priority priority_;
   NilPolicy nil_policy_ = NilPolicy::kSkipCycle;
   rt::Time cost_estimate_ = 0;
-  std::size_t max_batch_ = 1;
+  std::size_t max_batch_ = 0;
+  const Buffer* downstream_ = nullptr;
   PullSpanFn pull_link_;
   PushSpanFn push_link_;
   std::vector<Item> batch_;
@@ -168,9 +191,10 @@ class ClockedPump : public Pump {
  public:
   ClockedPump(std::string name, double rate_hz,
               rt::Priority priority = rt::kPriorityTimer);
-  /// Spec form; spec.rate_hz must be positive. A clocked pump with
-  /// max_batch > 1 drains a burst per tick — an explicit trade of rate
-  /// smoothness for throughput (see PumpSpec).
+  /// Spec form; spec.rate_hz must be positive. A clocked pump moves one
+  /// item per tick unless max_batch is declared; then it drains up to that
+  /// many per tick — an explicit trade of rate smoothness for throughput
+  /// (see PumpSpec).
   explicit ClockedPump(const PumpSpec& spec);
 
   [[nodiscard]] double rate_hz() const noexcept { return rate_hz_; }
@@ -198,6 +222,11 @@ class FreeRunningPump : public Pump {
 
  protected:
   [[nodiscard]] rt::Time next_fire(rt::Time now) override { return now; }
+  /// Undeclared, the burst is what is ready: at most kBurstCap and the
+  /// downstream buffer's space (at least one item, which then blocks like
+  /// any push into a full buffer); the pull takes no more than the
+  /// upstream holds.
+  [[nodiscard]] std::size_t burst_room() const override;
 };
 
 /// Pump whose rate is adjusted while the pipeline runs — the building block

@@ -133,12 +133,13 @@ void SectionLock::release(HostContext& h) {
 // ===================== coroutine channel protocol ============================
 //
 // Requester side: a thread that treats the coroutine like a passive
-// component. push() hands an item over and returns when the coroutine next
-// asks for input ("the activity travels with the data"); pull() asks for one
-// item and blocks until it is delivered. Both write the coroutine's slot and
-// unpark it; an idle coroutine (main not on its stack) is started by an
-// activation message instead. Both stay responsive to control events via
-// HostContext::await.
+// component. push() hands a whole span over and returns when the coroutine
+// asks for input past its end ("the activity travels with the data");
+// pull() hands over a room and blocks until the coroutine hands it back
+// filled. Both write the coroutine's slot and unpark it; an idle coroutine
+// (main not on its stack) is started by an activation message instead.
+// Either side waits only at a burst boundary, through HostContext::await,
+// so that is where control events reach a coroutine (§3.2).
 
 namespace {
 
@@ -153,57 +154,90 @@ void co_wake(rt::Runtime& rtm, CoroutineRec& rec, int activation) {
   }
 }
 
-void channel_push(Realization& R, CoroutineRec& rec, Item x) {
+void note_handoff(Realization& R, rt::Runtime& rtm, rt::Time t0) {
+  Realization::ObsHooks& ob = R.obs_hooks();
+  ob.handoffs->inc();
+  ob.handoff_ns->record(rtm.now() - t0);
+}
+
+void channel_push(Realization& R, CoroutineRec& rec, ItemSpan xs) {
   HostContext& h = R.current_host();
   rt::Runtime& rtm = h.runtime();
   const rt::Time t0 = rtm.now();
-  rec.item = std::move(x);
-  rec.full = true;
+  rec.span = xs;
+  rec.pos = 0;
   rec.done = false;
   rec.requester = h.tid();
   co_wake(rtm, rec, detail::kMsgCoItem);
   h.await([&rec] { return rec.done; });
-  Realization::ObsHooks& ob = R.obs_hooks();
-  ob.handoffs->inc();
-  ob.handoff_ns->record(rtm.now() - t0);
+  note_handoff(R, rtm, t0);
   IP_OBS_TRACE(rtm.tracer(), obs::Hop::kHandOff, "co.push",
                static_cast<std::int64_t>(rec.tid));
 }
 
-Item channel_pull(Realization& R, CoroutineRec& rec) {
+std::size_t channel_pull(Realization& R, CoroutineRec& rec, ItemSpan room) {
   HostContext& h = R.current_host();
   rt::Runtime& rtm = h.runtime();
   const rt::Time t0 = rtm.now();
+  rec.span = room;
+  rec.pos = 0;
   rec.want = true;
   rec.requester = h.tid();
   co_wake(rtm, rec, detail::kMsgCoPull);
   h.await([&rec] { return rec.full; });
   rec.full = false;
-  Realization::ObsHooks& ob = R.obs_hooks();
-  ob.handoffs->inc();
-  ob.handoff_ns->record(rtm.now() - t0);
+  note_handoff(R, rtm, t0);
   IP_OBS_TRACE(rtm.tracer(), obs::Hop::kHandOff, "co.pull",
                static_cast<std::int64_t>(rec.tid));
-  return std::move(rec.item);
+  return rec.pos;
 }
 
-// Coroutine side, push direction: release the pusher of the item taken
-// last — that is the moment its push() returns.
+// Coroutine side, push direction: the gathered outputs leave as one span.
+void co_flush(CoroutineRec& rec) {
+  if (rec.scratch.empty()) return;
+  struct Clear {
+    std::vector<Item>& v;
+    ~Clear() { v.clear(); }  // moved-from, or dead with a shutdown
+  } clear{rec.scratch};
+  rec.downstream(ItemSpan(rec.scratch));
+}
+
+// Coroutine side, push direction: one output joins the gathered span. A
+// span of kBurstCap leaves at once; end-of-stream leaves alone, after it.
+void co_emit(CoroutineRec& rec, Item y) {
+  if (y.is_eos()) {
+    co_flush(rec);
+    rec.downstream(ItemSpan(&y, 1));
+    return;
+  }
+  rec.scratch.push_back(std::move(y));
+  if (rec.scratch.size() == kBurstCap) co_flush(rec);
+}
+
+// Coroutine side, push direction: release the pusher — that is the moment
+// its push() returns.
 void co_release_pusher(rt::Runtime& rtm, CoroutineRec& rec) {
-  if (rec.done || rec.full) return;
+  if (rec.done) return;
   rec.done = true;
+  rec.span = {};
+  rec.pos = 0;
   rtm.unpark(rec.requester);
 }
 
-// Coroutine side, push direction: fetch the next input item. The coroutine
-// runs the item under the constraint its pusher handed over (§4).
+// Coroutine side, push direction: the next input item, taken from the
+// pusher's span without a switch. Past the span's end, the outputs it
+// produced go downstream, the pusher is released and the next span is
+// awaited. The coroutine runs the span under the constraint its pusher
+// handed over (§4).
 Item co_get_input(Realization& R, CoroutineRec& rec) {
   HostContext& h = R.current_host();
-  co_release_pusher(h.runtime(), rec);
-  h.await([&rec] { return rec.full; });
-  rec.full = false;
-  h.runtime().set_active_constraint(rec.constraint);
-  Item x = std::move(rec.item);
+  if (rec.pos == rec.span.size()) {
+    co_flush(rec);
+    co_release_pusher(h.runtime(), rec);
+    h.await([&rec] { return !rec.done; });
+  }
+  if (rec.pos == 0) h.runtime().set_active_constraint(rec.constraint);
+  Item x = std::move(rec.span[rec.pos++]);
   if (x.is_eos()) {
     rec.finished = true;
     throw EndOfStream{};
@@ -211,20 +245,18 @@ Item co_get_input(Realization& R, CoroutineRec& rec) {
   return x;
 }
 
-// Coroutine side: main is returning (loop end / EOS); release the pusher.
-// An input main never took is dropped, so the pusher is not left waiting.
-// A push arriving from here on starts main again (or, once finished, is
-// answered by coroutine_code).
+// Coroutine side: main is returning (loop end / EOS); what it gathered goes
+// downstream and the pusher is released. Inputs main never took are
+// dropped, so the pusher is not left waiting. A push arriving from here on
+// starts main again (or, once finished, is answered by coroutine_code).
 void co_final_done(Realization& R, CoroutineRec& rec) {
+  co_flush(rec);
   rec.running = false;
-  if (rec.full) {
-    rec.full = false;
-    rec.item = Item();
-  }
+  for (Item& x : rec.span.subspan(rec.pos)) x = Item();
   co_release_pusher(R.current_host().runtime(), rec);
 }
 
-// Coroutine side, pull direction: block until somebody wants an item, and
+// Coroutine side, pull direction: block until a room is handed over, and
 // run on behalf of that requester's constraint.
 void co_need_pull(Realization& R, CoroutineRec& rec) {
   HostContext& h = R.current_host();
@@ -232,17 +264,57 @@ void co_need_pull(Realization& R, CoroutineRec& rec) {
   h.runtime().set_active_constraint(rec.constraint);
 }
 
-// Coroutine side, pull direction: deliver one output item. If nobody asked
-// yet, wait for the next pull — activity travels with the data, no implicit
-// buffering (§3.3). The last delivery of a main marks it stopped first, so
-// a pull arriving from then on starts main again.
-void co_deliver(Realization& R, CoroutineRec& rec, Item y, bool last = false) {
-  co_need_pull(R, rec);
+// Coroutine side, pull direction: the room goes back to its requester. The
+// last hand-back of a main marks it stopped first, so a pull arriving from
+// then on starts main again.
+void co_hand_back(Realization& R, CoroutineRec& rec, bool last = false) {
   if (last) rec.running = false;
-  rec.item = std::move(y);
-  rec.full = true;
   rec.want = false;
+  rec.full = true;
   R.current_host().runtime().unpark(rec.requester);
+}
+
+// Coroutine side, pull direction: the burst ends before the coroutine could
+// block, so the items filled so far go back.
+void co_end_burst(Realization& R, CoroutineRec& rec) {
+  if (rec.want && rec.pos > 0) co_hand_back(R, rec);
+}
+
+// Coroutine side, pull direction: one output into the room. If nobody asked
+// yet, wait for the next pull — activity travels with the data, no implicit
+// buffering (§3.3). A full room goes back at once; nil and EOS travel alone.
+void co_deliver(Realization& R, CoroutineRec& rec, Item y, bool last = false) {
+  const bool alone = !y.is_data();
+  if (alone) co_end_burst(R, rec);
+  if (!rec.want) co_need_pull(R, rec);
+  rec.span[rec.pos++] = std::move(y);
+  if (alone || rec.pos == rec.span.size()) co_hand_back(R, rec, last);
+}
+
+// Coroutine side, pull direction: the next input item. Past the last one
+// taken, the burst ends, and one upstream take of at most the room left
+// (and kBurstCap) waits for demand first. EndOfStream and StopFlow from
+// upstream propagate.
+Item co_pull_input(Realization& R, CoroutineRec& rec) {
+  if (rec.next == rec.taken) {
+    co_end_burst(R, rec);
+    co_need_pull(R, rec);
+    const std::size_t m = std::min(rec.span.size() - rec.pos, kBurstCap);
+    if (rec.scratch.size() < m) rec.scratch.resize(m);
+    rec.next = 0;
+    rec.taken = 0;
+    rec.taken = rec.upstream(ItemSpan(rec.scratch.data(), m));
+  }
+  return std::move(rec.scratch[rec.next++]);
+}
+
+// Coroutine side, pull direction: main is leaving without end-of-stream
+// (STOP): a requester stuck in its pull gets the items filled so far, or a
+// nil.
+void co_leave(Realization& R, CoroutineRec& rec) {
+  if (!rec.want) return;
+  if (rec.pos == 0) rec.span[rec.pos++] = Item::nil();
+  co_hand_back(R, rec, /*last=*/true);
 }
 
 }  // namespace
@@ -293,6 +365,7 @@ class Wiring {
       reg(*d, h, nullptr);
       if (d->out_port_count() > 0) {
         d->push_link_ = build_push(pipe.edge_from(*d, 0), h, nullptr);
+        d->downstream_ = buffer_downstream(pipe.edge_from(*d, 0));
       }
       if (d->in_port_count() > 0) {
         d->pull_link_ = build_pull(pipe.edge_into(*d, 0), h, nullptr);
@@ -308,6 +381,24 @@ class Wiring {
     R.host_of_comp_[&c] = h.tid();
     h.hosted_.push_back(&c);
     c.shared_lock_ = lock;
+  }
+
+  /// The buffer a push along `e` reaches through filters and push-mode
+  /// coroutines, or nullptr (a sink, a tee, a pull-mode member).
+  const Buffer* buffer_downstream(const Edge* e) const {
+    for (; e != nullptr; e = pipe.edge_from(*e->to, 0)) {
+      switch (e->to->style()) {
+        case Style::kBuffer:
+          return static_cast<const Buffer*>(e->to);
+        case Style::kFunction:
+        case Style::kProducer:
+        case Style::kActive:
+          continue;
+        default:
+          return nullptr;
+      }
+    }
+    return nullptr;
   }
 
   /// The shared region behind a merge or balancing tee, created empty; the
@@ -584,25 +675,26 @@ class Wiring {
     return SpawnedCoroutine{rec, &ch};
   }
 
-  /// Producer or active object used in push mode: inputs arrive over the
-  /// channel one item at a time, outputs continue down the chain on the
-  /// coroutine's thread as one-item spans.
+  /// Producer or active object used in push mode: each input span arrives
+  /// in one hand-off and is taken item by item; the outputs are gathered
+  /// and continue down the chain on the coroutine's thread as one span.
   PushSpanFn make_push_coroutine(Component& c) {
     SpawnedCoroutine sc = spawn_coroutine(c);
     CoroutineRec* rec = sc.rec;
     Realization* Rp = &R;
-    PushFn inner =
-        one_item(build_push(pipe.edge_from(c, 0), *sc.host, nullptr));
+    rec->downstream = build_push(pipe.edge_from(c, 0), *sc.host, nullptr);
+    PullFn input = [Rp, rec]() { return co_get_input(*Rp, *rec); };
+    PushFn output = [rec](Item y) { co_emit(*rec, std::move(y)); };
 
     if (auto* a = dynamic_cast<ActiveComponent*>(&c)) {
-      a->pull_link_ = [Rp, rec]() { return co_get_input(*Rp, *rec); };
-      a->push_link_ = inner;
-      rec->main = [Rp, rec, a, inner]() {
+      a->pull_link_ = input;
+      a->push_link_ = output;
+      rec->main = [Rp, rec, a]() {
         try {
           a->run();
         } catch (EndOfStream&) {
           a->flush();
-          inner(Item::eos());
+          co_emit(*rec, Item::eos());
         } catch (StopFlow&) {
           // section stopped while blocked in a buffer: pause cleanly
         }
@@ -610,17 +702,14 @@ class Wiring {
       };
     } else {
       auto* p = static_cast<Producer*>(&c);
-      p->pull_link_ = [Rp, rec]() { return co_get_input(*Rp, *rec); };
+      p->pull_link_ = input;
       // Figure 7a: while (running) { x = this->pull(); next->push(x); }
-      rec->main = [Rp, rec, p, inner]() {
+      rec->main = [Rp, rec, p]() {
         try {
-          for (;;) {
-            Item y = p->pull();
-            inner(std::move(y));
-          }
+          for (;;) co_emit(*rec, p->pull());
         } catch (EndOfStream&) {
           p->flush();
-          inner(Item::eos());
+          co_emit(*rec, Item::eos());
         } catch (StopFlow&) {
         }
         co_final_done(*Rp, *rec);
@@ -629,50 +718,46 @@ class Wiring {
 
     auto done = std::make_shared<bool>(false);
     return [Rp, rec, done](ItemSpan xs) {
-      for (Item& x : xs) {
-        if (*done) return;
-        const bool eos = x.is_eos();
-        channel_push(*Rp, *rec, std::move(x));
-        if (eos) *done = true;
-      }
+      if (*done) return;
+      channel_push(*Rp, *rec, xs);
+      if (lone_eos(xs)) *done = true;
     };
   }
 
-  /// Consumer or active object used in pull mode: pulls propagate upstream
-  /// on the coroutine's thread, outputs are delivered over the channel one
-  /// item per pull.
+  /// Consumer or active object used in pull mode: each pull hands over a
+  /// room, the coroutine fills it from one upstream take on its own thread
+  /// and hands it back in one hand-off.
   PullSpanFn make_pull_coroutine(Component& c) {
     SpawnedCoroutine sc = spawn_coroutine(c);
     CoroutineRec* rec = sc.rec;
     Realization* Rp = &R;
-    PullFn upstream =
-        one_item(build_pull(pipe.edge_into(c, 0), *sc.host, nullptr));
+    rec->upstream = build_pull(pipe.edge_into(c, 0), *sc.host, nullptr);
+    PushFn output = [Rp, rec](Item y) { co_deliver(*Rp, *rec, std::move(y)); };
 
     if (auto* a = dynamic_cast<ActiveComponent*>(&c)) {
-      a->pull_link_ = upstream;
-      a->push_link_ = [Rp, rec](Item y) { co_deliver(*Rp, *rec, std::move(y)); };
+      a->pull_link_ = [Rp, rec]() { return co_pull_input(*Rp, *rec); };
+      a->push_link_ = output;
       rec->main = [Rp, rec, a]() {
         try {
           a->run();
-          // run() returned (STOP): release a requester stuck in pull.
-          if (rec->want) co_deliver(*Rp, *rec, Item::nil(), true);
+          co_leave(*Rp, *rec);  // run() returned (STOP)
         } catch (EndOfStream&) {
           a->flush();
           rec->finished = true;
           co_deliver(*Rp, *rec, Item::eos(), true);
         } catch (StopFlow&) {
-          if (rec->want) co_deliver(*Rp, *rec, Item::nil(), true);
+          co_leave(*Rp, *rec);
         }
       };
     } else {
       auto* k = static_cast<Consumer*>(&c);
-      k->push_link_ = [Rp, rec](Item y) { co_deliver(*Rp, *rec, std::move(y)); };
+      k->push_link_ = output;
       // Figure 7b: while (running) { x = prev->pull(); this->push(x); }
-      rec->main = [Rp, rec, k, upstream]() {
+      rec->main = [Rp, rec, k]() {
         try {
           for (;;) {
-            co_need_pull(*Rp, *rec);  // no upstream pull before demand
-            Item x = upstream();
+            // No upstream pull before demand.
+            Item x = co_pull_input(*Rp, *rec);
             if (x.is_nil()) {
               co_deliver(*Rp, *rec, std::move(x));
               continue;
@@ -684,7 +769,7 @@ class Wiring {
           rec->finished = true;
           co_deliver(*Rp, *rec, Item::eos(), true);
         } catch (StopFlow&) {
-          if (rec->want) co_deliver(*Rp, *rec, Item::nil(), true);
+          co_leave(*Rp, *rec);
         }
       };
     }
@@ -692,13 +777,12 @@ class Wiring {
     auto done = std::make_shared<bool>(false);
     return [Rp, rec, done](ItemSpan out) -> std::size_t {
       if (*done) throw EndOfStream{};
-      Item x = channel_pull(*Rp, *rec);
-      if (x.is_eos()) {
+      const std::size_t n = channel_pull(*Rp, *rec, out);
+      if (lone_eos(out.first(n))) {
         *done = true;
         throw EndOfStream{};
       }
-      out[0] = std::move(x);
-      return 1;
+      return n;
     };
   }
 
@@ -724,12 +808,9 @@ Realization::Realization(rt::Runtime& rt, const Pipeline& p)
     c->shared_lock_ = nullptr;
     c->upstream_neighbor_.assign(
         static_cast<std::size_t>(c->in_port_count()), nullptr);
-    c->downstream_neighbor_.assign(
-        static_cast<std::size_t>(c->out_port_count()), nullptr);
     if (auto* mt = dynamic_cast<MergeTee*>(c)) mt->eos_seen_ = 0;
   }
   for (const Edge& e : p.edges()) {
-    e.from->downstream_neighbor_[static_cast<std::size_t>(e.out_port)] = e.to;
     e.to->upstream_neighbor_[static_cast<std::size_t>(e.in_port)] = e.from;
   }
   Wiring(*this).build();
@@ -778,7 +859,6 @@ void Realization::unbind_components() {
     c->running_ = false;
     c->shared_lock_ = nullptr;
     c->upstream_neighbor_.clear();
-    c->downstream_neighbor_.clear();
     if (auto* a = dynamic_cast<ActiveComponent*>(c)) {
       a->pull_link_ = {};
       a->push_link_ = {};
@@ -1022,6 +1102,8 @@ rt::CodeResult Realization::coroutine_code(HostContext& h, CoroutineRec& rec,
     return rt::CodeResult::kTerminate;
   } catch (...) {
     rec.running = false;  // a later request starts main again
+    // A fault ends the burst: the outputs gathered before it still leave.
+    if (rec.downstream) co_flush(rec);
     throw;
   }
   rec.running = false;

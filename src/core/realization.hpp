@@ -6,9 +6,11 @@
 // returns to the pump. Where the plan requires coroutines, each one is
 // implemented by an additional thread of the underlying package, and their
 // synchronous interaction ("the activity travels with the data") is a typed
-// rendezvous: the item, the requester and its scheduling constraint are
+// rendezvous: the items, the requester and its scheduling constraint are
 // written into the coroutine's slot and the peer is unparked, with no
-// message and no envelope. A thread blocked in a push or pull is parked
+// message and no envelope. One hand-off carries a whole span: a pusher's
+// burst, taken item by item without a switch, or a puller's room, filled
+// by one upstream take. A thread blocked in a push or pull is parked
 // until either its slot is served OR a control message arrives — control
 // events are dispatched even while a component is logically blocked
 // (§3.2/§4). Threads that host several directly-called components dispatch
@@ -64,20 +66,32 @@ struct StopFlow {};
 /// Per-coroutine state: the component's main function and the slot of its
 /// synchronous hand-off channel (§4 maps push and pull between coroutines
 /// onto inter-thread communication; here it is a rendezvous, not a
-/// message). A coroutine is used in one direction only, so one item field
-/// serves both: a pushed input, or an output answering a pull.
+/// message). One hand-off carries a whole span. A coroutine is used in one
+/// direction only, so one span field serves both: a pusher's items, or the
+/// room a puller hands over to be filled.
 struct CoroutineRec {
   Component* comp = nullptr;
   rt::ThreadId tid = rt::kNoThread;
   std::function<void()> main;
-  Item item;                    ///< the item in the slot
-  bool full = false;            ///< `item` awaits its taker
-  bool want = false;            ///< a requester awaits an item (pull)
+  ItemSpan span;                ///< the pusher's items / the puller's room
+  std::size_t pos = 0;          ///< push: next item to take; pull: filled
+  bool full = false;            ///< the filled room awaits its taker (pull)
+  bool want = false;            ///< a room awaits items (pull)
   bool done = true;             ///< the pusher may return (push)
   rt::ThreadId requester = rt::kNoThread;
   std::optional<rt::Constraint> constraint;  ///< the requester's, adopted
   bool running = false;         ///< main is on the coroutine's stack
   bool finished = false;        ///< saw end-of-stream
+  /// The coroutine's own end of the section: push mode sends its gathered
+  /// outputs downstream, pull mode takes its inputs from upstream.
+  PushSpanFn downstream;
+  PullSpanFn upstream;
+  /// Push: outputs gathered for the next downstream span. Pull: the
+  /// `taken` items of the last upstream take, `next` the first one not yet
+  /// processed. Never more than kBurstCap items.
+  std::vector<Item> scratch;
+  std::size_t next = 0;
+  std::size_t taken = 0;
 };
 
 }  // namespace detail

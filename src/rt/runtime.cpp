@@ -547,6 +547,7 @@ void Runtime::park_until(Time deadline) {
     service_busy_ns_.fetch_add(static_cast<std::uint64_t>(entry - service_mark_),
                                std::memory_order_relaxed);
   }
+  park_entry_.store(entry, std::memory_order_relaxed);
   // Dekker with wake(): publish parked_, then recheck both wake flags.
   parked_.store(true, std::memory_order_seq_cst);
   if (!external_pending_.load(std::memory_order_seq_cst) &&

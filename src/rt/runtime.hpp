@@ -311,6 +311,13 @@ class Runtime {
   [[nodiscard]] bool parked() const noexcept {
     return parked_.load(std::memory_order_relaxed);
   }
+  /// While parked(): the runtime-clock time the current park began, whose
+  /// idle time service_idle_ns() adds only at the park's exit; nullopt when
+  /// the runtime is not parked. Thread-safe read.
+  [[nodiscard]] std::optional<Time> parked_since() const noexcept {
+    if (!parked_.load(std::memory_order_acquire)) return std::nullopt;
+    return park_entry_.load(std::memory_order_relaxed);
+  }
 
  private:
   // ---- File descriptors (real clock only; the IoBridge facade) -------------
@@ -417,6 +424,7 @@ class Runtime {
   /// parks; a poster that sets external_pending_ and then sees it writes
   /// the eventfd (the same Dekker as core/buffer.hpp's waiter slot).
   std::atomic<bool> parked_{false};
+  std::atomic<Time> park_entry_{0};  ///< see parked_since()
   int epoll_fd_ = -1;  ///< real clock only; see open_io()
   int wake_fd_ = -1;   ///< eventfd in the epoll set
   std::vector<IoBridge*> io_bridges_;  ///< by fd

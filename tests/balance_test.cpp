@@ -604,6 +604,24 @@ TEST(Accountant, RuntimeThatNeverParksReadsBusy) {
   group.stop();
 }
 
+TEST(Accountant, ParkedShardReadsIdle) {
+  // A park counts its busy time at entry and its idle time only at exit,
+  // so an interval that ends inside a park must still read that park as
+  // idle. The first sample runs on shard 0 itself, so that shard enters
+  // its park inside the interval and stays parked to its end.
+  shard::ShardGroup group(2);
+  group.launch();
+  LoadAccountant acc(group);
+  group.run_on(0, [&acc] { acc.sample(); });
+  std::this_thread::sleep_for(20ms);
+  acc.sample();
+  const LoadSnapshot snap = acc.snapshot();
+  ASSERT_EQ(snap.busy.size(), 2u);
+  EXPECT_LT(snap.busy[0], 0.2);
+  EXPECT_LT(snap.busy[1], 0.2);
+  group.stop();
+}
+
 TEST(Accountant, RetiredShardKeepsItsLastEstimate) {
   // A retired runtime's busy/idle split never moves again and it no longer
   // parks; its EWMA must freeze at the last live value, not read as busy.
@@ -685,6 +703,45 @@ TEST(Migration, RepeatedMovesUnderLiveLoadLoseNothing) {
   EXPECT_GT(moves, 0);
   ASSERT_TRUE(sr.wait_finished(60000ms));
   group.stop();  // joins host threads: direct reads below are race-free
+
+  const std::vector<std::uint64_t> seqs = sink.seqs();
+  ASSERT_EQ(seqs.size(), kN);
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(seqs[i], i) << "at " << i;
+  }
+  EXPECT_TRUE(sink.eos_seen());
+  EXPECT_EQ(sr.migrations(), static_cast<std::uint64_t>(moves));
+}
+
+TEST(Migration, RepeatedMovesOfBatchedPumpsLoseNothing) {
+  // The same bounce with every pump moving bursts of up to 64 items: a
+  // burst in a pump's hands when its section stops must reach a buffer,
+  // not die with the torn-down realization.
+  constexpr std::uint64_t kN = 200000;
+  CountingSource src("src", kN);
+  FreeRunningPump p1(PumpSpec{.name = "p1", .max_batch = 64});
+  Buffer b1("b1", 16);
+  FreeRunningPump p2(PumpSpec{.name = "p2", .max_batch = 64});
+  Buffer b2("b2", 16);
+  FreeRunningPump p3(PumpSpec{.name = "p3", .max_batch = 64});
+  CollectorSink sink("sink");
+  auto ch = src >> p1 >> b1 >> p2 >> b2 >> p3 >> sink;
+
+  shard::ShardGroup group(2);
+  shard::ShardedRealization sr(group, ch.pipeline());
+  sr.start();
+
+  int moves = 0;
+  for (int i = 0; i < 6 && !sr.finished(); ++i) {
+    std::this_thread::sleep_for(3ms);
+    const int from = sr.shard_of_section(1);
+    const shard::MigrationOutcome out = sr.migrate_section(1, 1 - from);
+    EXPECT_EQ(out.to, 1 - from);
+    ++moves;
+  }
+  EXPECT_GT(moves, 0);
+  ASSERT_TRUE(sr.wait_finished(60000ms));
+  group.stop();
 
   const std::vector<std::uint64_t> seqs = sink.seqs();
   ASSERT_EQ(seqs.size(), kN);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/infopipes.hpp"
@@ -142,33 +143,37 @@ TEST(Events, DeliveredWhileBlockedInHandOff) {
   EXPECT_EQ(sink.count(), 100u);
 }
 
+/// Consumer that posts an event to ITSELF while processing each item and
+/// logs both.
+class SelfPoker : public Consumer {
+ public:
+  explicit SelfPoker(std::vector<std::string>* log)
+      : Consumer("poker"), log_(log) {}
+
+ protected:
+  void push(Item x) override {
+    log_->push_back("push-begin:" + std::to_string(x.seq));
+    broadcast(Event{kEvNote});  // queued, not handled inline
+    log_->push_back("push-end:" + std::to_string(x.seq));
+    push_next(std::move(x));
+  }
+  void handle_event(const Event& e) override {
+    if (e.type == kEvNote) log_->push_back("note");
+  }
+
+ private:
+  std::vector<std::string>* log_;
+};
+
 TEST(Events, QueuedDuringDataProcessingDeliveredAfter) {
   // A component posts an event to ITSELF while processing data; the handler
   // must run after the data function returns, never reentrantly.
   rt::Runtime rtm;
   std::vector<std::string> log;
 
-  class SelfPoker : public Consumer {
-   public:
-    SelfPoker(std::vector<std::string>* log) : Consumer("poker"), log_(log) {}
-
-   protected:
-    void push(Item x) override {
-      log_->push_back("push-begin:" + std::to_string(x.seq));
-      broadcast(Event{kEvNote});  // queued, not handled inline
-      log_->push_back("push-end:" + std::to_string(x.seq));
-      push_next(std::move(x));
-    }
-    void handle_event(const Event& e) override {
-      if (e.type == kEvNote) log_->push_back("note");
-    }
-
-   private:
-    std::vector<std::string>* log_;
-  };
-
   CountingSource src("src", 2);
-  FreeRunningPump pump("pump");
+  // One item per fire: the per-item reference for the burst twin below.
+  FreeRunningPump pump(PumpSpec{.name = "pump", .max_batch = 1});
   SelfPoker poker(&log);
   CollectorSink sink("sink");
   auto ch = src >> pump >> poker >> sink;
@@ -186,6 +191,36 @@ TEST(Events, QueuedDuringDataProcessingDeliveredAfter) {
   EXPECT_EQ(log[3], "push-begin:1");
   EXPECT_EQ(log[4], "push-end:1");
   EXPECT_EQ(log[5], "note");
+}
+
+TEST(Events, QueuedDuringBurstDeliveredBeforeNextBurst) {
+  // With the platform choosing the burst, a free-running pump moves 64
+  // items per fire (kBurstCap): the events queued while the burst is
+  // processed are delivered at the burst boundary — after the burst's last
+  // item, before the next burst's first.
+  rt::Runtime rtm;  // VirtualClock
+  std::vector<std::string> log;
+  constexpr std::uint64_t kN = 100;
+  CountingSource src("src", kN);
+  FreeRunningPump pump("pump");
+  SelfPoker poker(&log);
+  CollectorSink sink("sink");
+  auto ch = src >> pump >> poker >> sink;
+  Realization real(rtm, ch.pipeline());
+  real.start();
+  rtm.run();
+  ASSERT_EQ(sink.count(), kN);
+  std::vector<std::string> expect;
+  for (const auto& [first, end] :
+       {std::pair<std::uint64_t, std::uint64_t>{0, kBurstCap},
+        std::pair<std::uint64_t, std::uint64_t>{kBurstCap, kN}}) {
+    for (std::uint64_t i = first; i < end; ++i) {
+      expect.push_back("push-begin:" + std::to_string(i));
+      expect.push_back("push-end:" + std::to_string(i));
+    }
+    for (std::uint64_t i = first; i < end; ++i) expect.push_back("note");
+  }
+  EXPECT_EQ(log, expect);
 }
 
 TEST(Events, LocalControlUpstream) {

@@ -119,7 +119,8 @@ TEST(FlowTracer, SinksSeeEveryEventIncludingOverwritten) {
 TEST(RuntimeMetrics, BuiltinCountersAppearInSnapshot) {
   rt::Runtime rtm;
   CountingSource src("src", 50);
-  FreeRunningPump pump("pump");
+  // One item per fire, so every item costs a driver cycle.
+  FreeRunningPump pump(PumpSpec{.name = "pump", .max_batch = 1});
   CountingSink sink("sink");
   auto ch = src >> pump >> sink;
   Realization real(rtm, ch.pipeline());
@@ -159,7 +160,8 @@ TEST(RuntimeMetrics, HandoffInstrumentationCountsCoroutineChannel) {
   rt::Runtime rtm;
   constexpr std::uint64_t kItems = 30;
   CountingSource src("src", kItems);
-  FreeRunningPump pump("pump");
+  // One item per fire: the per-item hand-off path.
+  FreeRunningPump pump(PumpSpec{.name = "pump", .max_batch = 1});
   LambdaActive noop("noop", [](const auto& pull, const auto& push) {
     for (;;) push(pull());
   });
@@ -174,6 +176,32 @@ TEST(RuntimeMetrics, HandoffInstrumentationCountsCoroutineChannel) {
       << "one hand-off per item crossing the coroutine channel";
   ASSERT_NE(s.find("core.handoff_ns"), nullptr);
   EXPECT_EQ(s.find("core.handoff_ns")->count, s.find("core.handoffs")->count);
+}
+
+TEST(RuntimeMetrics, BurstHandOffCostsLessThanOneSwitchPerItem) {
+  // The twin of the per-item hand-off above with the platform choosing the
+  // burst: one hand-off carries a whole span to the coroutine, so the
+  // switches per item fall below one.
+  rt::Runtime rtm;
+  constexpr std::uint64_t kItems = 3000;
+  CountingSource src("src", kItems);
+  FreeRunningPump pump("pump");
+  LambdaActive noop("noop", [](const auto& pull, const auto& push) {
+    for (;;) push(pull());
+  });
+  CountingSink sink("sink");
+  auto ch = src >> pump >> noop >> sink;
+  Realization real(rtm, ch.pipeline());
+  real.start();
+  rtm.run();
+  ASSERT_EQ(sink.count(), kItems);
+  const obs::MetricsSnapshot s = rtm.metrics().snapshot();
+  ASSERT_NE(s.find("rt.context_switches"), nullptr);
+  EXPECT_LT(static_cast<double>(s.find("rt.context_switches")->count) /
+                static_cast<double>(kItems),
+            1.0);
+  ASSERT_NE(s.find("core.handoffs"), nullptr);
+  EXPECT_LT(s.find("core.handoffs")->count, kItems);
 }
 
 TEST(RuntimeMetrics, TracerRecordsPipelineHops) {

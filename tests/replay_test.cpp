@@ -217,13 +217,15 @@ TEST(RecordReplay, LiveRunWithMigrationReplaysBitIdentically) {
 }
 
 TEST(RecordReplay, RecorderPublishesReplayMetrics) {
+  // The registry outlives the recorder: ~ScheduleRecorder removes the
+  // collector publish() registered in it.
+  obs::MetricsRegistry reg;
   ScheduleRecorder rec;
   rec.install();
   rec.note_mark(7);
   rec.note_mark(8);
   rec.uninstall();
 
-  obs::MetricsRegistry reg;
   rec.publish(reg);
   const obs::MetricsSnapshot snap = reg.snapshot();
   const obs::MetricValue* total = snap.find("replay.frames.total");
