@@ -275,7 +275,6 @@ void Buffer::put_span(ItemSpan xs, HostContext& host) {
     xs = ItemSpan(pending);
   }
   const bool cross = two_runtimes();
-  const std::memory_order seen = recheck_order(cross);
   rt::Runtime& rtm = host.runtime();
   const std::size_t n = xs.size();
   std::size_t i = 0;
@@ -345,15 +344,32 @@ void Buffer::put_span(ItemSpan xs, HostContext& host) {
       i = n;
       limit = n_slots_;
     }
-    bump(prod_.blocks);
-    IP_OBS_TRACE(rtm.tracer(), obs::Hop::kBufferBlock, name().c_str(), 0,
-                 static_cast<std::int64_t>(fill()));
-    const rt::Time t0 = rtm.now();
-    wait(prod_, host, cross, [&] { return fill(seen) < limit; });
-    block_hist(prod_, rtm)->record(rtm.now() - t0);
-    IP_OBS_TRACE(rtm.tracer(), obs::Hop::kBufferUnblock, name().c_str(), 0,
-                 static_cast<std::int64_t>(fill()));
+    block_producer(host, cross, limit);
   }
+}
+
+std::size_t Buffer::await_space(HostContext& host) {
+  const bool cross = two_runtimes();
+  const std::memory_order seen = recheck_order(cross);
+  while (full_ == FullPolicy::kBlock && fill(seen) >= capacity_) {
+    if (host.flow_stopped()) throw detail::StopFlow{};
+    block_producer(host, cross, capacity_);
+  }
+  const std::size_t f = fill(seen);
+  return f < capacity_ ? capacity_ - f : 0;
+}
+
+void Buffer::block_producer(HostContext& host, bool cross, std::size_t limit) {
+  const std::memory_order seen = recheck_order(cross);
+  rt::Runtime& rtm = host.runtime();
+  bump(prod_.blocks);
+  IP_OBS_TRACE(rtm.tracer(), obs::Hop::kBufferBlock, name().c_str(), 0,
+               static_cast<std::int64_t>(fill()));
+  const rt::Time t0 = rtm.now();
+  wait(prod_, host, cross, [&] { return fill(seen) < limit; });
+  block_hist(prod_, rtm)->record(rtm.now() - t0);
+  IP_OBS_TRACE(rtm.tracer(), obs::Hop::kBufferUnblock, name().c_str(), 0,
+               static_cast<std::int64_t>(fill()));
 }
 
 std::size_t Buffer::take_span(ItemSpan out, HostContext& host) {

@@ -140,6 +140,13 @@ class Buffer : public Component {
   /// nothing; the next put_span moves the stash in ahead of its own burst.
   void put_span(ItemSpan xs, HostContext& host);
 
+  /// Producer end: the ring's free space below capacity, waiting first
+  /// while a kBlock buffer is full (parked like a blocked put, one
+  /// put_blocks tick per wait). Throws detail::StopFlow when the flow is
+  /// stopped meanwhile — the caller holds no items yet. A free-running
+  /// pump sizes its burst with it, so it never blocks holding one.
+  [[nodiscard]] std::size_t await_space(HostContext& host);
+
   /// Move up to out.size() queued items into `out` and return how many,
   /// with one stats decision per burst, honouring the empty policy. A burst
   /// never crosses the end of the queued data into a special: an empty
@@ -242,6 +249,9 @@ class Buffer : public Component {
   /// arrives (then it takes itself off and the caller re-evaluates).
   template <typename Ready>
   void wait(End& e, HostContext& host, bool cross, Ready ready);
+  /// One producer-end block: waits until the fill is below `limit` or a
+  /// control event arrives, counted as one put_blocks tick.
+  void block_producer(HostContext& host, bool cross, std::size_t limit);
   static obs::Histogram* block_hist(End& e, rt::Runtime& rtm);
   void rebind(End& e, rt::Runtime& rtm, int shard) noexcept;
 

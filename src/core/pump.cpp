@@ -86,12 +86,11 @@ rt::Time ClockedPump::next_fire(rt::Time now) {
 FreeRunningPump::FreeRunningPump(std::string name, rt::Priority priority)
     : Pump(std::move(name), priority) {}
 
-std::size_t FreeRunningPump::burst_room() const {
+std::size_t FreeRunningPump::burst_room() {
   if (max_batch() != 0) return max_batch();
-  const Buffer* b = downstream_buffer();
+  Buffer* b = downstream_buffer();
   if (b == nullptr) return kBurstCap;
-  const std::size_t fill = b->fill();
-  const std::size_t space = fill < b->capacity() ? b->capacity() - fill : 0;
+  const std::size_t space = b->await_space(realization()->current_host());
   return std::clamp<std::size_t>(space, 1, kBurstCap);
 }
 

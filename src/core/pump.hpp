@@ -124,15 +124,16 @@ class Driver : public Component {
   virtual void cycle() = 0;
 
   /// The most items the next fire may move: max_batch() when declared, else
-  /// one. A free-running pump chooses more (FreeRunningPump).
-  [[nodiscard]] virtual std::size_t burst_room() const {
+  /// one. A free-running pump chooses more (FreeRunningPump), and may wait
+  /// for downstream space first.
+  [[nodiscard]] virtual std::size_t burst_room() {
     return max_batch_ == 0 ? 1 : max_batch_;
   }
 
   /// The buffer this driver's pushes reach through filters and push-mode
   /// coroutines, if any (set at realization): its space bounds a
   /// platform-chosen burst.
-  [[nodiscard]] const Buffer* downstream_buffer() const noexcept {
+  [[nodiscard]] Buffer* downstream_buffer() const noexcept {
     return downstream_;
   }
 
@@ -167,7 +168,7 @@ class Driver : public Component {
   NilPolicy nil_policy_ = NilPolicy::kSkipCycle;
   rt::Time cost_estimate_ = 0;
   std::size_t max_batch_ = 0;
-  const Buffer* downstream_ = nullptr;
+  Buffer* downstream_ = nullptr;
   PullSpanFn pull_link_;
   PushSpanFn push_link_;
   std::vector<Item> batch_;
@@ -223,10 +224,10 @@ class FreeRunningPump : public Pump {
  protected:
   [[nodiscard]] rt::Time next_fire(rt::Time now) override { return now; }
   /// Undeclared, the burst is what is ready: at most kBurstCap and the
-  /// downstream buffer's space (at least one item, which then blocks like
-  /// any push into a full buffer); the pull takes no more than the
-  /// upstream holds.
-  [[nodiscard]] std::size_t burst_room() const override;
+  /// downstream buffer's space, waited for while that buffer is full (so
+  /// the pump never blocks holding a burst); the pull takes no more than
+  /// the upstream holds.
+  [[nodiscard]] std::size_t burst_room() override;
 };
 
 /// Pump whose rate is adjusted while the pipeline runs — the building block

@@ -385,11 +385,11 @@ class Wiring {
 
   /// The buffer a push along `e` reaches through filters and push-mode
   /// coroutines, or nullptr (a sink, a tee, a pull-mode member).
-  const Buffer* buffer_downstream(const Edge* e) const {
+  Buffer* buffer_downstream(const Edge* e) const {
     for (; e != nullptr; e = pipe.edge_from(*e->to, 0)) {
       switch (e->to->style()) {
         case Style::kBuffer:
-          return static_cast<const Buffer*>(e->to);
+          return static_cast<Buffer*>(e->to);
         case Style::kFunction:
         case Style::kProducer:
         case Style::kActive:
