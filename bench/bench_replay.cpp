@@ -6,6 +6,10 @@
 // BM_TapCompiledOut (the same loop with the tap call absent). BM_TapLive
 // prices the other end — a ScheduleRecorder actually appending frames under
 // its mutex — which is the cost a RECORDED run pays, never a production one.
+// BM_HopTapDormant / BM_HopTapLive are the same pair for a hop site
+// (note_hop): dormant, its arguments — here a relaxed load standing in for
+// a buffer's fill() — are never computed; live, the recorder also interns
+// the site name.
 //
 // BM_ChannelPushPop then measures the real carrier: one ring cycle of a
 // Buffer bound to two runtimes, as a cut buffer is, with the taps dormant
@@ -15,6 +19,7 @@
 
 #include "bench_obs.hpp"
 
+#include <atomic>
 #include <cstdint>
 
 #include "core/infopipes.hpp"
@@ -62,6 +67,41 @@ void BM_TapLive(benchmark::State& state) {
       static_cast<double>(rec.frames_recorded());
 }
 BENCHMARK(BM_TapLive);
+
+// A fill level the hop rows load, as a buffer's drop and block sites do.
+std::atomic<std::int64_t> g_fill{3};
+
+void note_bench_hop(std::uint64_t i) {
+  replay::note_hop(&g_work, replay::Hop::kBlock, [i] {
+    return replay::HopArgs{"bench.buf", static_cast<std::int64_t>(i & 1),
+                           g_fill.load(std::memory_order_relaxed)};
+  });
+}
+
+void BM_HopTapDormant(benchmark::State& state) {
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    g_work += ++i;
+    note_bench_hop(i);
+    benchmark::DoNotOptimize(g_work);
+  }
+}
+BENCHMARK(BM_HopTapDormant);
+
+void BM_HopTapLive(benchmark::State& state) {
+  replay::ScheduleRecorder rec;
+  rec.install();
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    g_work += ++i;
+    note_bench_hop(i);
+    benchmark::DoNotOptimize(g_work);
+  }
+  rec.uninstall();
+  state.counters["frames"] =
+      static_cast<double>(rec.frames_recorded());
+}
+BENCHMARK(BM_HopTapLive);
 
 /// One ring cycle (try_put + try_take) per iteration on a two-runtime
 /// binding, the one the taps record; `recording` selects dormant taps (0)

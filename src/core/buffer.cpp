@@ -245,12 +245,22 @@ void Buffer::wait(End& e, HostContext& host, bool cross, Ready ready) {
   e.waiter.store(rt::kNoThread, std::memory_order_relaxed);
 }
 
-obs::Histogram* Buffer::block_hist(End& e, rt::Runtime& rtm) {
+void Buffer::note_block(End& e, rt::Runtime& rtm, int end, rt::Time waited) {
   if (e.hist_owner != &rtm) {
     e.hist_owner = &rtm;
     e.block_hist = &rtm.metrics().histogram("core.buffer_block_ns");
   }
-  return e.block_hist;
+  e.block_hist->record(waited);
+  replay::note_hop(&rtm, replay::Hop::kBlock, [&] {
+    return replay::HopArgs{name().c_str(), end, waited};
+  });
+}
+
+void Buffer::note_drop(rt::Runtime& rtm, int policy) const {
+  replay::note_hop(&rtm, replay::Hop::kDrop, [&] {
+    return replay::HopArgs{name().c_str(), policy,
+                           static_cast<std::int64_t>(fill())};
+  });
 }
 
 // ============================ the glue's operations =========================
@@ -297,8 +307,7 @@ void Buffer::put_span(ItemSpan xs, HostContext& host) {
       // not in the caller's span.
       bump(prod_.dropped, n - i);
       for (Item& x : xs.subspan(i)) x = Item();
-      IP_OBS_TRACE(rtm.tracer(), obs::Hop::kDrop, name().c_str(), 0,
-                   static_cast<std::int64_t>(fill()));
+      note_drop(rtm, 0);
       return;
     }
     if (full_ == FullPolicy::kDropOldest) {
@@ -316,8 +325,7 @@ void Buffer::put_span(ItemSpan xs, HostContext& host) {
         for (Item& x : xs.subspan(i, excess)) x = Item();
         i += excess;
       }
-      IP_OBS_TRACE(rtm.tracer(), obs::Hop::kDrop, name().c_str(), 1,
-                   static_cast<std::int64_t>(fill()));
+      note_drop(rtm, 1);
       continue;
     }
     // FullPolicy::kBlock
@@ -363,13 +371,9 @@ void Buffer::block_producer(HostContext& host, bool cross, std::size_t limit) {
   const std::memory_order seen = recheck_order(cross);
   rt::Runtime& rtm = host.runtime();
   bump(prod_.blocks);
-  IP_OBS_TRACE(rtm.tracer(), obs::Hop::kBufferBlock, name().c_str(), 0,
-               static_cast<std::int64_t>(fill()));
   const rt::Time t0 = rtm.now();
   wait(prod_, host, cross, [&] { return fill(seen) < limit; });
-  block_hist(prod_, rtm)->record(rtm.now() - t0);
-  IP_OBS_TRACE(rtm.tracer(), obs::Hop::kBufferUnblock, name().c_str(), 0,
-               static_cast<std::int64_t>(fill()));
+  note_block(prod_, rtm, 0, rtm.now() - t0);
 }
 
 std::size_t Buffer::take_span(ItemSpan out, HostContext& host) {
@@ -385,10 +389,6 @@ std::size_t Buffer::take_span(ItemSpan out, HostContext& host) {
     if (ended) n = pop(out, cross);
     if (n > 0) {
       wake(prod_, cons_, cross);
-      if (cross) {
-        IP_OBS_TRACE(rtm.tracer(), obs::Hop::kShardHop, name().c_str(),
-                     from_shard(), to_shard());
-      }
       return n;
     }
     if (ended) {
@@ -402,12 +402,9 @@ std::size_t Buffer::take_span(ItemSpan out, HostContext& host) {
     }
     if (host.flow_stopped()) throw detail::StopFlow{};
     bump(cons_.blocks);
-    IP_OBS_TRACE(rtm.tracer(), obs::Hop::kBufferBlock, name().c_str(), 1, 0);
     const rt::Time t0 = rtm.now();
     wait(cons_, host, cross, [&] { return fill(seen) > 0 || eos(); });
-    block_hist(cons_, rtm)->record(rtm.now() - t0);
-    IP_OBS_TRACE(rtm.tracer(), obs::Hop::kBufferUnblock, name().c_str(), 1,
-                 static_cast<std::int64_t>(fill()));
+    note_block(cons_, rtm, 1, rtm.now() - t0);
   }
 }
 

@@ -252,7 +252,11 @@ class Buffer : public Component {
   /// One producer-end block: waits until the fill is below `limit` or a
   /// control event arrives, counted as one put_blocks tick.
   void block_producer(HostContext& host, bool cross, std::size_t limit);
-  static obs::Histogram* block_hist(End& e, rt::Runtime& rtm);
+  /// Records one wait of `e` (`end` 0: put, 1: take) in its block-time
+  /// histogram and as a kBlock hop.
+  void note_block(End& e, rt::Runtime& rtm, int end, rt::Time waited);
+  /// A full-policy drop hop (`policy` 0: newest, 1: oldest).
+  void note_drop(rt::Runtime& rtm, int policy) const;
   void rebind(End& e, rt::Runtime& rtm, int shard) noexcept;
 
   /// Replaces the slot array with `n_slots` slots on `node`, carrying the

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/tee.hpp"
+#include "replay/hooks.hpp"
 
 namespace infopipe {
 
@@ -51,7 +52,11 @@ void HostContext::poll_control() {
   }
 }
 
-void HostContext::dispatch(rt::Message&& m) {
+void HostContext::dispatch(rt::Message&& in) {
+  // The payload dies in this frame. driver_code runs the whole flow under
+  // the caller's frame after this returns, and a teardown mid-flow kills
+  // that fiber without unwinding it.
+  rt::Message m = std::move(in);
   ControlDispatch* cd = m.get<ControlDispatch>();
   if (cd == nullptr) return;
   const Event e = std::move(cd->event);
@@ -62,8 +67,10 @@ void HostContext::dispatch(rt::Message&& m) {
     targets = hosted_;
   }
   real_->obs_hooks().control_dispatched->inc(targets.size());
-  IP_OBS_TRACE(runtime().tracer(), obs::Hop::kControlDispatch, "control",
-               e.type, static_cast<std::int64_t>(targets.size()));
+  replay::note_hop(&runtime(), replay::Hop::kControl, [&] {
+    return replay::HopArgs{"control", e.type,
+                           static_cast<std::int64_t>(targets.size())};
+  });
   for (Component* c : targets) {
     // Middleware lifecycle side effects first.
     switch (e.type) {
@@ -171,8 +178,10 @@ void channel_push(Realization& R, CoroutineRec& rec, ItemSpan xs) {
   co_wake(rtm, rec, detail::kMsgCoItem);
   h.await([&rec] { return rec.done; });
   note_handoff(R, rtm, t0);
-  IP_OBS_TRACE(rtm.tracer(), obs::Hop::kHandOff, "co.push",
-               static_cast<std::int64_t>(rec.tid));
+  replay::note_hop(&rtm, replay::Hop::kHandOff, [&] {
+    return replay::HopArgs{"co.push", static_cast<std::int64_t>(rec.tid),
+                           static_cast<std::int64_t>(xs.size())};
+  });
 }
 
 std::size_t channel_pull(Realization& R, CoroutineRec& rec, ItemSpan room) {
@@ -187,8 +196,10 @@ std::size_t channel_pull(Realization& R, CoroutineRec& rec, ItemSpan room) {
   h.await([&rec] { return rec.full; });
   rec.full = false;
   note_handoff(R, rtm, t0);
-  IP_OBS_TRACE(rtm.tracer(), obs::Hop::kHandOff, "co.pull",
-               static_cast<std::int64_t>(rec.tid));
+  replay::note_hop(&rtm, replay::Hop::kHandOff, [&] {
+    return replay::HopArgs{"co.pull", static_cast<std::int64_t>(rec.tid),
+                           static_cast<std::int64_t>(rec.pos)};
+  });
   return rec.pos;
 }
 

@@ -59,7 +59,12 @@ Pool::Pool(std::string name, bool shared)
     : name_(std::move(name)), shared_(shared), free_(kNumClasses, nullptr) {}
 
 Pool::~Pool() {
-  for (NumaBlock& s : slabs_) numa_free(s);
+  for (NumaBlock& s : slabs_) {
+    // Parked blocks are poisoned; a slab mapped later at this address must
+    // not inherit that.
+    IP_MEM_UNPOISON(s.ptr, s.bytes);
+    numa_free(s);
+  }
 }
 
 Pool& Pool::create(std::string name) {

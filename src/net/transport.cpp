@@ -5,6 +5,8 @@
 #include <memory>
 #include <new>
 
+#include "replay/hooks.hpp"
+
 namespace infopipe::net {
 
 namespace detail {
@@ -48,6 +50,14 @@ BurstRep* take_rep(std::uint32_t need) {
   }
   void* raw = ::operator new(sizeof(BurstRep) + need * sizeof(Item));
   return ::new (raw) BurstRep{0, need, nullptr};
+}
+
+/// A link drop hop: `bytes` lost, `cause` 0 for a full queue, 1 for
+/// random loss.
+void note_drop(rt::Runtime& rt, std::size_t bytes, int cause) {
+  replay::note_hop(&rt, replay::Hop::kDrop, [&] {
+    return replay::HopArgs{"link", static_cast<std::int64_t>(bytes), cause};
+  });
 }
 }  // namespace
 
@@ -114,8 +124,7 @@ void SimLink::send(rt::Runtime& rt, Item packet) {
   if (queue_depth_bytes(now) + size > cfg_.queue_capacity_bytes) {
     ++stats_.dropped_congestion;  // drop-tail: arbitrary from the app's view
     obs_drops_->inc();
-    IP_OBS_TRACE(rt.tracer(), obs::Hop::kDrop, "link",
-                 static_cast<std::int64_t>(size));
+    note_drop(rt, size, 0);
     return;
   }
   if (cfg_.random_loss > 0.0) {
@@ -123,8 +132,7 @@ void SimLink::send(rt::Runtime& rt, Item packet) {
     if (u(rng_) < cfg_.random_loss) {
       ++stats_.dropped_random;
       obs_drops_->inc();
-      IP_OBS_TRACE(rt.tracer(), obs::Hop::kDrop, "link",
-                   static_cast<std::int64_t>(size));
+      note_drop(rt, size, 1);
       return;
     }
   }

@@ -1,6 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -8,24 +7,36 @@ namespace infopipe::obs {
 
 // ============================ Histogram =====================================
 
-Histogram::Histogram(std::vector<std::int64_t> bounds)
-    : bounds_(std::move(bounds)) {
-  if (bounds_.empty()) bounds_ = MetricsRegistry::default_latency_bounds();
-  std::sort(bounds_.begin(), bounds_.end());
-  buckets_.assign(bounds_.size() + 1, 0);
+void Histogram::merge(const Histogram& o) noexcept {
+  const std::uint64_t n = o.count();
+  if (n == 0) return;
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    bump(buckets_[b], o.buckets_[b].load(std::memory_order_relaxed));
+  }
+  if (count() == 0 || o.min() < min()) {
+    min_.store(o.min(), std::memory_order_relaxed);
+  }
+  if (count() == 0 || o.max() > max()) {
+    max_.store(o.max(), std::memory_order_relaxed);
+  }
+  bump(sum_, o.sum());
+  bump(count_, n);
 }
 
-void Histogram::record(std::int64_t sample) noexcept {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), sample);
-  ++buckets_[static_cast<std::size_t>(it - bounds_.begin())];
-  if (count_ == 0) {
-    min_ = max_ = sample;
-  } else {
-    min_ = std::min(min_, sample);
-    max_ = std::max(max_, sample);
+std::uint64_t Histogram::quantile(double q) const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& c : buckets_) total += c.load(std::memory_order_relaxed);
+  if (total == 0) return 0;
+  q = std::clamp(q, 0.0, 1.0);
+  // Rank of the q-th sample, 1-based; walk buckets until it is covered.
+  const std::uint64_t rank =
+      static_cast<std::uint64_t>(q * static_cast<double>(total - 1)) + 1;
+  std::uint64_t seen = 0;
+  for (int b = 0; b < kBuckets; ++b) {
+    seen += bucket(b);
+    if (seen >= rank) return std::uint64_t{1} << b;
   }
-  ++count_;
-  sum_ += sample;
+  return std::uint64_t{1} << (kBuckets - 1);
 }
 
 // ============================ MetricsSnapshot ===============================
@@ -101,12 +112,7 @@ std::string MetricsSnapshot::to_json() const {
         out += "\"type\": \"histogram\", \"count\": " +
                std::to_string(m.count) + ", \"sum\": " + std::to_string(m.sum) +
                ", \"min\": " + std::to_string(m.min) +
-               ", \"max\": " + std::to_string(m.max) + ", \"bounds\": [";
-        for (std::size_t i = 0; i < m.bounds.size(); ++i) {
-          if (i != 0) out += ", ";
-          out += std::to_string(m.bounds[i]);
-        }
-        out += "], \"buckets\": [";
+               ", \"max\": " + std::to_string(m.max) + ", \"buckets\": [";
         for (std::size_t i = 0; i < m.buckets.size(); ++i) {
           if (i != 0) out += ", ";
           out += std::to_string(m.buckets[i]);
@@ -157,8 +163,7 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return *e.g;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<std::int64_t> bounds) {
+Histogram& MetricsRegistry::histogram(const std::string& name) {
   auto it = by_name_.find(name);
   if (it != by_name_.end()) {
     if (it->second.kind != MetricValue::Kind::kHistogram) {
@@ -166,7 +171,7 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
     }
     return *it->second.h;
   }
-  histograms_.emplace_back(std::move(bounds));
+  histograms_.emplace_back();
   Entry e;
   e.kind = MetricValue::Kind::kHistogram;
   e.h = &histograms_.back();
@@ -211,23 +216,18 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
         v.sum = e.h->sum();
         v.min = e.h->min();
         v.max = e.h->max();
-        v.bounds = e.h->bounds();
-        v.buckets = e.h->buckets();
+        for (int b = 0; b < Histogram::kBuckets; ++b) {
+          if (const std::uint64_t c = e.h->bucket(b)) {
+            v.buckets.resize(static_cast<std::size_t>(b) + 1, 0);
+            v.buckets.back() = c;
+          }
+        }
         break;
     }
     s.metrics.push_back(std::move(v));
   }
   for (const auto& [id, fn] : collectors_) fn(s);
   return s;
-}
-
-std::vector<std::int64_t> MetricsRegistry::default_latency_bounds() {
-  using namespace rt;
-  return {microseconds(1),    microseconds(5),    microseconds(10),
-          microseconds(50),   microseconds(100),  microseconds(500),
-          milliseconds(1),    milliseconds(5),    milliseconds(10),
-          milliseconds(50),   milliseconds(100),  milliseconds(500),
-          seconds(1)};
 }
 
 }  // namespace infopipe::obs

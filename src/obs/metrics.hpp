@@ -2,7 +2,7 @@
 //
 // The paper's thread-transparency claim is only auditable if the platform's
 // decisions and their runtime cost are visible as *data*, not prose. This
-// registry holds named counters, gauges and fixed-bucket histograms that the
+// registry holds named counters, gauges and log2-bucket histograms that the
 // runtime, the realization glue, buffers and netpipes update on their hot
 // paths through handles resolved once at registration — an increment is a
 // plain add, never a name lookup.
@@ -17,6 +17,10 @@
 // after run.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -51,38 +55,76 @@ class Gauge {
   double v_ = 0.0;
 };
 
-/// Fixed-bucket histogram for latency/jitter samples (nanoseconds by
-/// convention). Bucket `i` counts samples <= bounds[i]; one implicit
-/// overflow bucket counts the rest.
+/// Log2-bucketed histogram of latency/jitter samples (nanoseconds by
+/// convention). Bucket b holds [2^(b-1), 2^b): 0 (and anything negative)
+/// in bucket 0, everything from 2^62 up in the last.
+///
+/// One thread writes it (the one running the measured code, e.g. the
+/// owning runtime's); record() is relaxed loads and stores, no
+/// lock-prefixed read-modify-write. A snapshot taken from another thread
+/// reads the same atomics without a race; it may see the sample in flight
+/// counted in one field and not yet in another.
 class Histogram {
  public:
-  explicit Histogram(std::vector<std::int64_t> bounds);
+  static constexpr int kBuckets = 64;
 
-  void record(std::int64_t sample) noexcept;
-
-  [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-  [[nodiscard]] std::int64_t sum() const noexcept { return sum_; }
-  [[nodiscard]] std::int64_t min() const noexcept { return min_; }
-  [[nodiscard]] std::int64_t max() const noexcept { return max_; }
-  [[nodiscard]] const std::vector<std::int64_t>& bounds() const noexcept {
-    return bounds_;
+  void record(std::int64_t sample) noexcept {
+    const auto u = static_cast<std::uint64_t>(sample < 0 ? 0 : sample);
+    const auto b = static_cast<std::size_t>(
+        std::min(kBuckets - 1, static_cast<int>(std::bit_width(u))));
+    bump(buckets_[b], std::uint64_t{1});
+    const std::uint64_t n = count_.load(std::memory_order_relaxed);
+    if (n == 0 || sample < min_.load(std::memory_order_relaxed)) {
+      min_.store(sample, std::memory_order_relaxed);
+    }
+    if (n == 0 || sample > max_.load(std::memory_order_relaxed)) {
+      max_.store(sample, std::memory_order_relaxed);
+    }
+    sum_.store(sum_.load(std::memory_order_relaxed) + sample,
+               std::memory_order_relaxed);
+    count_.store(n + 1, std::memory_order_relaxed);
   }
-  /// buckets().size() == bounds().size() + 1 (overflow bucket last).
-  [[nodiscard]] const std::vector<std::uint64_t>& buckets() const noexcept {
-    return buckets_;
+
+  /// Adds `o`'s samples into this one. `o` may be written meanwhile by its
+  /// own thread; this one must not be.
+  void merge(const Histogram& o) noexcept;
+
+  [[nodiscard]] std::uint64_t count() const noexcept {
+    return count_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::int64_t sum() const noexcept {
+    return sum_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::int64_t min() const noexcept {
+    return min_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::int64_t max() const noexcept {
+    return max_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t bucket(int b) const noexcept {
+    return buckets_[static_cast<std::size_t>(b)].load(
+        std::memory_order_relaxed);
   }
   [[nodiscard]] double mean() const noexcept {
-    return count_ == 0 ? 0.0
-                       : static_cast<double>(sum_) / static_cast<double>(count_);
+    const std::uint64_t n = count();
+    return n == 0 ? 0.0
+                  : static_cast<double>(sum()) / static_cast<double>(n);
   }
+  /// The upper bound (2^b) of the bucket holding the q-th sample, q in
+  /// [0,1]; 0 when empty.
+  [[nodiscard]] std::uint64_t quantile(double q) const noexcept;
 
  private:
-  std::vector<std::int64_t> bounds_;  // ascending upper bounds
-  std::vector<std::uint64_t> buckets_;
-  std::uint64_t count_ = 0;
-  std::int64_t sum_ = 0;
-  std::int64_t min_ = 0;
-  std::int64_t max_ = 0;
+  template <typename T>
+  static void bump(std::atomic<T>& a, T d) noexcept {
+    a.store(a.load(std::memory_order_relaxed) + d, std::memory_order_relaxed);
+  }
+
+  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<std::int64_t> sum_{0};
+  std::atomic<std::int64_t> min_{0};
+  std::atomic<std::int64_t> max_{0};
 };
 
 /// One row of a snapshot: the value of a metric at snapshot time.
@@ -96,8 +138,8 @@ struct MetricValue {
   std::int64_t sum = 0;     ///< histogram only
   std::int64_t min = 0;     ///< histogram only
   std::int64_t max = 0;     ///< histogram only
-  std::vector<std::int64_t> bounds;    ///< histogram only
-  std::vector<std::uint64_t> buckets;  ///< histogram only
+  /// Histogram only: Histogram's log2 buckets up to the highest non-empty.
+  std::vector<std::uint64_t> buckets;
 };
 
 /// A consistent view of every registered metric, taken at one instant of the
@@ -132,10 +174,7 @@ class MetricsRegistry {
   /// with a different kind throws std::logic_error.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  /// `bounds` applies on first registration only (ascending upper bounds;
-  /// empty = default_latency_bounds()).
-  Histogram& histogram(const std::string& name,
-                       std::vector<std::int64_t> bounds = {});
+  Histogram& histogram(const std::string& name);
 
   /// Registers a snapshot-time publisher; returns an id for removal.
   /// Collectors whose captured state dies (e.g. a Realization) MUST
@@ -150,10 +189,6 @@ class MetricsRegistry {
   [[nodiscard]] std::size_t metric_count() const noexcept {
     return order_.size();
   }
-
-  /// 1us..1s in decade/half-decade steps — the scale of hand-off and block
-  /// latencies under both clocks.
-  [[nodiscard]] static std::vector<std::int64_t> default_latency_bounds();
 
  private:
   struct Entry {

@@ -82,6 +82,9 @@ class HBChecker : public TapSink {
   /// assigned lazily per kernel thread, so a new shard needs no setup).
   void on_scale(const void* /*rtm*/, const void* /*pool*/, int /*shard*/,
                 bool /*added*/, int /*live_after*/) override {}
+  /// Hops decide nothing and order nothing.
+  void on_hop(const void* /*rtm*/, Hop /*hop*/, const char* /*site*/,
+              std::int64_t /*a*/, std::int64_t /*b*/) override {}
 
  private:
   using VC = std::vector<std::uint64_t>;

@@ -1,24 +1,24 @@
-// Schedule-decision tap points (ip_replay).
+// The tap points (ip_replay): the platform's one instrumentation stream.
 //
 // Every source of nondeterminism the middleware itself introduces — which
 // mailbox message a ULT dispatches next, which ring positions a cut buffer
 // publishes and consumes, when a migration quiesces/transfers/resumes, when
 // a pool block rides the foreign-return stash, when a timer fires — funnels
-// through one of the note_*() functions below. The instrumented layers (rt,
-// shard, mem, balance) include ONLY this header: it is header-only and has
-// no link dependency, so taking the taps costs them nothing at link time
-// and one relaxed atomic load plus a predictable branch at run time while
-// no sink is installed. That load-and-branch is the entire hot-path cost
-// of a run that never records, which bench_replay measures.
+// through one of the note_*() functions below, and so do the hops that
+// decide nothing but show where an item's time goes (note_hop). The
+// instrumented layers include ONLY this header: it is header-only, so a
+// tap costs nothing at link time and, while no sink is installed, one
+// relaxed atomic load plus a predictable branch at run time — the entire
+// hot-path cost of a run that never records (bench_replay).
 //
-// A TapSink observes the decisions. Two live in src/replay/: the
-// ScheduleRecorder (writes a replay::Trace) and the HBChecker (vector-clock
-// happens-before verification over the channel/stash edges). Exactly one
-// sink is installed at a time; installation is process-global because the
-// decisions being observed are process-global (a ShardGroup's kernel
-// threads all tap the same stream). Install/uninstall only around a
-// quiescent group — the sink pointer is read without a lock on hot paths,
-// so a sink must outlive every thread that might still observe it.
+// A TapSink observes the stream: the ScheduleRecorder (a replay::Trace,
+// hops included) or the HBChecker (happens-before over the channel/stash
+// edges). Exactly one sink is installed at a time, so tracing a run and
+// recording it are one act. Installation is process-global because a
+// ShardGroup's kernel threads all tap the same stream. Install/uninstall
+// only around a quiescent group — the sink pointer is read without a lock
+// on hot paths, so a sink must outlive every thread that might still
+// observe it.
 #pragma once
 
 #include <atomic>
@@ -47,7 +47,26 @@ enum class MigrationPhase : int { kQuiesce = 0, kTransfer = 1, kResume = 2 };
 /// Which pool foreign-stash edge a note_stash() call marks.
 enum class StashEdge : int { kReturn = 0, kAdopt = 1, kDrain = 2 };
 
-/// Observer of schedule decisions. Methods are called from ANY kernel
+/// What a note_hop() call marks. Hops decide nothing: the Replayer and the
+/// HBChecker skip them.
+enum class Hop : std::uint8_t {
+  kDrop = 0,     ///< buffer: a=policy (0 newest, 1 oldest)  b=fill;
+                 ///< link: a=bytes  b=0 queue full, 1 random loss
+  kBlock = 1,    ///< a buffer end blocked, then resumed  a=0 put, 1 take
+                 ///<                                     b=wait ns
+  kControl = 2,  ///< control event delivered  a=event type  b=targets
+  kHandOff = 3,  ///< coroutine hand-off  a=coroutine tid  b=items moved
+};
+
+/// A hop's site name and hop-specific fields, computed by a note_hop()
+/// call only while a sink is installed.
+struct HopArgs {
+  const char* site;
+  std::int64_t a = 0;
+  std::int64_t b = 0;
+};
+
+/// Observer of schedule decisions and hops. Methods are called from ANY kernel
 /// thread hosting a shard, concurrently; implementations synchronize
 /// internally. Pointers identify objects (runtimes, channels, pools) —
 /// sinks map them to shard ids or vector-clock slots, never dereference.
@@ -98,6 +117,11 @@ class TapSink {
   /// tap where object identities arrive AFTER attach time.
   virtual void on_scale(const void* rtm, const void* pool, int shard,
                         bool added, int live_after) = 0;
+
+  /// A hop on runtime `rtm` at component or subsystem `site` (a string the
+  /// sink copies; it need not outlive the call).
+  virtual void on_hop(const void* rtm, Hop hop, const char* site,
+                      std::int64_t a, std::int64_t b) = 0;
 };
 
 /// The installed sink (nullptr: every tap is the cheap branch). C++17
@@ -175,6 +199,16 @@ inline void note_scale(const void* rtm, const void* pool, int shard,
                        bool added, int live_after) noexcept {
   if (TapSink* s = g_tap_sink.load(std::memory_order_relaxed)) {
     s->on_scale(rtm, pool, shard, added, live_after);
+  }
+}
+
+/// `args()` returns the HopArgs; it runs only while a sink is installed, so
+/// a dormant site pays no fill() load or name lookup.
+template <typename Args>
+inline void note_hop(const void* rtm, Hop hop, Args&& args) noexcept {
+  if (TapSink* s = g_tap_sink.load(std::memory_order_relaxed)) {
+    const HopArgs h = args();
+    s->on_hop(rtm, hop, h.site, h.a, h.b);
   }
 }
 

@@ -50,15 +50,30 @@ std::uint8_t ScheduleRecorder::shard_of(const void* obj) const {
   return it == shard_of_.end() ? kShardUnknown : it->second;
 }
 
-void ScheduleRecorder::push_frame(Frame f) {
+namespace {
+
+std::uint8_t shard_byte(int shard) {
+  return shard >= 0 && shard < 0xff ? static_cast<std::uint8_t>(shard)
+                                    : kShardUnknown;
+}
+
+}  // namespace
+
+void ScheduleRecorder::push_frame(Frame f, const void* owner,
+                                  const char* site) {
   total_.fetch_add(1, std::memory_order_relaxed);
-  if (f.kind < kNumFrameKinds) {
-    by_kind_[f.kind].fetch_add(1, std::memory_order_relaxed);
-  }
+  by_kind_[f.kind].fetch_add(1, std::memory_order_relaxed);
   const std::lock_guard<std::mutex> lk(mu_);
   if (frames_.size() >= kMaxFrames) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
+  }
+  if (owner != nullptr) f.shard = shard_of(owner);
+  if (site != nullptr) {
+    const auto [it, fresh] = site_index_.try_emplace(
+        site, static_cast<std::uint32_t>(sites_.size()));
+    if (fresh) sites_.emplace_back(site);
+    f.aux32 = it->second;
   }
   frames_.push_back(f);
 }
@@ -70,17 +85,7 @@ void ScheduleRecorder::on_dispatch(const void* rtm, std::uint64_t tid,
   f.t = now_ns();
   f.a = tid;
   f.aux32 = static_cast<std::uint32_t>(msg_type);
-  {
-    const std::lock_guard<std::mutex> lk(mu_);
-    f.shard = shard_of(rtm);
-    if (frames_.size() >= kMaxFrames) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      frames_.push_back(f);
-    }
-  }
-  total_.fetch_add(1, std::memory_order_relaxed);
-  by_kind_[f.kind].fetch_add(1, std::memory_order_relaxed);
+  push_frame(f, rtm);
 }
 
 void ScheduleRecorder::on_timer(const void* rtm, std::int64_t when,
@@ -90,42 +95,30 @@ void ScheduleRecorder::on_timer(const void* rtm, std::int64_t when,
   f.t = now_ns();
   f.a = target;
   f.b = static_cast<std::uint64_t>(when);
-  {
-    const std::lock_guard<std::mutex> lk(mu_);
-    f.shard = shard_of(rtm);
-    if (frames_.size() >= kMaxFrames) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      frames_.push_back(f);
-    }
-  }
-  total_.fetch_add(1, std::memory_order_relaxed);
-  by_kind_[f.kind].fetch_add(1, std::memory_order_relaxed);
+  push_frame(f, rtm);
 }
 
 void ScheduleRecorder::on_chan_push(const void* /*chan*/,
                                     std::uint64_t name_hash,
                                     std::uint64_t first_seq, std::uint64_t n,
                                     int shard) {
-  Frame f;
-  f.kind = static_cast<std::uint8_t>(FrameKind::kChanPush);
-  f.shard = shard >= 0 && shard < 0xff ? static_cast<std::uint8_t>(shard)
-                                       : kShardUnknown;
-  f.aux32 = static_cast<std::uint32_t>(n);
-  f.t = now_ns();
-  f.a = name_hash;
-  f.b = first_seq;
-  push_frame(f);
+  push_chan_frame(FrameKind::kChanPush, name_hash, first_seq, n, shard);
 }
 
 void ScheduleRecorder::on_chan_pop(const void* /*chan*/,
                                    std::uint64_t name_hash,
                                    std::uint64_t first_seq, std::uint64_t n,
                                    int shard) {
+  push_chan_frame(FrameKind::kChanPop, name_hash, first_seq, n, shard);
+}
+
+void ScheduleRecorder::push_chan_frame(FrameKind kind,
+                                       std::uint64_t name_hash,
+                                       std::uint64_t first_seq,
+                                       std::uint64_t n, int shard) {
   Frame f;
-  f.kind = static_cast<std::uint8_t>(FrameKind::kChanPop);
-  f.shard = shard >= 0 && shard < 0xff ? static_cast<std::uint8_t>(shard)
-                                       : kShardUnknown;
+  f.kind = static_cast<std::uint8_t>(kind);
+  f.shard = shard_byte(shard);
   f.aux32 = static_cast<std::uint32_t>(n);
   f.t = now_ns();
   f.a = name_hash;
@@ -137,8 +130,7 @@ void ScheduleRecorder::on_migration(std::uint32_t section, int from, int to,
                                     MigrationPhase phase) {
   Frame f;
   f.kind = static_cast<std::uint8_t>(FrameKind::kMigration);
-  f.shard = from >= 0 && from < 0xff ? static_cast<std::uint8_t>(from)
-                                     : kShardUnknown;
+  f.shard = shard_byte(from);
   f.aux16 = static_cast<std::uint16_t>(phase);
   f.aux32 = section;
   f.t = now_ns();
@@ -154,17 +146,7 @@ void ScheduleRecorder::on_stash(const void* pool, StashEdge edge,
   f.aux16 = static_cast<std::uint16_t>(edge);
   f.t = now_ns();
   f.a = n;
-  {
-    const std::lock_guard<std::mutex> lk(mu_);
-    f.shard = shard_of(pool);
-    if (frames_.size() >= kMaxFrames) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      frames_.push_back(f);
-    }
-  }
-  total_.fetch_add(1, std::memory_order_relaxed);
-  by_kind_[f.kind].fetch_add(1, std::memory_order_relaxed);
+  push_frame(f, pool);
 }
 
 void ScheduleRecorder::on_shared_access(const void* /*obj*/,
@@ -177,30 +159,32 @@ void ScheduleRecorder::on_scale(const void* rtm, const void* pool, int shard,
                                 bool added, int live_after) {
   Frame f;
   f.kind = static_cast<std::uint8_t>(FrameKind::kScale);
-  f.shard = shard >= 0 && shard < 0xff ? static_cast<std::uint8_t>(shard)
-                                       : kShardUnknown;
+  f.shard = shard_byte(shard);
   f.aux16 = added ? 0 : 1;
   f.aux32 = static_cast<std::uint32_t>(live_after);
   f.t = now_ns();
   f.a = static_cast<std::uint64_t>(shard);
-  {
-    const std::lock_guard<std::mutex> lk(mu_);
+  if (added && rtm != nullptr) {
     // A freshly added shard's runtime/pool were unknown at attach() time:
     // extend the attribution map so its later frames carry the shard id.
     // meta.n_shards deliberately stays the count at attach() — the replayer
     // reconstructs growth from the kScale frames themselves.
-    if (added && rtm != nullptr) {
-      shard_of_[rtm] = f.shard;
-      if (pool != nullptr) shard_of_[pool] = f.shard;
-    }
-    if (frames_.size() >= kMaxFrames) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      frames_.push_back(f);
-    }
+    const std::lock_guard<std::mutex> lk(mu_);
+    shard_of_[rtm] = f.shard;
+    if (pool != nullptr) shard_of_[pool] = f.shard;
   }
-  total_.fetch_add(1, std::memory_order_relaxed);
-  by_kind_[f.kind].fetch_add(1, std::memory_order_relaxed);
+  push_frame(f);
+}
+
+void ScheduleRecorder::on_hop(const void* rtm, Hop hop, const char* site,
+                              std::int64_t a, std::int64_t b) {
+  Frame f;
+  f.kind = static_cast<std::uint8_t>(FrameKind::kHop);
+  f.aux16 = static_cast<std::uint16_t>(hop);
+  f.t = now_ns();
+  f.a = static_cast<std::uint64_t>(a);
+  f.b = static_cast<std::uint64_t>(b);
+  push_frame(f, rtm, site == nullptr ? "" : site);
 }
 
 void ScheduleRecorder::note_flow(const std::string& name,
@@ -225,9 +209,12 @@ Trace ScheduleRecorder::finish() {
   const std::lock_guard<std::mutex> lk(mu_);
   t.meta.n_shards = n_shards_;
   t.flows = flows_;
+  t.sites = sites_;
   t.frames = frames_;
   for (const Frame& f : t.frames) {
-    if (f.t > t.meta.end_time_ns) t.meta.end_time_ns = f.t;
+    if (f.frame_kind() != FrameKind::kHop && f.t > t.meta.end_time_ns) {
+      t.meta.end_time_ns = f.t;
+    }
   }
   return t;
 }
@@ -239,13 +226,10 @@ void ScheduleRecorder::publish(obs::MetricsRegistry& reg) {
                   total_.load(std::memory_order_relaxed));
     s.add_counter("replay.frames.dropped",
                   dropped_.load(std::memory_order_relaxed));
-    static const char* kNames[kNumFrameKinds] = {
-        "replay.frames.dispatch", "replay.frames.timer",
-        "replay.frames.chan_push", "replay.frames.chan_pop",
-        "replay.frames.migration", "replay.frames.stash",
-        "replay.frames.mark", "replay.frames.scale"};
     for (int k = 0; k < kNumFrameKinds; ++k) {
-      s.add_counter(kNames[k], by_kind_[k].load(std::memory_order_relaxed));
+      s.add_counter(
+          std::string("replay.frames.") + to_string(static_cast<FrameKind>(k)),
+          by_kind_[k].load(std::memory_order_relaxed));
     }
   });
 }

@@ -14,6 +14,12 @@
 // Until install(), the tap call sites stay dormant: the hot path pays one
 // relaxed load and a branch per tap.
 //
+// Recording a run is also how its hops are traced: the recorder keeps the
+// kHop frames (blocks, drops, control dispatches, coroutine hand-offs)
+// beside the decisions, interning their site names into Trace::sites, and
+// Trace::to_json_lines() renders the lot. A plain rt::Runtime run can be
+// recorded without attach(); its frames carry no shard.
+//
 // Frames are stamped with nanoseconds since the recorder's construction on
 // one process-wide steady clock, giving every shard's decisions a common
 // timeline (the shard runtimes' RealClocks tick the same way). The frame
@@ -25,6 +31,7 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -100,11 +107,19 @@ class ScheduleRecorder : public TapSink {
   void on_shared_access(const void* obj, bool write) override;
   void on_scale(const void* rtm, const void* pool, int shard, bool added,
                 int live_after) override;
+  void on_hop(const void* rtm, Hop hop, const char* site, std::int64_t a,
+              std::int64_t b) override;
 
  private:
   [[nodiscard]] std::int64_t now_ns() const noexcept;
   [[nodiscard]] std::uint8_t shard_of(const void* obj) const;
-  void push_frame(Frame f);
+  void push_chan_frame(FrameKind kind, std::uint64_t name_hash,
+                       std::uint64_t first_seq, std::uint64_t n, int shard);
+  /// Counts and stores `f`, attributing it to `owner`'s shard when given
+  /// (kShardUnknown when unmapped) and interning `site`, when given, into
+  /// aux32.
+  void push_frame(Frame f, const void* owner = nullptr,
+                  const char* site = nullptr);
 
   const std::chrono::steady_clock::time_point t0_;
   std::atomic<bool> installed_{false};
@@ -112,6 +127,8 @@ class ScheduleRecorder : public TapSink {
   mutable std::mutex mu_;
   std::vector<Frame> frames_;
   std::vector<Trace::Flow> flows_;
+  std::vector<std::string> sites_;
+  std::unordered_map<std::string, std::uint32_t> site_index_;
   std::unordered_map<const void*, std::uint8_t> shard_of_;
   std::uint8_t n_shards_ = 0;
 

@@ -88,10 +88,15 @@ ReplayResult Replayer::run(const Builder& build) {
 
   // Per-window shard order from the recorded timeline: shards take their
   // replay turns in the order their first recorded frame of that window
-  // appears; silent shards follow in index order. frame_at walks the trace
-  // once overall (frames are time-sorted up to mutex-acquisition jitter,
-  // which a sort makes exact).
-  std::vector<Frame> timeline = trace_.frames;
+  // appears; silent shards follow in index order. Hop frames decide
+  // nothing and stay out of it. frame_at walks the trace once overall
+  // (frames are time-sorted up to mutex-acquisition jitter, which a sort
+  // makes exact).
+  std::vector<Frame> timeline;
+  timeline.reserve(trace_.frames.size());
+  for (const Frame& f : trace_.frames) {
+    if (f.frame_kind() != FrameKind::kHop) timeline.push_back(f);
+  }
   std::stable_sort(
       timeline.begin(), timeline.end(),
       [](const Frame& x, const Frame& y) { return x.t < y.t; });

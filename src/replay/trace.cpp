@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 
 namespace infopipe::replay {
 
@@ -74,7 +75,27 @@ struct Reader {
   }
 };
 
+void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
+  put_u16(out, static_cast<std::uint16_t>(s.size()));
+  out.insert(out.end(), s.begin(), s.end());
+}
+
 }  // namespace
+
+const char* to_string(FrameKind k) {
+  static constexpr const char* kNames[kNumFrameKinds] = {
+      "dispatch", "timer", "chan_push", "chan_pop", "migration",
+      "stash",    "mark",  "scale",     "hop"};
+  const auto i = static_cast<std::size_t>(k);
+  return i < std::size(kNames) ? kNames[i] : "?";
+}
+
+const char* to_string(Hop h) {
+  static constexpr const char* kNames[] = {"drop", "block", "control",
+                                           "hand-off"};
+  const auto i = static_cast<std::size_t>(h);
+  return i < std::size(kNames) ? kNames[i] : "?";
+}
 
 const Trace::Flow* Trace::find_flow(const std::string& name) const {
   for (const Flow& f : flows) {
@@ -101,13 +122,14 @@ std::vector<std::uint8_t> Trace::encode() const {
   put_u64(out, meta.seed);
   put_u64(out, static_cast<std::uint64_t>(meta.end_time_ns));
   put_u32(out, static_cast<std::uint32_t>(flows.size()));
+  put_u32(out, static_cast<std::uint32_t>(sites.size()));
   put_u32(out, static_cast<std::uint32_t>(frames.size()));
   for (const Flow& f : flows) {
-    put_u16(out, static_cast<std::uint16_t>(f.name.size()));
-    out.insert(out.end(), f.name.begin(), f.name.end());
+    put_str(out, f.name);
     put_u64(out, f.digest);
     put_u64(out, f.items);
   }
+  for (const std::string& site : sites) put_str(out, site);
   for (const Frame& f : frames) {
     out.push_back(f.kind);
     out.push_back(f.shard);
@@ -139,6 +161,7 @@ Trace Trace::decode(const std::uint8_t* data, std::size_t n) {
   t.meta.seed = r.u64();
   t.meta.end_time_ns = static_cast<std::int64_t>(r.u64());
   const std::uint32_t n_flows = r.u32();
+  const std::uint32_t n_sites = r.u32();
   const std::uint32_t n_frames = r.u32();
   t.flows.reserve(n_flows);
   for (std::uint32_t i = 0; i < n_flows; ++i) {
@@ -148,6 +171,7 @@ Trace Trace::decode(const std::uint8_t* data, std::size_t n) {
     f.items = r.u64();
     t.flows.push_back(std::move(f));
   }
+  for (std::uint32_t i = 0; i < n_sites; ++i) t.sites.push_back(r.str(r.u16()));
   t.frames.reserve(n_frames);
   for (std::uint32_t i = 0; i < n_frames; ++i) {
     Frame f;
@@ -191,15 +215,44 @@ std::string Trace::summary() const {
   const std::vector<std::uint64_t> c = kind_counts();
   std::string s = "trace v" + std::to_string(meta.version) + ": " +
                   std::to_string(static_cast<int>(meta.n_shards)) +
-                  " shards, " + std::to_string(frames.size()) + " frames (" +
-                  std::to_string(c[0]) + " dispatch, " + std::to_string(c[1]) +
-                  " timer, " + std::to_string(c[2]) + " push, " +
-                  std::to_string(c[3]) + " pop, " + std::to_string(c[4]) +
-                  " migration, " + std::to_string(c[5]) + " stash, " +
-                  std::to_string(c[7]) + " scale), " +
-                  std::to_string(flows.size()) + " flows, " +
-                  std::to_string(meta.end_time_ns / 1000000) + " ms";
+                  " shards, " + std::to_string(frames.size()) + " frames (";
+  for (int k = 0; k < kNumFrameKinds; ++k) {
+    if (k != 0) s += ", ";
+    s += std::to_string(c[static_cast<std::size_t>(k)]) + " " +
+         to_string(static_cast<FrameKind>(k));
+  }
+  s += "), " + std::to_string(flows.size()) + " flows, " +
+       std::to_string(meta.end_time_ns / 1000000) + " ms";
   return s;
+}
+
+std::string Trace::to_json_lines() const {
+  std::string out;
+  for (const Frame& f : frames) {
+    out += "{\"t\": " + std::to_string(f.t) + ", \"kind\": \"" +
+           to_string(f.frame_kind()) + "\", \"shard\": " +
+           std::to_string(static_cast<int>(f.shard));
+    if (f.frame_kind() == FrameKind::kHop) {
+      out += ", \"hop\": \"";
+      out += to_string(static_cast<Hop>(f.aux16));
+      out += "\", \"site\": \"";
+      if (f.aux32 < sites.size()) {
+        for (char ch : sites[f.aux32]) {
+          if (ch == '"' || ch == '\\') out += '\\';
+          out += ch;
+        }
+      }
+      out += "\", \"a\": " + std::to_string(static_cast<std::int64_t>(f.a)) +
+             ", \"b\": " + std::to_string(static_cast<std::int64_t>(f.b));
+    } else {
+      out += ", \"aux16\": " + std::to_string(f.aux16) +
+             ", \"aux32\": " + std::to_string(f.aux32) +
+             ", \"a\": " + std::to_string(f.a) +
+             ", \"b\": " + std::to_string(f.b);
+    }
+    out += "}\n";
+  }
+  return out;
 }
 
 }  // namespace infopipe::replay

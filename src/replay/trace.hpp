@@ -1,12 +1,14 @@
 // The schedule trace (ip_replay): a compact, versioned binary record of
-// every nondeterministic decision a live run made, plus the per-flow
-// digests that define what "the same run" means.
+// every nondeterministic decision a live run made, the hops it took on the
+// way (kHop frames: blocks, drops, control dispatches, hand-offs), plus the
+// per-flow digests that define what "the same run" means.
 //
 // Layout (all integers little-endian, like net/wire's frames):
 //
 //   header   "IPRT" u16 version  u8 n_shards  u8 flags  u64 seed
-//            i64 end_time_ns  u32 n_flows  u32 n_frames
+//            i64 end_time_ns  u32 n_flows  u32 n_sites  u32 n_frames
 //   flows    n_flows x { u16 name_len, name bytes, u64 digest, u64 items }
+//   sites    n_sites x { u16 name_len, name bytes }   (kHop aux32 indexes)
 //   frames   n_frames x 32 bytes (see Frame)
 //
 // `flags` is reserved: the recorder writes 0 and readers ignore it.
@@ -28,7 +30,7 @@
 namespace infopipe::replay {
 
 /// Bump when the encoding changes; decode() rejects other versions.
-inline constexpr std::uint16_t kTraceVersion = 1;
+inline constexpr std::uint16_t kTraceVersion = 2;
 
 /// Decision-point taxonomy (ARCHITECTURE §18). Stable on-disk values.
 enum class FrameKind : std::uint8_t {
@@ -41,8 +43,15 @@ enum class FrameKind : std::uint8_t {
   kMark = 6,       ///< user-defined marker          a=tag
   kScale = 7,      ///< topology change aux16=0 add/1 retire  a=shard
                    ///<                 aux32=live shards after the event
+  kHop = 8,        ///< hop (no decision)  aux16=Hop  aux32=site index
+                   ///<                    a, b as HopArgs (two's complement)
 };
-inline constexpr int kNumFrameKinds = 8;
+inline constexpr int kNumFrameKinds = 9;
+
+/// "dispatch", "timer", ..., "hop": the names JSON lines and metrics use.
+[[nodiscard]] const char* to_string(FrameKind k);
+/// "drop", "block", "control", "hand-off".
+[[nodiscard]] const char* to_string(Hop h);
 
 /// One recorded decision, 32 bytes encoded.
 struct Frame {
@@ -74,7 +83,7 @@ struct Trace {
     std::uint8_t n_shards = 0;
     std::uint8_t flags = 0;        ///< reserved; the recorder writes 0
     std::uint64_t seed = 0;        ///< config().seed at record time
-    std::int64_t end_time_ns = 0;  ///< timestamp of the last frame
+    std::int64_t end_time_ns = 0;  ///< timestamp of the last decision frame
   };
 
   /// What a flow's item stream hashed to (session::StreamDigest order:
@@ -88,6 +97,7 @@ struct Trace {
 
   Meta meta;
   std::vector<Flow> flows;
+  std::vector<std::string> sites;  ///< kHop frames' site names
   std::vector<Frame> frames;
 
   [[nodiscard]] const Flow* find_flow(const std::string& name) const;
@@ -102,8 +112,13 @@ struct Trace {
   void save(const std::string& path) const;  ///< throws TraceError on I/O
   [[nodiscard]] static Trace load(const std::string& path);
 
-  /// One-line human summary ("v1 2 shards 13482 frames ...") for tools.
+  /// One-line human summary ("trace v2: 2 shards, 13482 frames ...").
   [[nodiscard]] std::string summary() const;
+
+  /// One JSON object per frame, in recorded order: {"t": ns, "kind":
+  /// "hop", "shard": 0, "hop": "block", "site": "buf", "a": 1, "b": 52000}
+  /// (decision frames carry aux16/aux32 instead of hop/site).
+  [[nodiscard]] std::string to_json_lines() const;
 };
 
 }  // namespace infopipe::replay

@@ -34,7 +34,6 @@ Runtime::Runtime(std::unique_ptr<Clock> clock, Options options)
       options_(options),
       pool_(&mem::Pool::create("rt")) {
   metrics_.set_time_source([this] { return clock_->now(); });
-  tracer_.set_time_source([this] { return clock_->now(); });
   // The scheduler's hot-path counters live in the plain Stats struct (an
   // increment costs one add); this collector publishes them into snapshots.
   // The pool's counters ride along, so every --metrics-out dump shows the
@@ -453,8 +452,6 @@ void Runtime::fire_due_timers() {
     TimerEntry e = std::move(timers_.back());
     timers_.pop_back();
     ++stats_.timer_wakeups;
-    IP_OBS_TRACE(tracer_, obs::Hop::kTimerFire, "rt",
-                 static_cast<std::int64_t>(e.target));
     replay::note_timer(this, e.when, e.target);
     if (e.message) {
       send(e.target, std::move(*e.message));

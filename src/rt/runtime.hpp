@@ -51,7 +51,6 @@
 
 #include "mem/pool.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "rt/clock.hpp"
 #include "rt/reservation.hpp"
 #include "rt/message.hpp"
@@ -273,9 +272,6 @@ class Runtime {
     return metrics_;
   }
 
-  /// Per-item hop tracer (disabled by default; see obs/trace.hpp).
-  [[nodiscard]] obs::FlowTracer& tracer() noexcept { return tracer_; }
-
   /// This runtime's payload pool (src/mem/): installed as the thread's
   /// current pool while the scheduling loop runs, so Item::of inside any
   /// hosted user-level thread allocates here. Immortal (detached, not
@@ -413,7 +409,6 @@ class Runtime {
   mem::Pool* pool_;  ///< immortal; see pool()
   ReservationManager reservations_;
   obs::MetricsRegistry metrics_;
-  obs::FlowTracer tracer_;
   std::mutex external_mutex_;
   std::vector<std::pair<ThreadId, Message>> external_;
   std::vector<ThreadId> external_unparks_;

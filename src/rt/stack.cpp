@@ -7,6 +7,18 @@
 #include <new>
 #include <utility>
 
+#if defined(__SANITIZE_ADDRESS__)
+#define IP_RT_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define IP_RT_ASAN 1
+#endif
+#endif
+
+#ifdef IP_RT_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace infopipe::rt {
 
 namespace {
@@ -63,6 +75,11 @@ void* Stack::top() const noexcept {
 
 void Stack::release() noexcept {
   if (map_base_ != nullptr) {
+#ifdef IP_RT_ASAN
+    // Dead frames leave redzones in the shadow; the next stack mapped at
+    // this address must not inherit them.
+    ASAN_UNPOISON_MEMORY_REGION(usable_base_, usable_size_);
+#endif
     ::munmap(map_base_, map_size_);
     map_base_ = nullptr;
   }

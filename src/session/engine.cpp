@@ -232,8 +232,8 @@ void SessionSink::record(const Item& x, rt::Time now) {
     const auto expected =
         static_cast<std::int64_t>(x.timestamp - r.prev_due);
     const auto actual = static_cast<std::int64_t>(now - r.prev_arrival);
-    st_->jitter.record(static_cast<std::uint64_t>(
-        actual > expected ? actual - expected : expected - actual));
+    st_->jitter.record(actual > expected ? actual - expected
+                                         : expected - actual);
   }
   r.prev_due = x.timestamp;
   r.prev_arrival = now;

@@ -7,6 +7,7 @@
 // tests may reach in for white-box assertions.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -17,19 +18,20 @@
 #include "core/component.hpp"
 #include "core/item.hpp"
 #include "core/pump.hpp"
+#include "obs/metrics.hpp"
 #include "session/session.hpp"
 
 namespace infopipe::session {
 
 /// Per-shard state shared between the engine components, the table's query
 /// surface and the feedback loop: everything cross-thread-readable is an
-/// atomic or the lock-free histogram; nothing here is touched under a lock
-/// on the emission path.
+/// atomic or the histogram (single writer: the shard's SessionSink);
+/// nothing here is touched under a lock on the emission path.
 struct ShardState {
   std::array<std::atomic<double>, kNumClasses> mult;  ///< class rate multiplier
   std::atomic<std::uint64_t> emitted{0};
   std::atomic<std::uint64_t> live{0};
-  JitterHistogram jitter;
+  obs::Histogram jitter;
 
   ShardState() {
     for (auto& m : mult) m.store(1.0, std::memory_order_relaxed);

@@ -18,23 +18,4 @@ bool parse_qos(const std::string& s, QosClass& out) {
   return false;
 }
 
-std::uint64_t quantile_ns(
-    const std::array<std::uint64_t, JitterHistogram::kBuckets>& counts,
-    double q) {
-  std::uint64_t total = 0;
-  for (std::uint64_t c : counts) total += c;
-  if (total == 0) return 0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  // Rank of the q-th sample, 1-based; walk buckets until it is covered.
-  const std::uint64_t rank =
-      static_cast<std::uint64_t>(q * static_cast<double>(total - 1)) + 1;
-  std::uint64_t seen = 0;
-  for (int b = 0; b < JitterHistogram::kBuckets; ++b) {
-    seen += counts[static_cast<std::size_t>(b)];
-    if (seen >= rank) return std::uint64_t{1} << b;
-  }
-  return std::uint64_t{1} << (JitterHistogram::kBuckets - 1);
-}
-
 }  // namespace infopipe::session

@@ -8,10 +8,6 @@
 // (acceptor.hpp) and their tests; nothing here touches threads.
 #pragma once
 
-#include <algorithm>
-#include <array>
-#include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -77,49 +73,13 @@ static_assert(make_session_id(255, kSessionSlots - 1, kSessionGenerations) ==
 
 // ---- jitter accounting ------------------------------------------------------
 
-/// Lock-free log2-bucketed histogram of inter-item jitter (nanoseconds).
-/// record() is wait-free from any shard thread; snapshots merge across
-/// shards by plain addition, so the table can report one fleet-wide p99
-/// while 100k sessions keep emitting.
-class JitterHistogram {
- public:
-  static constexpr int kBuckets = 64;
-
-  /// Bucket b holds [2^(b-1), 2^b): 0 in bucket 0, everything from 2^62
-  /// up in the last.
-  void record(std::uint64_t ns) noexcept {
-    const int b =
-        std::min(kBuckets - 1, static_cast<int>(std::bit_width(ns)));
-    buckets_[static_cast<std::size_t>(b)].fetch_add(
-        1, std::memory_order_relaxed);
-  }
-
-  /// Adds this histogram's counts into `out` (a merge accumulator).
-  void merge_into(std::array<std::uint64_t, kBuckets>& out) const noexcept {
-    for (int b = 0; b < kBuckets; ++b) {
-      out[static_cast<std::size_t>(b)] +=
-          buckets_[static_cast<std::size_t>(b)].load(
-              std::memory_order_relaxed);
-    }
-  }
-
- private:
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-};
-
-/// Merged jitter picture across every shard's histogram.
+/// Merged jitter picture across every shard's obs::Histogram.
 struct JitterSnapshot {
   std::uint64_t samples = 0;
   std::uint64_t p50_ns = 0;  ///< upper bound of the bucket holding p50
   std::uint64_t p99_ns = 0;
   std::uint64_t max_ns = 0;  ///< upper bound of the highest non-empty bucket
 };
-
-/// Quantile over merged bucket counts: the upper bound (2^b ns) of the
-/// bucket containing the q-th sample. q in [0,1].
-[[nodiscard]] std::uint64_t quantile_ns(
-    const std::array<std::uint64_t, JitterHistogram::kBuckets>& counts,
-    double q);
 
 // ---- stream digest ----------------------------------------------------------
 

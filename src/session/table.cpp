@@ -215,19 +215,16 @@ double SessionTable::mult(int shard, QosClass c) const {
 }
 
 JitterSnapshot SessionTable::jitter() const {
-  std::array<std::uint64_t, JitterHistogram::kBuckets> counts{};
+  obs::Histogram merged;
   for (std::size_t s = 0; s < engine_count(); ++s) {
-    engine_at(static_cast<int>(s)).state.jitter.merge_into(counts);
+    merged.merge(engine_at(static_cast<int>(s)).state.jitter);
   }
   JitterSnapshot snap;
-  for (int b = 0; b < JitterHistogram::kBuckets; ++b) {
-    const std::uint64_t n = counts[static_cast<std::size_t>(b)];
-    snap.samples += n;
-    if (n > 0) snap.max_ns = std::uint64_t{1} << b;
-  }
+  snap.samples = merged.count();
   if (snap.samples > 0) {
-    snap.p50_ns = quantile_ns(counts, 0.50);
-    snap.p99_ns = quantile_ns(counts, 0.99);
+    snap.p50_ns = merged.quantile(0.50);
+    snap.p99_ns = merged.quantile(0.99);
+    snap.max_ns = merged.quantile(1.0);
   }
   return snap;
 }

@@ -835,10 +835,6 @@ void ShardedRealization::Migration::transfer() {
   sr.build_sub_pipes({from_, to_});
   sr.realize_shard(from_);
   sr.realize_shard(to_);
-  sr.run_on_shard(to_, [this, &sr] {
-    IP_OBS_TRACE(sr.group_->runtime(to_).tracer(), obs::Hop::kMigration,
-                 sr.section_name(section_).c_str(), from_, to_);
-  });
 
   // 4. Keep the published partition truthful for introspection.
   sr.part_.shard_of_section = assign;

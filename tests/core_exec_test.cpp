@@ -13,25 +13,39 @@
 
 #include "core/infopipes.hpp"
 
-// Counting global allocator for the HandoffCost allocation cases: counts
-// operator new calls on this OS thread while a test opens its window. Every
-// user-level thread of a Runtime runs on the thread that called run(), so the
-// count covers the whole pipeline.
+// Counting global allocator for the HandoffCost allocation cases and the
+// runtime footprint: counts operator new calls and bytes on this OS thread
+// while a test opens its window. Every user-level thread of a Runtime runs
+// on the thread that called run(), so the count covers the whole pipeline.
 namespace {
 thread_local bool t_count_allocs = false;
 thread_local std::uint64_t t_allocs = 0;
+thread_local std::uint64_t t_alloc_bytes = 0;
 }  // namespace
 
 // GCC cannot see that the replaced new and delete pair malloc with free.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void* operator new(std::size_t n) {
-  if (t_count_allocs) ++t_allocs;
+  if (t_count_allocs) {
+    ++t_allocs;
+    t_alloc_bytes += n;
+  }
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
+// The nothrow form too (std::stable_sort's buffer), or a sanitizer's own
+// nothrow new would pair with the free() below.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  if (t_count_allocs) {
+    ++t_allocs;
+    t_alloc_bytes += n;
+  }
+  return std::malloc(n == 0 ? 1 : n);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 #pragma GCC diagnostic pop
 
 namespace infopipe {
@@ -513,6 +527,20 @@ TEST(HandoffCost, Figure9eChainCostsOneSwitchPerMessage) {
   // wakes (request, item) plus two push wakes (item, next request): 8
   // wakes, one switch each (16 through the scheduler).
   EXPECT_LE(rtm.stats().context_switches, 8 * kItems + 16);
+}
+
+// ---------- runtime footprint ------------------------------------------------------
+
+TEST(RuntimeFootprint, RealClockRuntimeAllocatesUnder64KiB) {
+  // A real-clock Runtime is built inside every timed flow set-up, so what
+  // its constructor allocates is paid per flow, used or not.
+  t_allocs = 0;
+  t_alloc_bytes = 0;
+  t_count_allocs = true;
+  auto rtm = std::make_unique<rt::Runtime>(std::make_unique<rt::RealClock>());
+  t_count_allocs = false;
+  EXPECT_LT(t_alloc_bytes, 64u * 1024)
+      << t_allocs << " allocations, " << t_alloc_bytes << " bytes";
 }
 
 // ---------- buffer policies --------------------------------------------------------

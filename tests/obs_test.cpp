@@ -1,14 +1,16 @@
-// Observability tests: the metrics registry and flow tracer (ip_obs), the
-// runtime's built-in metrics, structured introspection (PlanInfo /
-// StatsSnapshot), and the mid-flow snapshot-safety guarantee.
+// Observability tests: the metrics registry (ip_obs), hop frames on the
+// replay tap stream, the runtime's built-in metrics, structured
+// introspection (PlanInfo / StatsSnapshot), and the mid-flow
+// snapshot-safety guarantee.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/infopipes.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "replay/recorder.hpp"
+#include "replay/trace.hpp"
 
 namespace infopipe {
 namespace {
@@ -39,20 +41,54 @@ TEST(MetricsRegistry, KindMismatchThrows) {
 
 TEST(MetricsRegistry, HistogramBucketsAndStats) {
   obs::MetricsRegistry reg;
-  obs::Histogram& h = reg.histogram("lat", {10, 100, 1000});
-  h.record(5);
-  h.record(10);   // boundary: <= 10 lands in the first bucket
-  h.record(50);
-  h.record(5000);  // overflow bucket
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_EQ(h.min(), 5);
+  obs::Histogram& h = reg.histogram("lat");
+  h.record(0);     // bucket 0 holds 0
+  h.record(1);     // bucket 1: [1, 2)
+  h.record(5);     // bucket 3: [4, 8)
+  h.record(7);
+  h.record(5000);  // bucket 13: [4096, 8192)
+  EXPECT_EQ(h.count(), 5u);
+  EXPECT_EQ(h.min(), 0);
   EXPECT_EQ(h.max(), 5000);
-  EXPECT_EQ(h.sum(), 5065);
-  ASSERT_EQ(h.buckets().size(), 4u);
-  EXPECT_EQ(h.buckets()[0], 2u);
-  EXPECT_EQ(h.buckets()[1], 1u);
-  EXPECT_EQ(h.buckets()[2], 0u);
-  EXPECT_EQ(h.buckets()[3], 1u);
+  EXPECT_EQ(h.sum(), 5013);
+  EXPECT_DOUBLE_EQ(h.mean(), 5013.0 / 5.0);
+  EXPECT_EQ(h.bucket(0), 1u);
+  EXPECT_EQ(h.bucket(1), 1u);
+  EXPECT_EQ(h.bucket(3), 2u);
+  EXPECT_EQ(h.bucket(13), 1u);
+  // Quantiles report the upper bound of the bucket holding the sample.
+  EXPECT_EQ(h.quantile(0.5), 8u);
+  EXPECT_EQ(h.quantile(1.0), 8192u);
+
+  // The snapshot row carries the buckets up to the highest non-empty one
+  // and the mean as its value.
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const obs::MetricValue* row = snap.find("lat");
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->count, 5u);
+  EXPECT_DOUBLE_EQ(row->value, h.mean());
+  ASSERT_EQ(row->buckets.size(), 14u);
+  EXPECT_EQ(row->buckets[3], 2u);
+  EXPECT_EQ(row->buckets[13], 1u);
+}
+
+TEST(MetricsRegistry, HistogramMergeAddsSamples) {
+  obs::Histogram a;
+  obs::Histogram b;
+  for (int i = 0; i < 99; ++i) a.record(100);   // bucket 7: [64, 128)
+  b.record(1'000'000);                          // bucket 20
+  obs::Histogram m;
+  m.merge(a);
+  m.merge(b);
+  m.merge(obs::Histogram{});  // empty: changes nothing
+  EXPECT_EQ(m.count(), 100u);
+  EXPECT_EQ(m.sum(), 99 * 100 + 1'000'000);
+  EXPECT_EQ(m.min(), 100);
+  EXPECT_EQ(m.max(), 1'000'000);
+  EXPECT_EQ(m.quantile(0.5), 128u);
+  EXPECT_EQ(m.quantile(0.99), 128u);
+  EXPECT_EQ(m.quantile(1.0), std::uint64_t{1} << 20);
+  EXPECT_EQ(obs::Histogram{}.quantile(0.5), 0u);
 }
 
 TEST(MetricsRegistry, SnapshotSeesCollectorsAndIsTimestamped) {
@@ -76,42 +112,6 @@ TEST(MetricsRegistry, SnapshotSeesCollectorsAndIsTimestamped) {
   obs::MetricsSnapshot s2 = reg.snapshot();
   EXPECT_EQ(s2.when, 43);
   EXPECT_EQ(s2.find("ext.b"), nullptr) << "removed collector must not run";
-}
-
-// ============================= tracer =======================================
-
-TEST(FlowTracer, DisabledRecordIsANoOp) {
-  obs::FlowTracer tr(8);
-  tr.record(obs::Hop::kPush, "x");
-  EXPECT_EQ(tr.size(), 0u);
-  EXPECT_EQ(tr.total_recorded(), 0u);
-}
-
-TEST(FlowTracer, RingWrapsOverwritingOldest) {
-  obs::FlowTracer tr(4);
-  tr.enable();
-  for (int i = 0; i < 10; ++i) {
-    tr.record(obs::Hop::kPush, "site", i);
-  }
-  EXPECT_EQ(tr.total_recorded(), 10u);
-  EXPECT_EQ(tr.dropped(), 6u);
-  EXPECT_EQ(tr.size(), 4u);
-  const auto events = tr.drain();
-  ASSERT_EQ(events.size(), 4u);
-  // Oldest-first: the survivors are 6, 7, 8, 9.
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(events[i].a, static_cast<std::int64_t>(6 + i));
-  }
-  EXPECT_EQ(tr.size(), 0u) << "drain empties the ring";
-}
-
-TEST(FlowTracer, SinksSeeEveryEventIncludingOverwritten) {
-  obs::FlowTracer tr(2);
-  auto sink = std::make_shared<obs::MemorySink>();
-  tr.add_sink(sink);
-  tr.enable();
-  for (int i = 0; i < 5; ++i) tr.record(obs::Hop::kPull, "s", i);
-  EXPECT_EQ(sink->events().size(), 5u);
 }
 
 // ===================== runtime + pipeline integration =======================
@@ -205,35 +205,42 @@ TEST(RuntimeMetrics, BurstHandOffCostsLessThanOneSwitchPerItem) {
 }
 
 TEST(RuntimeMetrics, TracerRecordsPipelineHops) {
-  rt::Runtime rtm;
-  rtm.tracer().enable();
-  rtm.tracer().set_capacity(1u << 14);
-  CountingSource src("src", 10);
-  FreeRunningPump fill("fill");
-  Buffer buf("buf", 2, FullPolicy::kBlock, EmptyPolicy::kBlock);
-  ClockedPump drain("drain", 1000.0);
-  CountingSink sink("sink");
-  auto ch = src >> fill >> buf >> drain >> sink;
-  Realization real(rtm, ch.pipeline());
-  real.start();
-  rtm.run();
-  real.shutdown();
-  rtm.run();
+  // Hops ride the replay tap stream: recording a run is tracing it.
+  replay::ScheduleRecorder rec;
+  rec.install();
+  {
+    rt::Runtime rtm;
+    CountingSource src("src", 10);
+    FreeRunningPump fill("fill");
+    Buffer buf("buf", 2, FullPolicy::kBlock, EmptyPolicy::kBlock);
+    ClockedPump drain("drain", 1000.0);
+    CountingSink sink("sink");
+    auto ch = src >> fill >> buf >> drain >> sink;
+    Realization real(rtm, ch.pipeline());
+    real.start();
+    rtm.run();
+    real.shutdown();
+    rtm.run();
+  }
+  rec.uninstall();
+  const replay::Trace t = rec.finish();
 
-  bool saw_block = false, saw_unblock = false, saw_control = false,
-       saw_timer = false;
-  for (const obs::TraceEvent& e : rtm.tracer().drain()) {
-    if (e.hop == obs::Hop::kBufferBlock && e.site == "buf") saw_block = true;
-    if (e.hop == obs::Hop::kBufferUnblock && e.site == "buf") {
-      saw_unblock = true;
+  bool saw_block = false, saw_control = false, saw_timer = false;
+  for (const replay::Frame& f : t.frames) {
+    if (f.frame_kind() == replay::FrameKind::kTimer) saw_timer = true;
+    if (f.frame_kind() != replay::FrameKind::kHop) continue;
+    ASSERT_LT(f.aux32, t.sites.size());
+    const auto hop = static_cast<replay::Hop>(f.aux16);
+    if (hop == replay::Hop::kBlock && t.sites[f.aux32] == "buf") {
+      saw_block = true;
+      EXPECT_GE(static_cast<std::int64_t>(f.b), 0) << "the wait, in ns";
     }
-    if (e.hop == obs::Hop::kControlDispatch) saw_control = true;
-    if (e.hop == obs::Hop::kTimerFire) saw_timer = true;
+    if (hop == replay::Hop::kControl) saw_control = true;
   }
   EXPECT_TRUE(saw_block) << "fill must have blocked on the tiny buffer";
-  EXPECT_TRUE(saw_unblock);
   EXPECT_TRUE(saw_control) << "START/SHUTDOWN dispatches are traced";
   EXPECT_TRUE(saw_timer) << "the clocked drain fires timers";
+  EXPECT_NE(t.to_json_lines().find("\"site\": \"buf\""), std::string::npos);
 }
 
 // ===================== structured introspection =============================
@@ -384,37 +391,41 @@ TEST(Introspection, EventListenerStillObservesBroadcasts) {
   EXPECT_EQ(seen.back(), kEventShutdown);
 }
 
-// ======================= JSON-lines sink ====================================
+// ======================= JSON-lines rendering ===============================
 
-TEST(JsonLinesSink, WritesOneObjectPerEvent) {
-  const std::string path = "obs_test_trace.jsonl";
-  {
-    obs::FlowTracer tr(16);
-    tr.add_sink(std::make_shared<obs::JsonLinesSink>(path));
-    tr.enable();
-    tr.record(obs::Hop::kPush, "alpha", 1, 2);
-    tr.record(obs::Hop::kDrop, "beta", 3);
-    (void)tr.drain();  // flushes sinks
+TEST(TraceJsonLines, WritesOneObjectPerFrameNamingHopSites) {
+  replay::Trace t;
+  t.sites = {"alpha", "be\"ta"};
+  replay::Frame f;
+  f.kind = static_cast<std::uint8_t>(replay::FrameKind::kHop);
+  f.aux16 = static_cast<std::uint16_t>(replay::Hop::kHandOff);
+  f.aux32 = 0;
+  f.a = 1;
+  f.b = 2;
+  t.frames.push_back(f);
+  f.aux16 = static_cast<std::uint16_t>(replay::Hop::kDrop);
+  f.aux32 = 1;
+  f.a = static_cast<std::uint64_t>(std::int64_t{-3});
+  t.frames.push_back(f);
+  f = replay::Frame{};
+  f.kind = static_cast<std::uint8_t>(replay::FrameKind::kTimer);
+  t.frames.push_back(f);
+
+  const std::string out = t.to_json_lines();
+  std::vector<std::string> lines;
+  for (std::size_t at = 0, nl; (nl = out.find('\n', at)) != std::string::npos;
+       at = nl + 1) {
+    lines.push_back(out.substr(at, nl - at));
   }
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char line[512];
-  int lines = 0;
-  bool saw_push = false, saw_drop = false;
-  while (std::fgets(line, sizeof line, f) != nullptr) {
-    ++lines;
-    const std::string l = line;
-    if (l.find("\"hop\": \"push\"") != std::string::npos &&
-        l.find("\"site\": \"alpha\"") != std::string::npos) {
-      saw_push = true;
-    }
-    if (l.find("\"hop\": \"drop\"") != std::string::npos) saw_drop = true;
-  }
-  std::fclose(f);
-  std::remove(path.c_str());
-  EXPECT_EQ(lines, 2);
-  EXPECT_TRUE(saw_push);
-  EXPECT_TRUE(saw_drop);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_NE(lines[0].find("\"hop\": \"hand-off\""), std::string::npos);
+  EXPECT_NE(lines[0].find("\"site\": \"alpha\""), std::string::npos);
+  EXPECT_NE(lines[1].find("\"hop\": \"drop\""), std::string::npos);
+  EXPECT_NE(lines[1].find("\"site\": \"be\\\"ta\""), std::string::npos)
+      << "site names are escaped";
+  EXPECT_NE(lines[1].find("\"a\": -3"), std::string::npos);
+  EXPECT_NE(lines[2].find("\"kind\": \"timer\""), std::string::npos);
+  EXPECT_EQ(lines[2].find("\"site\""), std::string::npos);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -75,6 +76,15 @@ Trace sample_trace() {
   f.a = 0;
   f.b = 1;
   t.frames.push_back(f);
+  t.sites.push_back("buf");
+  f = Frame{};
+  f.kind = static_cast<std::uint8_t>(FrameKind::kHop);
+  f.aux16 = static_cast<std::uint16_t>(Hop::kBlock);
+  f.aux32 = 0;  // "buf"
+  f.t = rt::seconds(2);
+  f.a = 1;
+  f.b = 52000;
+  t.frames.push_back(f);
   return t;
 }
 
@@ -92,7 +102,7 @@ TEST(Trace, EncodeDecodeRoundTrip) {
   EXPECT_EQ(d.flows[0].name, "frames");
   EXPECT_EQ(d.flows[0].digest, 0xdeadbeefcafef00dull);
   EXPECT_EQ(d.flows[0].items, 600u);
-  ASSERT_EQ(d.frames.size(), 3u);
+  ASSERT_EQ(d.frames.size(), 4u);
   EXPECT_EQ(d.frames[1].frame_kind(), FrameKind::kChanPush);
   EXPECT_EQ(d.frames[1].a, fnv1a("frames", 6));
   EXPECT_EQ(d.frames[1].b, 17u);
@@ -103,6 +113,10 @@ TEST(Trace, EncodeDecodeRoundTrip) {
   EXPECT_EQ(counts[static_cast<int>(FrameKind::kDispatch)], 1u);
   EXPECT_EQ(counts[static_cast<int>(FrameKind::kChanPush)], 1u);
   EXPECT_EQ(counts[static_cast<int>(FrameKind::kMigration)], 1u);
+  EXPECT_EQ(counts[static_cast<int>(FrameKind::kHop)], 1u);
+  ASSERT_EQ(d.sites, std::vector<std::string>{"buf"});
+  EXPECT_EQ(d.frames[3].aux16, static_cast<std::uint16_t>(Hop::kBlock));
+  EXPECT_EQ(d.frames[3].b, 52000u);
 }
 
 TEST(Trace, RejectsBadMagicVersionAndTruncation) {
@@ -134,20 +148,46 @@ TEST(Trace, SaveLoadRoundTrip) {
 
 // ---- the shared pipeline for record/replay and fuzzing ---------------------
 
+/// Items whose payloads outgrow Item's inline capacity: each takes a pool
+/// block on the shard that makes it and, across a cut, dies on the other.
+class PooledSource : public PassiveSource {
+ public:
+  PooledSource(std::string name, std::uint64_t count)
+      : PassiveSource(std::move(name)), count_(count) {}
+
+ protected:
+  Item generate() override {
+    if (next_ >= count_) return Item::eos();
+    constexpr std::size_t kBytes = Item::kInlineCapacity + 40;
+    Item x = Item::of_bytes(kBytes, [this](std::uint8_t* b) {
+      for (std::size_t i = 0; i < kBytes; ++i) {
+        b[i] = static_cast<std::uint8_t>(next_ * 31 + i);
+      }
+    });
+    x.seq = next_++;
+    return x;
+  }
+
+ private:
+  std::uint64_t count_;
+  std::uint64_t next_ = 0;
+};
+
 /// Two sections over two shards with DigestProbes on both sides of the cut;
 /// the flow is finite and fully deterministic under virtual clocks.
-struct ProbedPipeline {
-  CountingSource src;
+template <typename Source>
+struct Probed {
+  Source src;
   ClockedPump p1;
   DigestProbe up{"up"};
   Buffer buf{"buf", 32};
   ClockedPump p2;
   DigestProbe down{"down"};
-  CollectorSink sink{"sink"};
+  CountingSink sink{"sink"};  // items die here, on the consuming shard
   Pipeline pipe;
   std::optional<shard::ShardedRealization> sr;
 
-  ProbedPipeline(shard::ShardGroup& g, std::uint64_t items, double hz)
+  Probed(shard::ShardGroup& g, std::uint64_t items, double hz)
       : src("src", items), p1("p1", hz), p2("p2", hz) {
     pipe.connect(src, 0, p1, 0);
     pipe.connect(p1, 0, up, 0);
@@ -163,6 +203,7 @@ struct ProbedPipeline {
             Trace::Flow{"down", down.digest(), down.items()}};
   }
 };
+using ProbedPipeline = Probed<CountingSource>;
 
 // ---- record -> replay ------------------------------------------------------
 
@@ -214,6 +255,67 @@ TEST(RecordReplay, LiveRunWithMigrationReplaysBitIdentically) {
   EXPECT_TRUE(result.ok) << result.summary;
   EXPECT_EQ(result.migrations_applied, 1);
   EXPECT_GT(result.steps, 0u);
+}
+
+/// The pooled pipeline under manual lockstep: pooled payloads cross the cut
+/// until the consuming section migrates onto the producer's shard at
+/// 100 ms. Returns the flows; `sink` (if any) observes it all.
+std::vector<Trace::Flow> run_pooled_manual(TapSink* sink) {
+  shard::ShardGroup group(2, manual_opts());
+  Probed<PooledSource> pl(group, 200, 1000.0);
+  ScheduleRecorder* rec = dynamic_cast<ScheduleRecorder*>(sink);
+  if (rec != nullptr) rec->attach(group);
+  if (sink != nullptr) install_tap_sink(sink);
+  const int home = pl.sr->shard_of_section(1);
+  pl.sr->start();
+  for (rt::Time t = rt::milliseconds(10); t <= rt::seconds(1);
+       t += rt::milliseconds(10)) {
+    group.step_until(t);
+    if (t == rt::milliseconds(100)) pl.sr->migrate_section(1, 1 - home);
+  }
+  if (sink != nullptr) install_tap_sink(nullptr);
+  EXPECT_TRUE(pl.sr->finished());
+  EXPECT_EQ(pl.down.items(), 200u);
+  return pl.flows();
+}
+
+TEST(RecordReplay, PooledCutWithMigrationTapsEveryFrameKind) {
+  // The tap surface a live run drives, in one lockstep scenario: timers
+  // (the clocked pumps), the migration's phases, the pool's foreign-return
+  // stash (payloads made on one shard die on the other) and hops.
+  HBChecker hb;
+  const std::vector<Trace::Flow> plain = run_pooled_manual(&hb);
+  EXPECT_TRUE(hb.violations().empty()) << hb.report();
+  EXPECT_GT(hb.edges_observed(), 0u) << hb.report();
+
+  ScheduleRecorder rec;
+  const std::vector<Trace::Flow> recorded = run_pooled_manual(&rec);
+  for (const Trace::Flow& f : recorded) rec.note_flow(f.name, f.digest, f.items);
+  const Trace trace = rec.finish();
+  ASSERT_EQ(recorded.size(), plain.size());
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(recorded[i].digest, plain[i].digest) << plain[i].name;
+  }
+  EXPECT_EQ(rec.dropped(), 0u);
+  const std::vector<std::uint64_t> counts = trace.kind_counts();
+  EXPECT_GT(counts[static_cast<int>(FrameKind::kTimer)], 0u);
+  EXPECT_EQ(counts[static_cast<int>(FrameKind::kMigration)], 3u);
+  EXPECT_GT(counts[static_cast<int>(FrameKind::kStash)], 0u);
+  EXPECT_GT(counts[static_cast<int>(FrameKind::kHop)], 0u);
+  EXPECT_FALSE(trace.sites.empty());
+
+  Replayer rp(trace);
+  const ReplayResult result = rp.run([](shard::ShardGroup& g) {
+    auto st = std::make_shared<Probed<PooledSource>>(g, 200, 1000.0);
+    st->sr->start();
+    Replayer::Build b;
+    b.state = st;
+    b.real = &*st->sr;
+    b.flows = [st] { return st->flows(); };
+    return b;
+  });
+  EXPECT_TRUE(result.ok) << result.summary;
+  EXPECT_EQ(result.migrations_applied, 1);
 }
 
 TEST(RecordReplay, RecorderPublishesReplayMetrics) {

@@ -53,13 +53,18 @@ thread_local std::int64_t t_live_bytes = 0;
 // GCC cannot see that the replaced new and delete pair malloc with free.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t n) {
+// The nothrow form too (std::stable_sort's buffer in place()), or a
+// sanitizer's own nothrow new would pair with the free() below.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
   void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) throw std::bad_alloc();
-  if (t_count_bytes) {
+  if (p != nullptr && t_count_bytes) {
     t_live_bytes += static_cast<std::int64_t>(malloc_usable_size(p));
   }
   return p;
+}
+void* operator new(std::size_t n) {
+  if (void* p = operator new(n, std::nothrow)) return p;
+  throw std::bad_alloc();
 }
 void operator delete(void* p) noexcept {
   if (p != nullptr && t_count_bytes) {
@@ -68,6 +73,9 @@ void operator delete(void* p) noexcept {
   std::free(p);
 }
 void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  operator delete(p);
+}
 #pragma GCC diagnostic pop
 
 namespace infopipe::session {
@@ -496,30 +504,32 @@ TEST(SessionIds, OpenThrowsWhenTheShardHasNoSlotLeft) {
 // ---------- jitter accounting ------------------------------------------------------
 
 TEST(SessionJitter, RecordBucketsMatchTheLinearScan) {
-  const auto scan = [](std::uint64_t ns) {
+  // The engines' jitter histogram is obs::Histogram: bucket b holds
+  // [2^(b-1), 2^b), negatives count as 0.
+  const auto scan = [](std::int64_t v) {
+    const std::uint64_t ns = v < 0 ? 0 : static_cast<std::uint64_t>(v);
     int b = 0;
-    while (b < JitterHistogram::kBuckets - 1 && ns >= (std::uint64_t{1} << b)) {
+    while (b < obs::Histogram::kBuckets - 1 &&
+           ns >= (std::uint64_t{1} << b)) {
       ++b;
     }
     return b;
   };
-  const auto recorded = [](std::uint64_t ns) {
-    JitterHistogram h;
+  const auto recorded = [](std::int64_t ns) {
+    obs::Histogram h;
     h.record(ns);
-    std::array<std::uint64_t, JitterHistogram::kBuckets> counts{};
-    h.merge_into(counts);
-    for (int b = 0; b < JitterHistogram::kBuckets; ++b) {
-      if (counts[static_cast<std::size_t>(b)] != 0) return b;
+    for (int b = 0; b < obs::Histogram::kBuckets; ++b) {
+      if (h.bucket(b) != 0) return b;
     }
     return -1;
   };
-  std::vector<std::uint64_t> values{0, 1,
-                                    std::numeric_limits<std::uint64_t>::max()};
-  for (int k = 1; k < 64; ++k) {
-    values.push_back((std::uint64_t{1} << k) - 1);
-    values.push_back(std::uint64_t{1} << k);
+  std::vector<std::int64_t> values{0, 1, -5,
+                                   std::numeric_limits<std::int64_t>::max()};
+  for (int k = 1; k < 63; ++k) {
+    values.push_back((std::int64_t{1} << k) - 1);
+    values.push_back(std::int64_t{1} << k);
   }
-  for (const std::uint64_t ns : values) {
+  for (const std::int64_t ns : values) {
     EXPECT_EQ(recorded(ns), scan(ns)) << "ns = " << ns;
   }
 }

@@ -50,8 +50,15 @@ void* operator new(std::size_t n) {
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
+// The nothrow form too (std::stable_sort's buffer), or a sanitizer's own
+// nothrow new would pair with the free() below.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  if (t_count_allocs) ++t_allocs;
+  return std::malloc(n == 0 ? 1 : n);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 #pragma GCC diagnostic pop
 
 namespace infopipe::net {
